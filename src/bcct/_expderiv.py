@@ -1,8 +1,9 @@
-"""Closed-form t-derivatives of boundary factors of the form c(z)*exp(L(z)).
+"""Pole sums and closed-form t-derivatives of factors c(z)*exp(L(z)).
 
 All smooth factors in this package (the cut-off g, outer functions, singular
 inner functions, Blaschke products) are exponentials of functions whose z
-derivatives are explicit pole sums.  With z = e^{it} and psi(t) = L(e^{it}),
+derivatives are pole sums F(z) = sum_j w_j / (p_j - z), evaluated by
+:func:`pole_sum`.  With z = e^{it} and psi(t) = L(e^{it}),
 
     psi^(n)(t) = i^n * sum_k S(n,k) z^k L^(k)(z)
 
@@ -19,6 +20,33 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+
+# Point x pole entries per block of a pole sum: large enough to amortize the
+# Python loop, small enough (32 MB per complex temporary) to stay in memory.
+_BLOCK_ENTRIES = 2_000_000
+
+
+def pole_sum(poles: np.ndarray, weights: np.ndarray, z, m_max: int = 0) -> list[np.ndarray]:
+    """[F, F', ..., F^(m_max)] at z for F(z) = sum_j w_j / (p_j - z).
+
+    F^(k)(z) = k! sum_j w_j / (p_j - z)^(k+1); each row is reduced with
+    ``np.sum``, in blocks of at most ``_BLOCK_ENTRIES`` point x pole entries.
+    The results have the shape of ``z``.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    out = [np.zeros(flat.shape, dtype=complex) for _ in range(m_max + 1)]
+    step = max(1, _BLOCK_ENTRIES // max(1, len(poles)))
+    for i in range(0, len(flat), step):
+        diff = poles - flat[i : i + step, None]
+        power = diff
+        fact = 1.0
+        for k in range(m_max + 1):
+            if k:
+                fact *= k
+                power = power * diff
+            out[k][i : i + step] = fact * np.sum(weights / power, axis=1)
+    return [o.reshape(z.shape) for o in out]
 
 
 @lru_cache(maxsize=None)

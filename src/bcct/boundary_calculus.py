@@ -129,6 +129,18 @@ def analytic_coefficients(samples: np.ndarray, band: int | None = None) -> Analy
     return AnalyticSeries(c[: band + 1])
 
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two coefficient vectors, by FFT.
+
+    The transform length is the smallest power of two >= len(a) + len(b);
+    entries from len(a) + len(b) - 1 on are rounding noise around zero.
+    """
+    n = 1
+    while n < len(a) + len(b):
+        n <<= 1
+    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))
+
+
 def conjugate_function(u: np.ndarray) -> np.ndarray:
     """Harmonic conjugate on the grid: multiplier -i*sign(n), mean killed.
 

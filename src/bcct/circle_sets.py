@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateArc, EntropyDivergence, OverlapError
+from ._expderiv import exp_t_derivatives
+from .errors import DegenerateArc, EntropyDivergence, OverlapError, ResolutionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,13 +34,6 @@ def wrap_angle(t: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     t = math.fmod(t, TWO_PI)
     return t + TWO_PI if t < 0.0 else t
-
-
-def circle_distance(t1: float, t2: float) -> float:
-    """Normalized arc-length distance between two angles."""
-    d = abs(wrap_angle(t1) - wrap_angle(t2))
-    d = min(d, TWO_PI - d)
-    return d / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -196,6 +190,35 @@ def distances_to_set(angles: np.ndarray, E: BeurlingCarlesonSet) -> np.ndarray:
     return out
 
 
+def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, factor, m_max: int):
+    """Dyadic distance windows off E and the t-derivatives of a factor there.
+
+    Level l holds the grid angles at distance in [2^-l, 2^(1-l)) from E, for
+    the ``levels`` deepest levels l <= grid_log2 - 3, so each window is at
+    least 8 cells wide.  ``factor(z, m_max)`` returns ``exp(L(z))`` and
+    ``[L'(z), ..., L^(m_max)(z)]``; each level yields ``(2^-l, distances,
+    [|G|, |G'|, ..., |G^(m_max)|])`` for G(t) = exp(L(e^{it})).
+    """
+    l_max = grid_log2 - 3
+    l_min = l_max - levels + 1
+    if l_min < 1:
+        raise ResolutionError("grid too coarse for the requested number of levels")
+    n = 1 << grid_log2
+    t = TWO_PI * np.arange(n) / n
+    dist = distances_to_set(t, E)
+    out = []
+    for l in range(l_min, l_max + 1):
+        d = 2.0 ** (-l)
+        sel = (dist >= d) & (dist < 2.0 * d)
+        if np.count_nonzero(sel) < 8:
+            raise ResolutionError(f"level 2^-{l}: fewer than 8 grid points at that distance")
+        z = np.exp(1j * t[sel])
+        value, z_derivs = factor(z, m_max)
+        gm = exp_t_derivatives(z, value, z_derivs, m_max)
+        out.append((d, dist[sel], [np.abs(g) for g in gm]))
+    return out
+
+
 def dist_arc_to_set(arc: Arc, E: BeurlingCarlesonSet) -> float:
     """Distance between a closed subarc of a gap and the set.
 
@@ -290,6 +313,19 @@ def _tail_lambda(c: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, lam)
 
 
+def _lambda_rule(c: np.ndarray, rule: str) -> np.ndarray:
+    """Multipliers for the masses c: the tail-sum rule applied in order of
+    decreasing c (ties keep their order), or all ones for ``"constant"``."""
+    if rule == "constant":
+        return np.ones_like(c)
+    if rule != "tail-sum":
+        raise ValueError(f"unknown lambda rule {rule!r}")
+    order = np.argsort(-c, kind="stable")
+    lam = np.empty_like(c)
+    lam[order] = _tail_lambda(c[order])
+    return lam
+
+
 def assign_lambdas(arcs: Sequence[WhitneyArc], rule: str = "tail-sum") -> list[WhitneyArc]:
     """Attach the multipliers ``lambda_j`` to a Whitney system.
 
@@ -305,15 +341,7 @@ def assign_lambdas(arcs: Sequence[WhitneyArc], rule: str = "tail-sum") -> list[W
     lengths = np.array([w.length for w in arcs])
     if np.any(lengths >= 1.0):
         raise DegenerateArc("Whitney arc of normalized length >= 1")
-    if rule == "constant":
-        return [replace(w, lam=1.0) for w in arcs]
-    if rule != "tail-sum":
-        raise ValueError(f"unknown lambda rule {rule!r}")
-    c = lengths * np.log(1.0 / lengths)
-    order = np.argsort(-c, kind="stable")
-    lam_sorted = _tail_lambda(c[order])
-    lam = np.empty_like(lam_sorted)
-    lam[order] = lam_sorted
+    lam = _lambda_rule(lengths * np.log(1.0 / lengths), rule)
     return [replace(w, lam=float(l)) for w, l in zip(arcs, lam)]
 
 
@@ -321,17 +349,22 @@ def assign_lambdas(arcs: Sequence[WhitneyArc], rule: str = "tail-sum") -> list[W
 # external interfaces
 # ---------------------------------------------------------------------------
 
+def _read_json(source):
+    """``source`` parsed: the path of a JSON file, a JSON string, or an
+    already parsed object (returned as is)."""
+    if isinstance(source, (str, Path)) and Path(str(source)).exists():
+        return json.loads(Path(source).read_text())
+    if isinstance(source, str):
+        return json.loads(source)
+    return source
+
+
 def gaps_from_json(source) -> list[Arc]:
     """Read ``{"gaps": [{"start": rad, "end": rad}, ...]}``.
 
     ``source`` may be a dict, a JSON string, or a path to a JSON file.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        obj = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        obj = json.loads(source)
-    else:
-        obj = source
+    obj = _read_json(source)
     return [Arc(float(g["start"]), float(g["end"])) for g in obj["gaps"]]
 
 

@@ -50,6 +50,10 @@ from .transforms import (
     smooth_transform,
 )
 
+# Rank-k Whitney arcs are |A| / (3 * 2**k) long: 3e-13 |A| at rank 40, within
+# three decades of the angle resolution of a double; 2.0**k overflows at 1024.
+K_MAX_LIMIT = 40
+
 SUITES = (
     "whitney",
     "cutoff",
@@ -66,7 +70,7 @@ SUITES = (
 class RunConfig:
     suites: list[str] = field(default_factory=lambda: list(SUITES))
     set_json: str | None = None
-    weight_json: str | None = None
+    coeffs_csv: str | None = None
     measure_json: str | None = None
     grid_log2: int = 14
     k_max: int = 10
@@ -81,13 +85,34 @@ class RunConfig:
                 raise ConfigError(f"unknown suite {s!r}")
         if self.grid_log2 < 8 or self.grid_log2 > 24:
             raise ConfigError("grid log2 size must be in [8, 24]")
-        if self.k_max < 0:
-            raise ConfigError("k_max must be >= 0")
+        if not 0 <= self.k_max <= K_MAX_LIMIT:
+            raise ConfigError(f"k_max must be in [0, {K_MAX_LIMIT}]")
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tolerance must be positive")
-        for ref in (self.set_json, self.weight_json, self.measure_json):
-            if ref is not None and not Path(ref).exists():
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        for kind, ref, parse in (
+            ("set", self.set_json, _read_set),
+            ("coefficient", self.coeffs_csv, _read_coeffs_csv),
+            ("measure", self.measure_json, measure_from_json),
+        ):
+            if ref is None:
+                continue
+            if not Path(ref).exists():
                 raise ConfigError(f"referenced file {ref} does not exist")
+            _parse_input(kind, parse, ref)
+
+
+def _read_set(source) -> BeurlingCarlesonSet:
+    return validate_set(gaps_from_json(source))
+
+
+def _parse_input(kind: str, parse, source):
+    """parse(source), with any malformed-input error raised as ConfigError."""
+    try:
+        return parse(source)
+    except (OSError, ValueError, KeyError, TypeError, ToolkitError) as exc:
+        raise ConfigError(f"invalid {kind} file {source}: {exc}") from exc
 
 
 def _round17(obj):
@@ -111,7 +136,7 @@ def _check(name: str, value, threshold, ok) -> dict:
 
 def _load_set(cfg: RunConfig) -> BeurlingCarlesonSet:
     if cfg.set_json is not None:
-        return validate_set(gaps_from_json(cfg.set_json))
+        return _read_set(cfg.set_json)
     return fixtures.two_gap()
 
 
@@ -241,12 +266,14 @@ def _read_coeffs_csv(path) -> AnalyticSeries:
     for r in rows:
         parts = r.split(",")
         vals.append(float(parts[-1]))
+    if not vals:
+        raise ValueError("no coefficient values")
     return AnalyticSeries(np.asarray(vals, dtype=complex))
 
 
 def suite_weights(cfg: RunConfig, rng) -> dict:
-    if cfg.weight_json is not None:
-        coeffs = _read_coeffs_csv(cfg.weight_json)
+    if cfg.coeffs_csv is not None:
+        coeffs = _read_coeffs_csv(cfg.coeffs_csv)
     else:
         k = np.arange(257, dtype=float)
         coeffs = AnalyticSeries(2.0 ** (-k))
@@ -365,7 +392,8 @@ def run_suite(cfg: RunConfig) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=14, help="log2 of the grid size")
-    p.add_argument("--kmax", type=int, default=10, help="Whitney truncation depth")
+    p.add_argument("--kmax", type=int, default=10,
+                   help=f"Whitney truncation depth, at most {K_MAX_LIMIT}")
     p.add_argument("--tol", type=float, default=None, help="override check tolerance")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=0, help="random seed")
@@ -389,8 +417,8 @@ def _config_from(args, suites) -> RunConfig:
     return RunConfig(
         suites=list(suites),
         set_json=args.set_json,
-        weight_json=getattr(args, "coeffs_csv", None),
-        measure_json=getattr(args, "measure_json", None),
+        coeffs_csv=args.coeffs_csv,
+        measure_json=args.measure_json,
         grid_log2=args.grid,
         k_max=args.kmax,
         tol=args.tol,
@@ -432,17 +460,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            try:
-                E = validate_set(gaps_from_json(args.set_file))
-            except (
-                OSError,
-                ValueError,
-                KeyError,
-                TypeError,
-                json.JSONDecodeError,
-                ToolkitError,
-            ) as exc:
-                raise ConfigError(f"invalid set file: {exc}") from exc
+            E = _parse_input("set", _read_set, args.set_file)
             out = {"measure": E.measure, "entropy": E.entropy, "gaps": len(E.gaps)}
             _write_json(_out_dir(args) / "validate.json", out)
             print(json.dumps(_round17(out), sort_keys=True))

@@ -19,17 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._expderiv import exp_t_derivatives
+from ._expderiv import exp_t_derivatives, pole_sum
 from .circle_sets import (
     ANGLE_SLACK,
     TWO_PI,
     BeurlingCarlesonSet,
     WhitneyArc,
-    _tail_lambda,
-    distances_to_set,
+    _dyadic_level_points,
+    _lambda_rule,
     whitney_decompose,
 )
-from .errors import ResolutionError
 
 # Ranks appended beyond k_max when computing tail data; the per-rank mass
 # decays geometrically so 60 extra ranks exhaust double precision.
@@ -81,15 +80,7 @@ def build_cutoff(
             ext_lengths.extend([gap.length / (3.0 * 2.0**k)] * 2)
     all_lengths = np.array(lengths + ext_lengths)
     c = all_lengths * np.log(1.0 / all_lengths)
-    if rule == "constant":
-        lam = np.ones_like(c)
-    elif rule == "tail-sum":
-        order = np.argsort(-c, kind="stable")
-        lam_sorted = _tail_lambda(c[order])
-        lam = np.empty_like(lam_sorted)
-        lam[order] = lam_sorted
-    else:
-        raise ValueError(f"unknown lambda rule {rule!r}")
+    lam = _lambda_rule(c, rule)
 
     kept = [
         WhitneyArc(w.parent, w.rank, w.arc, w.length, w.midpoint, w.radius, float(l))
@@ -115,15 +106,7 @@ def build_cutoff(
 
 def eval_h(c: CutoffFunction, z) -> complex | np.ndarray:
     """The pole series h at points of the closed disk (vectorized)."""
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    out = np.zeros_like(flat)
-    # Chunk the broadcast so big grids stay cache friendly.
-    step = max(1, 2_000_000 // max(1, len(c.poles)))
-    for i in range(0, len(flat), step):
-        blk = flat[i : i + step]
-        out[i : i + step] = -np.sum(c.weights / (c.poles - blk[:, None]), axis=1)
-    out = out.reshape(z.shape)
+    out = pole_sum(c.poles, -c.weights, z)[0]
     return out if out.shape else complex(out)
 
 
@@ -154,26 +137,16 @@ def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
     return eval_g(c, np.exp(1j * t))
 
 
-def h_z_derivatives(c: CutoffFunction, z: np.ndarray, m_max: int) -> list[np.ndarray]:
-    """h^(k)(z) = -sum_j w_j k! / (p_j - z)^(k+1) for k = 1..m_max."""
-    z = np.asarray(z, dtype=complex)
-    diff = c.poles - z[..., None]
-    out = []
-    fact = 1.0
-    power = diff * diff
-    for k in range(1, m_max + 1):
-        fact *= k
-        out.append(-fact * np.sum(c.weights / power, axis=-1))
-        power = power * diff
-    return out
+def _g_and_h_derivs(c: CutoffFunction, z: np.ndarray, m_max: int):
+    """g(z) and [h'(z), ..., h^(m_max)(z)] from one pole sum."""
+    h = pole_sum(c.poles, -c.weights, z, m_max)
+    return np.exp(h[0]), h[1:]
 
 
 def g_t_derivatives(c: CutoffFunction, angles: np.ndarray, m_max: int) -> list[np.ndarray]:
     """[G, G', ..., G^(m_max)] at boundary angles, via the Bell recurrence."""
     z = np.exp(1j * np.asarray(angles, dtype=float))
-    value = np.exp(eval_h(c, z))
-    derivs = h_z_derivatives(c, z, m_max) if m_max else []
-    return exp_t_derivatives(z, value, derivs, m_max)
+    return exp_t_derivatives(z, *_g_and_h_derivs(c, z, m_max), m_max)
 
 
 @dataclass(frozen=True)
@@ -232,41 +205,22 @@ def certify_decay(
     orders_m = sorted(set(int(m) for m in orders_m))
     if min(orders_N, default=0) < 0 or min(orders_m, default=0) < 0:
         raise ValueError("orders must be nonnegative")
-    l_max = grid_log2 - 3
-    l_min = l_max - levels + 1
-    if l_min < 1:
-        raise ResolutionError("grid too coarse for the requested number of levels")
-
-    n = 1 << grid_log2
-    t = TWO_PI * np.arange(n) / n
-    dist = distances_to_set(t, E)
-
-    m_top = max(orders_m)
-    level_vals: list[tuple[float, np.ndarray, np.ndarray]] = []
-    counts = []
-    for l in range(l_min, l_max + 1):
-        d = 2.0 ** (-l)
-        sel = (dist >= d) & (dist < 2.0 * d)
-        if np.count_nonzero(sel) < 8:
-            raise ResolutionError(
-                f"level 2^-{l}: fewer than 8 grid points at that distance"
-            )
-        derivs = g_t_derivatives(c, t[sel], m_top)
-        level_vals.append((d, dist[sel], [np.abs(gm) for gm in derivs]))
-        counts.append(int(np.count_nonzero(sel)))
+    windows = _dyadic_level_points(
+        E, grid_log2, levels, lambda z, m: _g_and_h_derivs(c, z, m), max(orders_m)
+    )
 
     entries = {}
     for N in orders_N:
         for m in orders_m:
             rho = []
-            for d, dsel, mags in level_vals:
+            for _, dsel, mags in windows:
                 rho.append(float(np.max(mags[m] / dsel**N)))
             mono = all(rho[i + 1] <= rho[i] * (1.0 + 1e-12) for i in range(len(rho) - 1))
             entries[(N, m)] = {"rho": rho, "monotone": mono}
 
     return DecayReport(
-        levels=tuple(2.0 ** (-l) for l in range(l_min, l_max + 1)),
+        levels=tuple(w[0] for w in windows),
         entries=entries,
         grid_log2=grid_log2,
-        points_per_level=tuple(counts),
+        points_per_level=tuple(len(w[1]) for w in windows),
     )

@@ -16,16 +16,15 @@ the derivative-growth certificates near the carrier.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._expderiv import exp_t_derivatives
+from ._expderiv import pole_sum
 from .boundary_calculus import (
     AnalyticSeries,
+    _fft_convolve,
     analytic_coefficients,
     conjugate_function,
     grid_angles,
@@ -34,10 +33,11 @@ from .boundary_calculus import (
 from .circle_sets import (
     TWO_PI,
     BeurlingCarlesonSet,
+    _dyadic_level_points,
+    _read_json,
     dist_to_set,
-    distances_to_set,
 )
-from .errors import ResolutionError, WeightNotLogIntegrable
+from .errors import WeightNotLogIntegrable
 
 LOG_FLOOR = -1.0e3
 
@@ -115,7 +115,7 @@ class OuterFunction:
         return herglotz_exp(self.log_modulus, z)
 
     def log_z_derivs(self, z: np.ndarray, m_max: int) -> list[np.ndarray]:
-        return herglotz_log_derivs(self.log_modulus, z, m_max)
+        return _herglotz_log(self.log_modulus, z, m_max)[1:]
 
 
 def outer_from_weight(w: BoundaryWeight, band: int | None = None) -> OuterFunction:
@@ -130,38 +130,26 @@ def outer_from_weight(w: BoundaryWeight, band: int | None = None) -> OuterFuncti
     return OuterFunction(weight=w, boundary=boundary, log_modulus=u, series=series)
 
 
+def _herglotz_log(log_modulus: np.ndarray, z, m_max: int = 0) -> list[np.ndarray]:
+    """[H, H', ..., H^(m_max)] of the discrete Herglotz integral
+
+        H(z) = (1/n) sum_m u_m (zeta_m + z)/(zeta_m - z)
+             = sum_m (2 zeta_m u_m / n) / (zeta_m - z) - (1/n) sum_m u_m,
+
+    with poles at the grid points where u = log_modulus is nonzero."""
+    n = len(log_modulus)
+    nz = np.nonzero(log_modulus)[0]
+    zeta = np.exp(1j * TWO_PI * nz / n)
+    u = log_modulus[nz]
+    out = pole_sum(zeta, 2.0 * zeta * u / n, z, m_max)
+    out[0] -= np.sum(u) / n
+    return out
+
+
 def herglotz_exp(log_modulus: np.ndarray, z) -> complex | np.ndarray:
     """exp of the discrete Herglotz integral of a real grid function."""
-    n = len(log_modulus)
-    zeta = np.exp(1j * TWO_PI * np.arange(n) / n)
-    nz = np.nonzero(log_modulus)[0]
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    out = np.empty_like(flat)
-    step = max(1, 2_000_000 // max(1, len(nz)))
-    for i in range(0, len(flat), step):
-        blk = flat[i : i + step, None]
-        kern = (zeta[nz] + blk) / (zeta[nz] - blk)
-        out[i : i + step] = np.exp(kern @ log_modulus[nz] / n)
-    out = out.reshape(z.shape)
+    out = np.exp(_herglotz_log(log_modulus, z)[0])
     return out if out.shape else complex(out)
-
-
-def herglotz_log_derivs(log_modulus: np.ndarray, z: np.ndarray, m_max: int):
-    """d^k/dz^k of the discrete Herglotz integral, k = 1..m_max."""
-    n = len(log_modulus)
-    zeta = np.exp(1j * TWO_PI * np.arange(n) / n)
-    nz = np.nonzero(log_modulus)[0]
-    z = np.asarray(z, dtype=complex)
-    diff = zeta[nz] - z[..., None]
-    out = []
-    fact = 1.0
-    power = diff * diff
-    for k in range(1, m_max + 1):
-        fact *= k
-        out.append((2.0 * fact) * np.sum(zeta[nz] * log_modulus[nz] / power, axis=-1) / n)
-        power = power * diff
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +255,6 @@ def _blaschke_factor_coefficients(a: complex, band: int) -> np.ndarray:
     return out
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
-    """First band+1 coefficients of the product of two truncated series."""
-    n = 1
-    while n < len(a) + len(b):
-        n <<= 1
-    fa = np.fft.fft(a, n)
-    fb = np.fft.fft(b, n)
-    return np.fft.ifft(fa * fb)[: band + 1]
-
-
 @dataclass(frozen=True)
 class InnerFunction:
     """Blaschke part plus atomic singular part; |theta| <= 1 on the disk and
@@ -297,12 +275,17 @@ class InnerFunction:
     def eval(self, z) -> complex | np.ndarray:
         z = np.asarray(z, dtype=complex)
         out = np.asarray(inner_singular_eval(self.singular, z), dtype=complex)
+        out = self._times_blaschke(out, z)
+        return out if out.shape else complex(out)
+
+    def _times_blaschke(self, out: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """out times each factor (|a|/a)(a - z)/(1 - conj(a) z), or z for a = 0."""
         for a in self.blaschke_zeros:
             if a == 0:
                 out = out * z
             else:
                 out = out * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
-        return out if out.shape else complex(out)
+        return out
 
     def boundary_samples(self, grid_log2: int) -> np.ndarray:
         """Samples on the grid; atoms are evaluated through the boundary
@@ -318,12 +301,7 @@ class InnerFunction:
             hit |= near
             phase = atom.mass / np.tan(np.where(near, 1.0, half))
             out = out * np.exp(-1j * phase)
-        for a in self.blaschke_zeros:
-            if a == 0:
-                out = out * z
-            else:
-                out = out * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
-        return np.where(hit, 0.0, out)
+        return np.where(hit, 0.0, self._times_blaschke(out, z))
 
     def coefficients(self, band: int) -> np.ndarray:
         """Taylor coefficients 0..band, computed factor by factor (exact up
@@ -333,25 +311,31 @@ class InnerFunction:
         for atom in self.singular.atoms:
             fac = _atomic_inner_coefficients(atom.mass, band).astype(complex)
             rot = np.exp(-1j * atom.angle * np.arange(band + 1))
-            coeffs = _poly_mul(coeffs, fac * rot, band)
+            coeffs = _fft_convolve(coeffs, fac * rot)[: band + 1]
         for a in self.blaschke_zeros:
-            coeffs = _poly_mul(coeffs, _blaschke_factor_coefficients(a, band), band)
+            coeffs = _fft_convolve(coeffs, _blaschke_factor_coefficients(a, band))[: band + 1]
         return coeffs
 
     def log_z_derivs(self, z: np.ndarray, m_max: int) -> list[np.ndarray]:
-        """d^k/dz^k log(theta) for k = 1..m_max (pole sums, closed form)."""
-        z = np.asarray(z, dtype=complex)
-        out = [np.zeros(z.shape, dtype=complex) for _ in range(m_max)]
-        fact = 1.0
-        for k in range(1, m_max + 1):
-            fact *= k
-            acc = out[k - 1]
-            for atom in self.singular.atoms:
-                acc -= atom.mass * 2.0 * atom.point * fact / (atom.point - z) ** (k + 1)
-            for a in self.blaschke_zeros:
-                acc += (fact / k) * (-1.0) ** (k - 1) / (z - a) ** k
-                if a != 0:
-                    acc += (fact / k) * np.conj(a) ** k / (1.0 - np.conj(a) * z) ** k
+        """d^k/dz^k log(theta) for k = 1..m_max, from two pole sums.
+
+        The atoms contribute -sum_a mass_a (zeta_a + z)/(zeta_a - z), a pole
+        sum with weights -2 mass_a zeta_a up to a constant.  A Blaschke zero
+        a contributes (log B_a)' = -1/(a - z) + 1/(1/conj(a) - z), the second
+        pole only when a != 0, so its orders 0..m_max-1 are orders 1..m_max
+        of log B_a.
+        """
+        if m_max == 0:
+            return []
+        zeta = np.array([atom.point for atom in self.singular.atoms], dtype=complex)
+        mass = np.array([atom.mass for atom in self.singular.atoms])
+        out = pole_sum(zeta, -2.0 * mass * zeta, z, m_max)[1:]
+        zeros = list(self.blaschke_zeros)
+        outside = [1.0 / np.conj(a) for a in zeros if a != 0]
+        poles = np.array(zeros + outside, dtype=complex)
+        weights = np.array([-1.0] * len(zeros) + [1.0] * len(outside))
+        for k, d in enumerate(pole_sum(poles, weights, z, m_max - 1)):
+            out[k] += d
         return out
 
 
@@ -385,41 +369,18 @@ class DerivativeBoundReport:
         }
 
 
-def _dyadic_level_points(carrier: BeurlingCarlesonSet, grid_log2: int, levels: int):
-    """Grid angles grouped in dyadic distance windows off the carrier."""
-    l_max = grid_log2 - 3
-    l_min = l_max - levels + 1
-    if l_min < 1:
-        raise ResolutionError("grid too coarse for the requested levels")
-    t = grid_angles(grid_log2)
-    dist = distances_to_set(t, carrier)
-    out = []
-    for l in range(l_min, l_max + 1):
-        d = 2.0 ** (-l)
-        sel = (dist >= d) & (dist < 2.0 * d)
-        if np.count_nonzero(sel) < 8:
-            raise ResolutionError(f"level 2^-{l} holds fewer than 8 grid points")
-        out.append((d, t[sel], dist[sel]))
-    return out
-
-
-def _certify_exp_factor(value_fn, log_derivs_fn, carrier, orders_m, grid_log2, levels, factor):
+def _certify_exp_factor(factor, carrier, orders_m, grid_log2, levels, stability_factor):
     orders_m = sorted(set(int(m) for m in orders_m))
     m_top = max(orders_m) if orders_m else 0
-    windows = _dyadic_level_points(carrier, grid_log2, levels)
-    constants = {m: [] for m in orders_m}
-    for _, tw, dw in windows:
-        z = np.exp(1j * tw)
-        value = value_fn(z)
-        derivs = log_derivs_fn(z, m_top) if m_top else []
-        gm = exp_t_derivatives(z, value, derivs, m_top)
-        for m in orders_m:
-            constants[m].append(float(np.max(np.abs(gm[m]) * dw ** (2 * m))))
+    windows = _dyadic_level_points(carrier, grid_log2, levels, factor, m_top)
+    constants = {
+        m: [float(np.max(mags[m] * dw ** (2 * m))) for _, dw, mags in windows] for m in orders_m
+    }
     return DerivativeBoundReport(
         orders=tuple(orders_m),
         levels=tuple(w[0] for w in windows),
         constants=constants,
-        stability_factor=factor,
+        stability_factor=stability_factor,
     )
 
 
@@ -435,9 +396,13 @@ def certify_W_derivatives(
     C_m is fitted per dyadic level as the max of |d^m W| * dist^{2m}; the
     report flags whether consecutive-level ratios stay within the factor.
     """
+
+    def factor(z, m_max):
+        H = _herglotz_log(W.log_modulus, z, m_max)
+        return np.exp(H[0]), H[1:]
+
     return _certify_exp_factor(
-        lambda z: herglotz_exp(W.log_modulus, z),
-        W.log_z_derivs,
+        factor,
         E,
         orders_m,
         W.grid_log2,
@@ -460,8 +425,7 @@ def certify_theta_derivatives(
         if dist_to_set(atom.angle, carrier) > 1e-12:
             raise ValueError("singular support must lie inside the carrier")
     return _certify_exp_factor(
-        theta.eval,
-        theta.log_z_derivs,
+        lambda z, m_max: (theta.eval(z), theta.log_z_derivs(z, m_max)),
         carrier,
         orders_m,
         grid_log2,
@@ -476,7 +440,7 @@ def certify_theta_derivatives(
 
 def measure_from_json(source) -> SingularMeasure:
     """Read ``{"atoms": [{"angle":.., "mass":.., "part":"C"|"K"}, ...]}``."""
-    obj = _load_json(source)
+    obj = _read_json(source)
     atoms = tuple(
         Atom(float(a["angle"]), float(a["mass"]), str(a.get("part", "C")))
         for a in obj["atoms"]
@@ -486,7 +450,7 @@ def measure_from_json(source) -> SingularMeasure:
 
 def blaschke_from_json(source) -> tuple[complex, ...]:
     """Read ``[{"re":.., "im":..}, ...]``."""
-    obj = _load_json(source)
+    obj = _read_json(source)
     return tuple(complex(float(z["re"]), float(z["im"])) for z in obj)
 
 
@@ -500,18 +464,10 @@ def factors_from_json(source, grid_log2: int):
     """
     from .circle_sets import gaps_from_json, validate_set
 
-    obj = _load_json(source)
+    obj = _read_json(source)
     wdesc = obj["weight"]
     E = validate_set(gaps_from_json(wdesc["gaps_ref"]))
     weight = boundary_weight(E, wdesc.get("values", 1.0), grid_log2)
     nu = measure_from_json(obj["measure"]) if "measure" in obj else SingularMeasure(())
     zeros = blaschke_from_json(obj.get("blaschke", []))
     return weight, InnerFunction(zeros, nu)
-
-
-def _load_json(source):
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        return json.loads(Path(source).read_text())
-    if isinstance(source, str):
-        return json.loads(source)
-    return source

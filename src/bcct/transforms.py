@@ -25,6 +25,7 @@ import numpy as np
 
 from .boundary_calculus import (
     AnalyticSeries,
+    _fft_convolve,
     analytic_coefficients,
     grid_angles,
     indicator_mask,
@@ -260,17 +261,6 @@ def apply_backshift_poly(series: AnalyticSeries, p: AnalyticSeries) -> AnalyticS
     return AnalyticSeries(out)
 
 
-def _xcorr(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    """r[l] = sum_j a[l + j] * conj(b[j]) for l = 0..out_len-1 (FFT based)."""
-    m = 1
-    while m < len(a) + len(b):
-        m <<= 1
-    fa = np.fft.fft(a, m)
-    fb = np.fft.fft(np.conj(b[::-1]), m)
-    full = np.fft.ifft(fa * fb)
-    return full[len(b) - 1 : len(b) - 1 + out_len]
-
-
 def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticSeries:
     """Coefficients of C_s via exact inner-factor coefficients.
 
@@ -287,7 +277,9 @@ def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticS
         out[0] = np.conj(q_hat[0])
         return AnalyticSeries(out)
     th = member.theta.coefficients(band + q_band + 1)
-    return AnalyticSeries(_xcorr(th, q_hat, band + 1))
+    # c_n = sum_j th[n + j] conj(q_j): a convolution with reversed conj(q).
+    full = _fft_convolve(th, np.conj(q_hat[::-1]))
+    return AnalyticSeries(full[q_band : q_band + band + 1])
 
 
 def model_space_orthogonality(
@@ -309,8 +301,8 @@ def model_space_orthogonality(
     if theta is None or theta.is_trivial:
         return float(np.max(np.abs(c_s[: max_k + 1])))
     th = theta.coefficients(band)
-    # <theta z^k, C_s> = sum_m theta_m conj(c_{m+k})
-    r = _xcorr(c_s, th, max_k + 1)
+    # conj(<theta z^k, C_s>) = sum_m c_{m+k} conj(theta_m), the same |.|
+    r = _fft_convolve(c_s, np.conj(th[::-1]))[band : band + max_k + 1]
     return float(np.max(np.abs(r)))
 
 

@@ -4,8 +4,8 @@ Every tolerance is pinned here.  Criterion 2's dyadic-ratio sweep is
 asserted exactly as stated; the shallow levels reachable on a 2^16 grid are
 not yet in the asymptotic regime of the default multiplier rule for the
 higher orders, so that sub-check fails (see the companion deep-grid test
-that certifies the full sweep at 2^20, and notes/decisions.md in the
-repository history for the quantitative analysis).
+that certifies the full sweep at 2^20, and the criterion-2 paragraph of
+README.md, "One acceptance check is expected to fail", for the analysis).
 """
 
 import math
@@ -128,7 +128,7 @@ def test_criterion_2_cutoff_validity():
         "dyadic decay ratios are not monotone over the last 6 levels of the "
         f"2^16 grid for {failures}; the tail-sum multipliers at these levels "
         "(lambda between 2.3 and 10.3) are below the size the higher orders "
-        "need, for every two-gap geometry; see the decisions ledger"
+        "need, for every two-gap geometry; see the criterion-2 paragraph of README.md"
     )
 
 

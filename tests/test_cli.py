@@ -76,6 +76,38 @@ class TestVerify:
         assert (out1 / "whitney.json").read_bytes() == (out2 / "whitney.json").read_bytes()
 
 
+def _input_file(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    return str(p)
+
+
+MALFORMED_INPUTS = {
+    "truncated_set_json": lambda d: [
+        "verify", "--suite", "whitney", "--set", _input_file(d, "s.json", '{"gaps": [{"start": 0.0,')],
+    "negative_atom_mass": lambda d: [
+        "verify", "--suite", "permanence",
+        "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": 0.0, "mass": -1}]}')],
+    "non_numeric_coeffs_row": lambda d: [
+        "weights", "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,abc\n")],
+    "empty_coeffs": lambda d: ["weights", "--coeffs", _input_file(d, "e.csv", "k,value\n")],
+    "kmax_too_large": lambda d: ["whitney", "--kmax", "2000"],
+    "negative_seed": lambda d: ["verify", "--suite", "whitney", "--seed", "-1"],
+    "overlapping_set_gaps": lambda d: [
+        "verify", "--suite", "whitney", "--set", _input_file(d, "o.json", json.dumps(
+            {"gaps": [{"start": 0.0, "end": 1.0}, {"start": 0.5, "end": 1.5}]}))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    argv = MALFORMED_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 class TestEnvironment:
     def test_out_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"

@@ -1,11 +1,13 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from bcct.boundary_calculus import grid_angles
 from bcct.circle_sets import TWO_PI, Arc, point_carrier, validate_set
+from bcct.cutoff import _g_and_h_derivs, build_cutoff
 from bcct.errors import WeightNotLogIntegrable
 from bcct.factors import (
     Atom,
@@ -256,3 +258,63 @@ class TestCombinedSchema:
         assert weight.w_max == pytest.approx(0.5)
         assert inner.singular.total_mass == pytest.approx(0.1)
         assert inner.blaschke_zeros == (0.4 + 0j,)
+
+
+# ---------------------------------------------------------------------------
+# oracle: closed-form pole-sum derivatives against mpmath differentiation
+# ---------------------------------------------------------------------------
+
+# |z| = 0.999, away from the branch cuts of the logs in the theta oracle.
+ORACLE_Z = 0.999 * np.exp(1j * np.array([0.9, 2.3, 4.1, 5.4]))
+
+
+def _cutoff_h_case():
+    c = build_cutoff(two_gap(), k_max=4)
+    terms = [(mpmath.mpc(p), mpmath.mpc(w)) for p, w in zip(c.poles, c.weights)]
+    oracle = lambda z: -mpmath.fsum(w / (p - z) for p, w in terms)
+    return (lambda z: _g_and_h_derivs(c, z, 3)[1]), oracle
+
+
+def _herglotz_case():
+    W = outer_from_weight(boundary_weight(two_gap(), 0.5, 8))
+    n = len(W.log_modulus)
+    # The nodes are the grid points as doubles: their 1e-16 offsets from
+    # e^{2 pi i m/n} alone would move third derivatives by ~5e-13 here.
+    nodes = np.exp(1j * grid_angles(8))
+    terms = [
+        (mpmath.mpc(zeta), mpmath.mpf(u))
+        for zeta, u in zip(nodes, W.log_modulus)
+        if u != 0.0
+    ]
+    oracle = lambda z: mpmath.fsum(u * (zeta + z) / (zeta - z) for zeta, u in terms) / n
+    return (lambda z: W.log_z_derivs(z, 3)), oracle
+
+
+def _theta_case():
+    atoms = (Atom(1.2, 0.15), Atom(3.5, 0.05))
+    zeros = (0j, 0.5 + 0j, -0.3 + 0.2j)
+    theta = InnerFunction(zeros, SingularMeasure(atoms))
+
+    def oracle(z):
+        # log theta up to an additive constant: the unimodular factors drop.
+        acc = -mpmath.fsum(
+            a.mass * (mpmath.expj(a.angle) + z) / (mpmath.expj(a.angle) - z) for a in atoms
+        )
+        acc += mpmath.log(z)
+        for a in map(mpmath.mpc, zeros[1:]):
+            acc += mpmath.log(a - z) - mpmath.log(1 - mpmath.conj(a) * z)
+        return acc
+
+    return (lambda z: theta.log_z_derivs(z, 3)), oracle
+
+
+@pytest.mark.parametrize("case", [_cutoff_h_case, _herglotz_case, _theta_case],
+                         ids=["cutoff_h", "herglotz_log", "log_theta"])
+def test_pole_sum_derivatives_match_mpmath(case):
+    ours, oracle = case()
+    derivs = ours(ORACLE_Z)
+    with mpmath.workdps(40):
+        for i, z in enumerate(ORACLE_Z):
+            for k in (1, 2, 3):
+                ref = complex(mpmath.diff(oracle, mpmath.mpc(z), k))
+                assert abs(derivs[k - 1][i] - ref) <= 1e-12 * abs(ref), (k, z)
