@@ -87,8 +87,8 @@ class RunConfig:
             raise ConfigError("grid log2 size must be in [8, 24]")
         if not 0 <= self.k_max <= K_MAX_LIMIT:
             raise ConfigError(f"k_max must be in [0, {K_MAX_LIMIT}]")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("tolerance must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for kind, ref, parse in (
@@ -467,10 +467,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "report":
             out_dir = _out_dir(args)
-            files = sorted(out_dir.glob("*.json"))
+            if not out_dir.is_dir():
+                raise ConfigError(f"output directory {out_dir} does not exist")
             ok = True
-            for f in files:
-                obj = json.loads(f.read_text())
+            for f in sorted(out_dir.glob("*.json")):
+                obj = _parse_input("verdict", lambda p: json.loads(p.read_text()), f)
                 if isinstance(obj, dict) and "pass" in obj:
                     print(f"{f.name}: {'pass' if obj['pass'] else 'FAIL'}")
                     ok = ok and bool(obj["pass"])

@@ -25,6 +25,7 @@ import numpy as np
 
 from .boundary_calculus import (
     AnalyticSeries,
+    _cauchy_sum,
     _fft_convolve,
     analytic_coefficients,
     grid_angles,
@@ -213,25 +214,16 @@ def flip_check(member: KMember, n_points: int = 64, radius: float = 0.9) -> floa
 
     Both quadratures are independent; the identity needs the conjugate
     analyticity and vanishing mean of s, so a member with a mean offset is a
-    working negative control.  The Cauchy kernel is evaluated once and
-    accumulated against both indicator sides.
+    working negative control.  Each side is a trapezoid Cauchy sum of its own
+    masked samples, evaluated by one FFT through the exact identity
+    (1 - z^n)^{-1} sum_r c_r z^r and truncated once |z|^R / (1 - |z|) <= eps/4
+    (364 terms on the default lattice, whose largest |z| is 0.896).
     """
     if member.family != "K":
         raise IngredientMismatch("flip identity applies to family K")
     z = interior_lattice(n_points, radius)
-    n = member.size
-    t = grid_angles(member.grid_log2)
-    on_e = member.samples * member.e_mask
-    off_e = member.samples * ~member.e_mask
-    a = np.zeros(n_points, dtype=complex)
-    b = np.zeros(n_points, dtype=complex)
-    step = max(1, 2**22 // n_points)
-    for i in range(0, n, step):
-        kernel = 1.0 / (1.0 - z[:, None] * np.exp(-1j * t[i : i + step])[None, :])
-        a += kernel @ on_e[i : i + step]
-        b -= kernel @ off_e[i : i + step]
-    a /= n
-    b /= n
+    a = _cauchy_sum(member.samples * member.e_mask, z)
+    b = -_cauchy_sum(member.samples * ~member.e_mask, z)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcct.boundary_calculus import (
     AnalyticSeries,
@@ -184,6 +186,45 @@ class TestCauchy:
         grid = BoundaryGrid.from_function(12, lambda t: np.exp(1j * t))
         z = np.array([0.25, -0.3 + 0.1j])
         assert np.max(np.abs(cauchy_quadrature(grid, z) - z)) <= 1e-12
+
+
+def dense_cauchy_sum(vals, z):
+    """(1/n) sum_m vals_m / (1 - z conj(zeta_m)), summed over the explicit kernel."""
+    n = len(vals)
+    zeta = np.exp(2j * np.pi * np.arange(n) / n)
+    z = np.atleast_1d(z)
+    return np.sum(vals[None, :] / (1.0 - z[:, None] * np.conj(zeta)[None, :]), axis=1) / n
+
+
+class TestCauchyOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(8, 12),
+        st.booleans(),
+        st.floats(0.0, 0.95),
+    )
+    # 2^8 points at |z| = 0.95: the truncation keeps all n terms and the
+    # (1 - z^n)^{-1} factor (0.95^256 ~ 2e-6) is what makes the sum exact
+    @example(seed=0, log2=8, masked=False, radius=0.95)
+    @example(seed=1, log2=8, masked=True, radius=0.0)
+    def test_matches_dense_sum(self, seed, log2, masked, radius):
+        rng = np.random.default_rng(seed)
+        n = 1 << log2
+        grid = BoundaryGrid(log2, rng.normal(size=n) + 1j * rng.normal(size=n))
+        mask = rng.uniform(size=n) < 0.5 if masked else None
+        vals = grid.samples if mask is None else grid.samples * mask
+        phi = rng.uniform(0, TWO_PI, 16)
+        r = radius * np.sqrt(rng.uniform(0, 1, 16))
+        r[0], r[1], phi[1] = 0.0, radius, 0.0  # z = 0, and z = radius exactly
+        z = r * np.exp(1j * phi)
+        got = cauchy_quadrature(grid, z, mask)
+        ref = dense_cauchy_sum(vals, z)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # a scalar point gives a complex scalar
+        one = cauchy_quadrature(grid, z[1], mask)
+        assert isinstance(one, complex)
+        assert abs(one - ref[1]) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestMaskAndSup:

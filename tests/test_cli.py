@@ -92,6 +92,8 @@ MALFORMED_INPUTS = {
         "weights", "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,abc\n")],
     "empty_coeffs": lambda d: ["weights", "--coeffs", _input_file(d, "e.csv", "k,value\n")],
     "kmax_too_large": lambda d: ["whitney", "--kmax", "2000"],
+    "tol_nan": lambda d: ["verify", "--suite", "permanence", "--tol", "nan"],
+    "tol_inf": lambda d: ["verify", "--suite", "permanence", "--tol", "inf"],
     "negative_seed": lambda d: ["verify", "--suite", "whitney", "--seed", "-1"],
     "overlapping_set_gaps": lambda d: [
         "verify", "--suite", "whitney", "--set", _input_file(d, "o.json", json.dumps(
@@ -124,6 +126,19 @@ class TestReport:
         rc = main(["report", "--out", str(out)])
         assert rc == 0
         assert "whitney.json: pass" in capsys.readouterr().out
+
+    def test_truncated_verdict_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "whitney.json").write_text('{"suite": "whitney", "pass":')
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_missing_out_dir_exits_2(self, tmp_path, capsys):
+        assert main(["report", "--out", str(tmp_path / "missing")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestSubcommands:
