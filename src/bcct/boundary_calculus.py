@@ -234,8 +234,7 @@ def indicator_mask(E: BeurlingCarlesonSet, log2_size: int) -> np.ndarray:
 
     Gap endpoints are snapped to the nearest grid point (always within half a
     cell); the snapped endpoints themselves belong to E, matching the closed
-    set convention.  Use :func:`indicator_error` for the induced measure
-    discrepancy.
+    set convention.
     """
     n = 1 << log2_size
     cell = TWO_PI / n
@@ -247,18 +246,6 @@ def indicator_mask(E: BeurlingCarlesonSet, log2_size: int) -> np.ndarray:
         idx = np.arange(lo_i + 1, hi_i) % n
         mask[idx] = False
     return mask
-
-
-def indicator_error(E: BeurlingCarlesonSet, log2_size: int) -> float:
-    """Normalized measure discrepancy introduced by endpoint snapping."""
-    n = 1 << log2_size
-    cell = TWO_PI / n
-    err = 0.0
-    for g in E.gaps:
-        lo = wrap_angle(g.start) / cell
-        hi = lo + (g.end - g.start) / cell
-        err += abs(lo - round(lo)) + abs(hi - round(hi))
-    return err / n
 
 
 def sup_norm_bound(series: AnalyticSeries, log2_size: int = 12) -> float:

@@ -68,16 +68,6 @@ class Arc:
     def midpoint(self) -> complex:
         return complex(math.cos(self.mid_angle), math.sin(self.mid_angle))
 
-    def contains_angle(self, t: float, slack: float = ANGLE_SLACK) -> bool:
-        """True when the angle lies strictly inside the open arc.
-
-        Points within ``slack`` radians of an endpoint count as outside, so
-        gap endpoints are always members of the complementary closed set.
-        """
-        u = wrap_angle(t - self.start)
-        span = self.end - self.start
-        return slack < u < span - slack
-
 
 @dataclass(frozen=True)
 class BeurlingCarlesonSet:

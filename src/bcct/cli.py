@@ -15,8 +15,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,14 @@ from .circle_sets import (
     whitney_residuals,
     whitney_to_csv,
 )
-from .cutoff import build_cutoff, certify_decay, eval_g, eval_h
+from .cutoff import CutoffFunction, build_cutoff, certify_decay, eval_g, eval_h
+from .cutoff import boundary_samples as cutoff_boundary_samples
 from .dbr import kernel_difference_psd, permanence_functional_check
 from .errors import ConfigError, NotADivisor, ToolkitError
 from .factors import (
+    BoundaryWeight,
     InnerFunction,
+    OuterFunction,
     SingularMeasure,
     certify_W_derivatives,
     measure_from_json,
@@ -44,6 +47,7 @@ from .factors import (
 )
 from .spaces import annihilator_check, rapid_weight
 from .transforms import (
+    KMember,
     backshift_identity,
     build_member,
     flip_check,
@@ -77,9 +81,9 @@ class RunConfig:
     tol: float | None = None
     out_dir: Path = Path("bcct_out")
     seed: int = 0
-    parallel: bool = False
 
-    def validate(self) -> None:
+    def validate(self) -> _Run:
+        """Check every flag and parse every input file, once; return the run."""
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
@@ -91,6 +95,7 @@ class RunConfig:
             raise ConfigError("tolerance must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        parsed = {}
         for kind, ref, parse in (
             ("set", self.set_json, _read_set),
             ("coefficient", self.coeffs_csv, _read_coeffs_csv),
@@ -100,7 +105,43 @@ class RunConfig:
                 continue
             if not Path(ref).exists():
                 raise ConfigError(f"referenced file {ref} does not exist")
-            _parse_input(kind, parse, ref)
+            parsed[kind] = _parse_input(kind, parse, ref)
+        E = parsed.get("set") or fixtures.two_gap()
+        nu = parsed.get("measure") or SingularMeasure((fixtures.endpoint_atom(E, 0.1, "K"),))
+        coeffs = parsed.get("coefficient") or AnalyticSeries(2.0 ** (-np.arange(257, dtype=float)))
+        return _Run(self, E, nu, coeffs)
+
+
+@dataclass
+class _Run:
+    """One run: its config, its parsed inputs, and the ingredients several
+    suites share, each built on first use.  Suites must not modify them."""
+
+    cfg: RunConfig
+    E: BeurlingCarlesonSet
+    measure: SingularMeasure
+    coeffs: AnalyticSeries
+
+    @cached_property
+    def weight(self) -> BoundaryWeight:
+        return fixtures.taper_weight(self.E, self.cfg.grid_log2)
+
+    @cached_property
+    def outer(self) -> OuterFunction:
+        return outer_from_weight(self.weight)
+
+    @cached_property
+    def cutoff(self) -> CutoffFunction:
+        return build_cutoff(self.E, k_max=self.cfg.k_max)
+
+    @cached_property
+    def cutoff_samples(self) -> np.ndarray:
+        return cutoff_boundary_samples(self.cutoff, self.cfg.grid_log2)
+
+    def member(self, k: int) -> KMember:
+        """The family-K member s = conj(zeta z^k g W)."""
+        return build_member("K", fixtures.monomial(k), cutoff=self.cutoff, cutoff_set=self.E,
+                            outer=self.outer, cutoff_samples=self.cutoff_samples)
 
 
 def _read_set(source) -> BeurlingCarlesonSet:
@@ -134,24 +175,13 @@ def _check(name: str, value, threshold, ok) -> dict:
     return {"name": name, "value": value, "threshold": threshold, "pass": bool(ok)}
 
 
-def _load_set(cfg: RunConfig) -> BeurlingCarlesonSet:
-    if cfg.set_json is not None:
-        return _read_set(cfg.set_json)
-    return fixtures.two_gap()
-
-
-def _load_measure(cfg: RunConfig, E: BeurlingCarlesonSet) -> SingularMeasure:
-    if cfg.measure_json is not None:
-        return measure_from_json(cfg.measure_json)
-    return SingularMeasure((fixtures.endpoint_atom(E, 0.1, "K"),))
-
-
 # ---------------------------------------------------------------------------
-# suites
+# suites: each takes the run and returns its checks (plus any extra entries);
+# run_suite adds the suite name and the verdict
 # ---------------------------------------------------------------------------
 
-def suite_whitney(cfg: RunConfig, rng) -> dict:
-    E = _load_set(cfg)
+def suite_whitney(run: _Run) -> dict:
+    cfg, E = run.cfg, run.E
     arcs = assign_lambdas(whitney_decompose(E, cfg.k_max))
     len_resid = max(
         abs(w.length - E.gaps[w.parent].length / (3.0 * 2.0 ** abs(w.rank)))
@@ -171,12 +201,10 @@ def suite_whitney(cfg: RunConfig, rng) -> dict:
         _check("lambda_mass", float((lam * c).sum()), bound, (lam * c).sum() <= bound),
     ]
     return {
-        "suite": "whitney",
         "checks": checks,
         "residual_end_segments": [
             {"parent": n, "length_each_side": r} for n, r in residuals
         ],
-        "pass": all(c["pass"] for c in checks),
     }
 
 
@@ -186,10 +214,9 @@ def disk_points(rng, count: int, radius: float = 1.0) -> np.ndarray:
     return radius * z[np.abs(z) < 1.0][:count]
 
 
-def suite_cutoff(cfg: RunConfig, rng) -> dict:
-    E = _load_set(cfg)
-    c = build_cutoff(E, k_max=cfg.k_max)
-    pts = disk_points(rng, 10**4)
+def suite_cutoff(run: _Run) -> dict:
+    cfg, E, c = run.cfg, run.E, run.cutoff
+    pts = disk_points(np.random.default_rng(cfg.seed), 10**4)
     re_h = float(np.max(np.real(eval_h(c, pts))))
     g_mag = float(np.max(np.abs(eval_g(c, pts))))
     # Shallow-level ratios for higher orders are not monotone under the
@@ -202,13 +229,11 @@ def suite_cutoff(cfg: RunConfig, rng) -> dict:
         _check("g_bounded", g_mag, 1.0 + 1e-12, g_mag <= 1.0 + 1e-12),
         _check("decay_monotone", rep.all_monotone(), True, rep.all_monotone()),
     ]
-    return {"suite": "cutoff", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return {"checks": checks}
 
 
-def suite_outer(cfg: RunConfig, rng) -> dict:
-    E = _load_set(cfg)
-    w = fixtures.taper_weight(E, cfg.grid_log2)
-    W = outer_from_weight(w)
+def suite_outer(run: _Run) -> dict:
+    cfg, E, w, W = run.cfg, run.E, run.weight, run.outer
     w0 = abs(complex(W.eval(0.0))) - math.exp(w.log_integral)
     n = 1 << cfg.grid_log2
     coef = np.fft.fft(W.boundary) / n
@@ -226,19 +251,16 @@ def suite_outer(cfg: RunConfig, rng) -> dict:
         _check("modulus_contract", mod, 1e-6, mod <= 1e-6),
         _check("derivative_stability_m1", rep.stable(1), True, rep.stable(1)),
     ]
-    return {"suite": "outer", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return {"checks": checks}
 
 
-def suite_transform(cfg: RunConfig, rng) -> dict:
-    E = _load_set(cfg)
-    w = fixtures.taper_weight(E, cfg.grid_log2)
-    W = outer_from_weight(w)
-    g = build_cutoff(E, k_max=cfg.k_max)
+def suite_transform(run: _Run) -> dict:
+    cfg = run.cfg
     checks = []
     rows = []
     hi = min(1024, (1 << cfg.grid_log2) // 4)
     for k in (0, 1, 3):
-        member = build_member("K", fixtures.monomial(k), cutoff=g, cutoff_set=E, outer=W)
+        member = run.member(k)
         res = smooth_transform(member, fit_window=(64, hi))
         rows.append((k, res))
         checks.append(_check(f"nonzero_p{k}", res.series.norm_h2(), 0.0, res.nonzero))
@@ -254,7 +276,7 @@ def suite_transform(cfg: RunConfig, rng) -> dict:
         for k, res in rows:
             for i, cval in enumerate(np.abs(res.series.coeffs[: hi + 1])):
                 wr.writerow([k, i, f"{cval:.17g}"])
-    return {"suite": "transform", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return {"checks": checks}
 
 
 def _read_coeffs_csv(path) -> AnalyticSeries:
@@ -271,12 +293,8 @@ def _read_coeffs_csv(path) -> AnalyticSeries:
     return AnalyticSeries(np.asarray(vals, dtype=complex))
 
 
-def suite_weights(cfg: RunConfig, rng) -> dict:
-    if cfg.coeffs_csv is not None:
-        coeffs = _read_coeffs_csv(cfg.coeffs_csv)
-    else:
-        k = np.arange(257, dtype=float)
-        coeffs = AnalyticSeries(2.0 ** (-k))
+def suite_weights(run: _Run) -> dict:
+    cfg, coeffs = run.cfg, run.coeffs
     seq = rapid_weight(coeffs, 4)
     total = float(np.sum(seq.alpha * np.abs(coeffs.coeffs) ** 2))
     budget = coeffs.norm_h2() ** 2 + 2.0
@@ -291,15 +309,11 @@ def suite_weights(cfg: RunConfig, rng) -> dict:
         _check("root_cap", seq.root_limit_certified, True, seq.root_limit_certified),
         _check("rapid_orders", seq.rapid_orders_certified, 3, seq.rapid_orders_certified >= 3),
     ]
-    return {"suite": "weights", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return {"checks": checks}
 
 
-def suite_annihilator(cfg: RunConfig, rng) -> dict:
-    E = _load_set(cfg)
-    w = fixtures.taper_weight(E, cfg.grid_log2)
-    W = outer_from_weight(w)
-    g = build_cutoff(E, k_max=cfg.k_max)
-    member = build_member("K", fixtures.monomial(0), cutoff=g, cutoff_set=E, outer=W)
+def suite_annihilator(run: _Run) -> dict:
+    member = run.member(0)
     resid = float(np.max(annihilator_check(member, k_max=32)))
     control = float(
         annihilator_check(member, k_max=1, perturbation=fixtures.monomial(1))[1]
@@ -308,16 +322,16 @@ def suite_annihilator(cfg: RunConfig, rng) -> dict:
         _check("residual", resid, 1e-7, resid <= 1e-7),
         _check("negative_control", control, 1e-2, control >= 1e-2),
     ]
-    return {"suite": "annihilator", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return {"checks": checks}
 
 
-def suite_permanence(cfg: RunConfig, rng) -> dict:
-    E = _load_set(cfg)
-    w = fixtures.taper_weight(E, cfg.grid_log2)
-    nu = _load_measure(cfg, E)
-    theta = InnerFunction((), nu)
+def suite_permanence(run: _Run) -> dict:
+    cfg = run.cfg
+    theta = InnerFunction((), run.measure)
     band = 1 << min(cfg.grid_log2 + 4, 20)
-    rep = permanence_functional_check(theta, E, w, cutoff_kmax=cfg.k_max, orth_band=band)
+    rep = permanence_functional_check(
+        theta, run.E, run.weight, cutoff_kmax=cfg.k_max, orth_band=band
+    )
     _write_json(cfg.out_dir / "permanence.json", rep.to_json())
     tol = cfg.tol if cfg.tol is not None else 1e-4
     checks = [
@@ -325,11 +339,11 @@ def suite_permanence(cfg: RunConfig, rng) -> dict:
         _check("u1_stability", rep.u1_stability, 2.0, rep.u1_stability <= 2.0),
         _check("u2_stability", rep.u2_stability, 2.0, rep.u2_stability <= 2.0),
     ]
-    return {"suite": "permanence", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return {"checks": checks}
 
 
-def suite_dbr_psd(cfg: RunConfig, rng) -> dict:
-    b, b_n = fixtures.dbr_divisor_pair(min(cfg.grid_log2, 14))
+def suite_dbr_psd(run: _Run) -> dict:
+    b, b_n = fixtures.dbr_divisor_pair(min(run.cfg.grid_log2, 14))
     min_eig = kernel_difference_psd(b, b_n)
     swap_failed = False
     try:
@@ -340,7 +354,7 @@ def suite_dbr_psd(cfg: RunConfig, rng) -> dict:
         _check("psd_min_eig", min_eig, -1e-10, min_eig >= -1e-10),
         _check("swap_control", swap_failed, True, swap_failed),
     ]
-    return {"suite": "dbr-psd", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return {"checks": checks}
 
 
 _SUITE_FN = {
@@ -357,31 +371,18 @@ _SUITE_FN = {
 
 def run_suite(cfg: RunConfig) -> int:
     """Execute the selected suites, write verdicts, return the exit status."""
-    cfg.validate()
+    run = cfg.validate()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-
-    def run_one(name: str) -> dict:
-        rng = np.random.default_rng(cfg.seed)
-        try:
-            return _SUITE_FN[name](cfg, rng)
-        except ToolkitError as exc:
-            return {
-                "suite": name,
-                "checks": [_check("execution", str(exc), None, False)],
-                "pass": False,
-            }
-
-    if cfg.parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(cfg.suites))) as pool:
-            results = list(pool.map(run_one, cfg.suites))
-    else:
-        results = [run_one(name) for name in cfg.suites]
-
     ok = True
-    for res in results:
-        _write_json(cfg.out_dir / f"{res['suite']}.json", res)
-        status = "pass" if res["pass"] else "FAIL"
-        print(f"[{status}] suite {res['suite']}")
+    for name in cfg.suites:
+        try:
+            res = _SUITE_FN[name](run)
+        except ToolkitError as exc:
+            res = {"checks": [_check("execution", str(exc), None, False)]}
+        res["suite"] = name
+        res["pass"] = all(c["pass"] for c in res["checks"])
+        _write_json(cfg.out_dir / f"{name}.json", res)
+        print(f"[{'pass' if res['pass'] else 'FAIL'}] suite {name}")
         ok = ok and res["pass"]
     return 0 if ok else 1
 
@@ -397,7 +398,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, help="override check tolerance")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--parallel", action="store_true", help="run suites concurrently")
     p.add_argument("--set", dest="set_json", type=str, default=None, help="set JSON file")
     p.add_argument("--measure", dest="measure_json", type=str, default=None)
     p.add_argument("--coeffs", dest="coeffs_csv", type=str, default=None,
@@ -424,7 +424,6 @@ def _config_from(args, suites) -> RunConfig:
         tol=args.tol,
         out_dir=_out_dir(args),
         seed=args.seed,
-        parallel=args.parallel,
     )
 
 

@@ -32,7 +32,7 @@ from .boundary_calculus import (
     synthesize_analytic,
 )
 from .circle_sets import BeurlingCarlesonSet
-from .cutoff import build_cutoff
+from .cutoff import boundary_samples as cutoff_boundary_samples, build_cutoff
 from .errors import NotADivisor, RangeExhausted
 from .factors import (
     BoundaryWeight,
@@ -384,6 +384,7 @@ def permanence_functional_check(
     """
     W = outer_from_weight(w)
     g_E = build_cutoff(E, k_max=cutoff_kmax)
+    g_samples = cutoff_boundary_samples(g_E, w.grid_log2)
     members = [
         build_member(
             "K2",
@@ -392,6 +393,7 @@ def permanence_functional_check(
             cutoff_set=E,
             outer=W,
             theta=theta,
+            cutoff_samples=g_samples,
         )
         for j in range(4)
     ]

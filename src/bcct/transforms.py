@@ -72,7 +72,6 @@ class TransformResult:
     series: AnalyticSeries
     decay_fit: float
     fit_window: tuple[int, int]
-    split: tuple[AnalyticSeries, AnalyticSeries] | None = None
 
     @property
     def nonzero(self) -> bool:
@@ -186,19 +185,15 @@ def smooth_transform(
 ) -> TransformResult:
     """Coefficients of the member's Cauchy transform plus a decay slope fit.
 
-    For family K2 the complement/carrier split (u1, u2) rides along.
+    For family K2, :func:`split_transform` gives the complement/carrier
+    split (u1, u2) of the same transform.
     """
     n = member.size
     if band is None:
         band = n // 2 - 1
     series = analytic_coefficients(member.samples * member.integration_mask, band)
     slope = _decay_slope(series.coeffs, fit_window)
-    split = None
-    if member.family == "K2":
-        u2 = analytic_coefficients(member.samples * member.e_mask, band)
-        u1 = analytic_coefficients(member.samples * ~member.e_mask, band)
-        split = (u1, u2)
-    return TransformResult(series=series, decay_fit=slope, fit_window=fit_window, split=split)
+    return TransformResult(series=series, decay_fit=slope, fit_window=fit_window)
 
 
 def interior_lattice(n_points: int, radius: float) -> np.ndarray:
@@ -253,6 +248,22 @@ def apply_backshift_poly(series: AnalyticSeries, p: AnalyticSeries) -> AnalyticS
     return AnalyticSeries(out)
 
 
+def _exact_coefficients(member: KMember, band: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """c_0..c_band of C_s, and the theta coefficients they were computed from
+    (0..band + q_band + 1; None when theta is trivial)."""
+    n = member.size
+    q_band = min(band, n // 2 - 1)
+    q_hat = analytic_coefficients(member.q_samples, q_band).coeffs
+    if member.theta is None or member.theta.is_trivial:
+        out = np.zeros(band + 1, dtype=complex)
+        out[0] = np.conj(q_hat[0])
+        return out, None
+    th = member.theta.coefficients(band + q_band + 1)
+    # c_n = sum_j th[n + j] conj(q_j): a convolution with reversed conj(q).
+    full = _fft_convolve(th, np.conj(q_hat[::-1]))
+    return full[q_band : q_band + band + 1], th
+
+
 def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticSeries:
     """Coefficients of C_s via exact inner-factor coefficients.
 
@@ -261,40 +272,25 @@ def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticS
     Taylor coefficients of theta avoids the aliasing floor that pointwise
     sampling of an atomic inner factor would impose.
     """
-    n = member.size
-    q_band = min(band, n // 2 - 1)
-    q_hat = analytic_coefficients(member.q_samples, q_band).coeffs
-    if member.theta is None or member.theta.is_trivial:
-        out = np.zeros(band + 1, dtype=complex)
-        out[0] = np.conj(q_hat[0])
-        return AnalyticSeries(out)
-    th = member.theta.coefficients(band + q_band + 1)
-    # c_n = sum_j th[n + j] conj(q_j): a convolution with reversed conj(q).
-    full = _fft_convolve(th, np.conj(q_hat[::-1]))
-    return AnalyticSeries(full[q_band : q_band + band + 1])
+    return AnalyticSeries(_exact_coefficients(member, band)[0])
 
 
-def model_space_orthogonality(
-    member: KMember,
-    theta: InnerFunction | None = None,
-    max_k: int = 32,
-    band: int = 8192,
-) -> float:
-    """max_k | <theta z^k, C_s> | for k = 0..max_k, in coefficient space.
+def model_space_orthogonality(member: KMember, max_k: int = 32, band: int = 8192) -> float:
+    """max_k | <theta z^k, C_s> | for k = 0..max_k, in coefficient space,
+    theta being the member's own inner factor.
 
     The inner product of theta z^k against the transform is evaluated as the
     coefficient cross-correlation of the exact theta coefficients with the
     transform coefficients (the band-limited form of the grid inner
-    product); it vanishes when C_s belongs to the model space of theta.
+    product); it vanishes when C_s belongs to the model space of theta.  The
+    theta coefficients computed for the transform are reused (their prefix
+    0..band).
     """
-    if theta is None:
-        theta = member.theta
-    c_s = transform_coefficients_exact(member, band).coeffs
-    if theta is None or theta.is_trivial:
+    c_s, th = _exact_coefficients(member, band)
+    if th is None:
         return float(np.max(np.abs(c_s[: max_k + 1])))
-    th = theta.coefficients(band)
     # conj(<theta z^k, C_s>) = sum_m c_{m+k} conj(theta_m), the same |.|
-    r = _fft_convolve(c_s, np.conj(th[::-1]))[band : band + max_k + 1]
+    r = _fft_convolve(c_s, np.conj(th[band::-1]))[band : band + max_k + 1]
     return float(np.max(np.abs(r)))
 
 

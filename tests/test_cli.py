@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bcct.cli import main
+from bcct.cli import SUITES, main
 
 
 def write_one_gap(tmp_path):
@@ -68,12 +68,16 @@ class TestVerify:
         for name in ("weights.json", "whitney.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        out1, out2 = tmp_path / "s", tmp_path / "p"
-        main(["verify", "--suite", "whitney", "--suite", "weights", "--out", str(out1)])
-        main(["verify", "--suite", "whitney", "--suite", "weights", "--out", str(out2),
-              "--parallel"])
-        assert (out1 / "whitney.json").read_bytes() == (out2 / "whitney.json").read_bytes()
+    def test_suites_alone_match_all(self, tmp_path):
+        # the suites of one run share their ingredients; a suite that modified
+        # one in place would change what the later suites write
+        together = tmp_path / "all"
+        main(["verify", "--suite", "all", "--grid", "12", "--out", str(together)])
+        for suite in SUITES:
+            alone = tmp_path / suite
+            main(["verify", "--suite", suite, "--grid", "12", "--out", str(alone)])
+            for f in alone.iterdir():
+                assert f.read_bytes() == (together / f.name).read_bytes(), f.name
 
 
 def _input_file(tmp_path, name, text):

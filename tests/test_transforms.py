@@ -181,6 +181,19 @@ class TestModelSpace:
         m = standard_member("K2", monomial(0), G, k_max=12)
         assert model_space_orthogonality(m, max_k=32, band=1 << 17) <= 1e-4
 
+    def test_theta_coefficients_computed_once(self, monkeypatch):
+        m = standard_member("K2", monomial(0), 12, k_max=8)
+        bands = []
+        coefficients = InnerFunction.coefficients
+
+        def counted(theta, band):
+            bands.append(band)
+            return coefficients(theta, band)
+
+        monkeypatch.setattr(InnerFunction, "coefficients", counted)
+        model_space_orthogonality(m, max_k=32, band=4096)
+        assert len(bands) == 1
+
 
 class TestSplit:
     def test_additivity(self, E):
