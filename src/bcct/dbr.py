@@ -43,9 +43,9 @@ from .factors import (
 )
 from .spaces import WeightSequence, rapid_weight
 from .transforms import (
+    _max_orthogonality,
     build_member,
     interior_lattice,
-    model_space_orthogonality,
     split_transform,
 )
 
@@ -397,15 +397,13 @@ def permanence_functional_check(
         )
         for j in range(4)
     ]
+    # theta's coefficients are computed once for all four members.
     if theta.is_trivial:
         # Model space of theta = 1 is trivial; all functionals vanish.
-        resid = max(
-            model_space_orthogonality(m, max_k=k_max, band=min(orth_band, 4096))
-            for m in members
-        )
+        resid = _max_orthogonality(members, k_max, min(orth_band, 4096))
         return PermanenceReport(resid, tuple(degrees), (), (), 1.0, 1.0, 0, trivial=True)
 
-    resid = max(model_space_orthogonality(m, max_k=k_max, band=orth_band) for m in members)
+    resid = _max_orthogonality(members, k_max, orth_band)
 
     split = split_transform(members[0], weight_values=w.values, max_k=max(degrees))
     u1 = split.u1.coeffs

@@ -18,11 +18,6 @@ from .transforms import KMember, build_member
 from .factors import outer_from_weight
 
 
-def one_gap() -> BeurlingCarlesonSet:
-    """Single gap of normalized length 1/2 (E is the lower half circle)."""
-    return validate_set([Arc(0.0, math.pi)])
-
-
 def two_gap() -> BeurlingCarlesonSet:
     """Two gaps of normalized lengths 1/8 and 3/32."""
     return validate_set([Arc(0.0, TWO_PI * 0.125), Arc(math.pi, math.pi + TWO_PI * 3.0 / 32.0)])

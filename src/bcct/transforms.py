@@ -248,9 +248,12 @@ def apply_backshift_poly(series: AnalyticSeries, p: AnalyticSeries) -> AnalyticS
     return AnalyticSeries(out)
 
 
-def _exact_coefficients(member: KMember, band: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _exact_coefficients(
+    member: KMember, band: int, th: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """c_0..c_band of C_s, and the theta coefficients they were computed from
-    (0..band + q_band + 1; None when theta is trivial)."""
+    (0..band + q_band + 1; None when theta is trivial).  ``th`` passes in
+    coefficients already computed for the same theta, grid and band."""
     n = member.size
     q_band = min(band, n // 2 - 1)
     q_hat = analytic_coefficients(member.q_samples, q_band).coeffs
@@ -258,7 +261,8 @@ def _exact_coefficients(member: KMember, band: int) -> tuple[np.ndarray, np.ndar
         out = np.zeros(band + 1, dtype=complex)
         out[0] = np.conj(q_hat[0])
         return out, None
-    th = member.theta.coefficients(band + q_band + 1)
+    if th is None:
+        th = member.theta.coefficients(band + q_band + 1)
     # c_n = sum_j th[n + j] conj(q_j): a convolution with reversed conj(q).
     full = _fft_convolve(th, np.conj(q_hat[::-1]))
     return full[q_band : q_band + band + 1], th
@@ -275,23 +279,45 @@ def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticS
     return AnalyticSeries(_exact_coefficients(member, band)[0])
 
 
+def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
+    """max over the members and k = 0..max_k of | <theta z^k, C_s> |.
+
+    The members must share one inner factor and one grid: theta's
+    coefficients are computed for the first member and reused for the rest.
+    Each inner product is a direct lag sum of the exact theta coefficients
+    against the transform coefficients,
+
+        conj(<theta z^k, C_s>) = sum_{m=0}^{band-k} c_{m+k} conj(theta_m),
+
+    one dot product per lag, which is all the check needs.
+    """
+    first = members[0]
+    th = None
+    resid = 0.0
+    for m in members:
+        if m.theta is not first.theta or m.size != first.size:
+            raise IngredientMismatch("members must share one inner factor and one grid")
+        c_s, th = _exact_coefficients(m, band, th)
+        if th is None:
+            r = c_s[: max_k + 1]
+        else:
+            r = [np.vdot(th[: band + 1 - k], c_s[k:]) for k in range(min(max_k, band) + 1)]
+        resid = max(resid, float(np.max(np.abs(r))))
+    return resid
+
+
 def model_space_orthogonality(member: KMember, max_k: int = 32, band: int = 8192) -> float:
     """max_k | <theta z^k, C_s> | for k = 0..max_k, in coefficient space,
     theta being the member's own inner factor.
 
     The inner product of theta z^k against the transform is evaluated as the
-    coefficient cross-correlation of the exact theta coefficients with the
-    transform coefficients (the band-limited form of the grid inner
-    product); it vanishes when C_s belongs to the model space of theta.  The
-    theta coefficients computed for the transform are reused (their prefix
+    coefficient lag sum of the exact theta coefficients with the transform
+    coefficients (the band-limited form of the grid inner product); it
+    vanishes when C_s belongs to the model space of theta.  The theta
+    coefficients computed for the transform are reused (their prefix
     0..band).
     """
-    c_s, th = _exact_coefficients(member, band)
-    if th is None:
-        return float(np.max(np.abs(c_s[: max_k + 1])))
-    # conj(<theta z^k, C_s>) = sum_m c_{m+k} conj(theta_m), the same |.|
-    r = _fft_convolve(c_s, np.conj(th[band::-1]))[band : band + max_k + 1]
-    return float(np.max(np.abs(r)))
+    return _max_orthogonality([member], max_k, band)
 
 
 @dataclass(frozen=True)

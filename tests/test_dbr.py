@@ -174,6 +174,37 @@ class TestPermanence:
         assert rep.alpha_orders >= 3
         assert rep.stable_within(2.0)
 
+    def test_theta_coefficients_once_for_all_members(self, monkeypatch):
+        from bcct.cutoff import build_cutoff
+        from bcct.factors import outer_from_weight
+        from bcct.fixtures import monomial
+        from bcct.transforms import build_member, model_space_orthogonality
+
+        E = two_gap()
+        w = taper_weight(E, 12)
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
+        W = outer_from_weight(w)
+        gE = build_cutoff(E, k_max=8)
+        separate = max(
+            model_space_orthogonality(
+                build_member("K2", monomial(j), cutoff=gE, cutoff_set=E, outer=W, theta=theta),
+                max_k=32,
+                band=4096,
+            )
+            for j in range(4)
+        )
+        calls = []
+        coefficients = InnerFunction.coefficients
+
+        def counted(th, band):
+            calls.append(band)
+            return coefficients(th, band)
+
+        monkeypatch.setattr(InnerFunction, "coefficients", counted)
+        rep = permanence_functional_check(theta, E, w, cutoff_kmax=8, orth_band=4096)
+        assert len(calls) == 1
+        assert rep.orthogonality_residual == pytest.approx(separate, rel=1e-12)
+
     def test_atom_off_carrier_degrades(self):
         # build the compliant weight sequence from the ON-carrier member,
         # then watch the off-carrier u1 constants drift against it

@@ -12,6 +12,8 @@ from bcct.errors import WeightNotLogIntegrable
 from bcct.factors import (
     Atom,
     InnerFunction,
+    _atomic_inner_coefficients,
+    _blaschke_factor_coefficients,
     SingularMeasure,
     blaschke_from_json,
     boundary_weight,
@@ -201,6 +203,26 @@ class TestInnerFunction:
         theta = InnerFunction((), SingularMeasure((Atom(0.0, 0.1),)))
         assert theta.boundary_samples(G)[0] == 0.0
 
+    def test_coefficients_match_direct_convolution_chain(self):
+        atoms = (Atom(1.2, 0.15), Atom(3.5, 0.05))
+        zeros = (0j, 0.5 + 0j, -0.3 + 0.2j)
+        band = 256
+        k = np.arange(band + 1)
+        factors = [_atomic_inner_coefficients(a.mass, band) * np.exp(-1j * a.angle * k) for a in atoms]
+        factors += [_blaschke_factor_coefficients(a, band) for a in zeros]
+        direct = np.ones(1, dtype=complex)
+        for fac in factors:
+            direct = np.convolve(direct, fac)[: band + 1]
+        co = InnerFunction(zeros, SingularMeasure(atoms)).coefficients(band)
+        assert np.max(np.abs(co - direct)) <= 1e-13
+
+    def test_coefficients_of_one_factor_and_of_none(self):
+        atom = Atom(0.7, 0.3)
+        co = InnerFunction((), SingularMeasure((atom,))).coefficients(64)
+        fac = _atomic_inner_coefficients(0.3, 64) * np.exp(-0.7j * np.arange(65))
+        assert np.array_equal(co, fac)
+        assert np.array_equal(InnerFunction().coefficients(4), np.eye(1, 5).ravel())
+
 
 class TestThetaDerivatives:
     def test_trivial_inner(self, E):
@@ -318,3 +340,49 @@ def test_pole_sum_derivatives_match_mpmath(case):
             for k in (1, 2, 3):
                 ref = complex(mpmath.diff(oracle, mpmath.mpc(z), k))
                 assert abs(derivs[k - 1][i] - ref) <= 1e-12 * abs(ref), (k, z)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the forward Laguerre recurrence against mpmath
+# ---------------------------------------------------------------------------
+
+def _scalar_laguerre_coefficients(mass, band):
+    # the recurrence as a plain float64 loop, one step per iteration
+    x = 2.0 * mass
+    Ls = np.empty(band + 1)
+    Ls[0] = 1.0
+    if band >= 1:
+        Ls[1] = 1.0 - x
+    for n in range(1, band):
+        Ls[n + 1] = ((2 * n + 1 - x) * Ls[n] - n * Ls[n - 1]) / (n + 1)
+    out = np.empty(band + 1)
+    out[0] = 1.0
+    out[1:] = Ls[1:] - Ls[:-1]
+    return math.exp(-mass) * out
+
+
+@pytest.mark.parametrize("band", [0, 1, 2, 3, 4095, 4096, 4097, 4098, 8194])
+def test_atomic_coefficients_bit_identical_to_scalar_loop(band):
+    for mass in (0.05, 0.1, 5.0):
+        assert np.array_equal(
+            _atomic_inner_coefficients(mass, band), _scalar_laguerre_coefficients(mass, band)
+        )
+
+
+# Indices up to 2^20, with both sides of the first two chunk edges of the
+# recurrence (steps n = 1..4096 fill L_2..L_4097).
+LAGUERRE_INDICES = (0, 1, 2, 3, 4097, 4098, 8193, 8194, 65536, 262144, 524289, 1000003, 1 << 20)
+
+
+@pytest.mark.parametrize("mass", [0.1, 5.0])
+def test_atomic_coefficients_match_mpmath_laguerre(mass):
+    # coefficient n of exp(-mass (1+z)/(1-z)) is e^{-mass} (L_n(2 mass) - L_{n-1}(2 mass))
+    co = _atomic_inner_coefficients(mass, 1 << 20)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mass)
+        x = 2 * m
+        for n in LAGUERRE_INDICES:
+            ref = mpmath.exp(-m)
+            if n > 0:
+                ref *= mpmath.laguerre(n, 0, x) - mpmath.laguerre(n - 1, 0, x)
+            assert abs(co[n] - float(ref)) <= 1e-12, n

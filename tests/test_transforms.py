@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bcct.boundary_calculus import AnalyticSeries, grid_angles
+from bcct.boundary_calculus import AnalyticSeries, _fft_convolve, grid_angles
 from bcct.circle_sets import Arc, validate_set
 from bcct.cutoff import build_cutoff, boundary_samples
 from bcct.errors import IngredientMismatch
@@ -21,6 +21,7 @@ from bcct.transforms import (
     model_space_orthogonality,
     smooth_transform,
     split_transform,
+    _exact_coefficients,
     transform_coefficients_exact,
 )
 
@@ -193,6 +194,18 @@ class TestModelSpace:
         monkeypatch.setattr(InnerFunction, "coefficients", counted)
         model_space_orthogonality(m, max_k=32, band=4096)
         assert len(bands) == 1
+
+    @pytest.mark.parametrize("theta", [None, InnerFunction((0.5,))], ids=["atom", "blaschke"])
+    def test_lag_sums_match_fft_correlation(self, theta):
+        # The full cross-correlation of the transform with theta, by FFT;
+        # its rounding error is of order eps |c_s| |theta|, which sets the scale.
+        kw = {} if theta is None else {"theta": theta}
+        m = standard_member("K2" if theta is None else "K1", monomial(0), 12, k_max=8, **kw)
+        band = 4096
+        c_s, th = _exact_coefficients(m, band)
+        r = np.abs(_fft_convolve(c_s, np.conj(th[band::-1]))[band : band + 33])
+        scale = np.linalg.norm(c_s) * np.linalg.norm(th[: band + 1])
+        assert abs(model_space_orthogonality(m, max_k=32, band=band) - np.max(r)) <= 1e-13 * scale
 
 
 class TestSplit:
