@@ -324,13 +324,14 @@ class InnerFunction:
         to rounding; no grid sampling is involved).
 
         The product starts from the first factor's coefficients and FFT-
-        convolves the others into it one at a time, each truncated to the
-        band, so memory does not grow with the number of factors.  A single
-        atom costs one Laguerre recurrence and no FFT; theta = 1 gives e_0.
+        convolves the others into it one at a time, each product truncated
+        to the band and copied out of the FFT buffer, so memory does not
+        grow with the number of factors.  A single atom costs one Laguerre
+        recurrence and no FFT; theta = 1 gives e_0.
         """
         coeffs = None
         for fac in self._factor_coefficients(band):
-            coeffs = fac if coeffs is None else _fft_convolve(coeffs, fac)[: band + 1]
+            coeffs = fac if coeffs is None else _fft_convolve(coeffs, fac)[: band + 1].copy()
         if coeffs is None:
             coeffs = np.zeros(band + 1, dtype=complex)
             coeffs[0] = 1.0

@@ -215,6 +215,7 @@ class TestInnerFunction:
             direct = np.convolve(direct, fac)[: band + 1]
         co = InnerFunction(zeros, SingularMeasure(atoms)).coefficients(band)
         assert np.max(np.abs(co - direct)) <= 1e-13
+        assert co.flags.owndata  # not a view that keeps the FFT buffer alive
 
     def test_coefficients_of_one_factor_and_of_none(self):
         atom = Atom(0.7, 0.3)
