@@ -186,20 +186,20 @@ def evaluate_in_disk(series: AnalyticSeries, z) -> complex | np.ndarray:
     return acc if acc.shape else complex(acc)
 
 
-def _cauchy_sum(values: np.ndarray, z):
-    """Trapezoid Cauchy sum of grid values at interior points, by one FFT.
+def _cauchy_sum(c: np.ndarray, z):
+    """Trapezoid Cauchy sum at interior points of the grid values v, taken
+    from their spectrum c = fft(v)/n (no FFT here):
 
         (1/n) sum_m v_m / (1 - z conj(zeta_m)) = (1 - z^n)^{-1} sum_{r<n} c_r z^r,
 
-    with zeta_m = exp(2 pi i m/n) and c = fft(v)/n: expand the kernel as a
-    geometric series in z conj(zeta_m) and fold the powers modulo n.  The
-    polynomial is truncated at R = min(n, R_eps) terms, R_eps the least R
+    with zeta_m = exp(2 pi i m/n): expand the kernel as a geometric series
+    in z conj(zeta_m) and fold the powers modulo n.  The polynomial is
+    truncated at R = min(n, R_eps) terms, R_eps the least R
     with |z|^R / (1 - |z|) <= eps/4 at the largest |z|, so the dropped tail
     stays below eps/4 * max|c| (378 terms at |z| = 0.9, 789 at 0.95).
     With R = n the sum is exact.
     """
-    n = len(values)
-    c = np.fft.fft(values) / n
+    n = len(c)
     z = np.asarray(z, dtype=complex)
     r_max = float(np.max(np.abs(z), initial=0.0))
     if r_max > 1.0 - 1e-6:
@@ -217,15 +217,15 @@ def cauchy_quadrature(grid: BoundaryGrid, z, mask: np.ndarray | None = None):
         C(z) = (1/size) * sum_m samples_m * mask_m / (1 - z * conj(zeta_m))
 
     Evaluated exactly, to rounding, as (1 - z^size)^{-1} sum_r c_r z^r with
-    c the grid Fourier coefficients (see :func:`_cauchy_sum`, which truncates
-    the sum once |z|^R / (1 - |z|) <= eps/4).  Spectrally accurate for smooth
-    integrands; O(1/size) near indicator jumps.  Only |z| <= 0.95 is accepted,
+    c = fft(samples * mask)/size, the spectrum passed to :func:`_cauchy_sum`
+    (which truncates the sum once |z|^R / (1 - |z|) <= eps/4).  Spectrally
+    accurate for smooth integrands; O(1/size) near indicator jumps.  Only |z| <= 0.95 is accepted,
     which keeps the truncation below about 800 terms.
     """
     if np.any(np.abs(z) > 0.95):
         raise OutsideDomain("cauchy_quadrature needs |z| <= 0.95")
     vals = grid.samples if mask is None else grid.samples * mask
-    out = _cauchy_sum(vals, z)
+    out = _cauchy_sum(np.fft.fft(vals) / len(vals), z)
     return out if np.shape(out) else complex(out)
 
 

@@ -332,7 +332,6 @@ def suite_permanence(run: _Run) -> dict:
     rep = permanence_functional_check(
         theta, run.E, run.weight, cutoff_kmax=cfg.k_max, orth_band=band
     )
-    _write_json(cfg.out_dir / "permanence.json", rep.to_json())
     tol = cfg.tol if cfg.tol is not None else 1e-4
     checks = [
         _check("orthogonality", rep.orthogonality_residual, tol, rep.orthogonality_residual <= tol),

@@ -33,6 +33,8 @@ from .circle_sets import (
 # Ranks appended beyond k_max when computing tail data; the per-rank mass
 # decays geometrically so 60 extra ranks exhaust double precision.
 _EXTENSION_RANKS = 60
+# Radius of the disk on which the truncation tail is certified.
+TAIL_RADIUS = 0.99
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ def build_cutoff(
     E: BeurlingCarlesonSet,
     k_max: int = 16,
     rule: str = "tail-sum",
-    tail_radius: float = 0.99,
 ) -> CutoffFunction:
     """Construct the truncated cut-off data for the set E.
 
@@ -66,10 +67,8 @@ def build_cutoff(
     extended well beyond ``k_max``, so enlarging ``k_max`` only appends terms
     and never changes the lambda of an arc already present.  The certified
     ``tail_bound`` is the mass of the omitted ranks divided by the distance
-    from their poles to the disk of radius ``tail_radius``.
+    from their poles to the disk of radius ``TAIL_RADIUS``.
     """
-    if not (0.0 < tail_radius < 1.0):
-        raise ValueError("tail_radius must lie in (0, 1)")
     base = whitney_decompose(E, k_max)
     lengths = [w.length for w in base]
     # Hypothetical continuation beyond k_max: only lengths are needed for the
@@ -90,7 +89,7 @@ def build_cutoff(
     weights = np.array([w.lam * w.midpoint * w.length * math.log(1.0 / w.length) for w in kept])
 
     lam_ext, c_ext = lam[len(base) :], c[len(base) :]
-    radius_gap = all_lengths[len(base) :] + (1.0 - tail_radius)
+    radius_gap = all_lengths[len(base) :] + (1.0 - TAIL_RADIUS)
     tail = float(np.sum(lam_ext * c_ext / radius_gap))
 
     return CutoffFunction(
@@ -99,7 +98,7 @@ def build_cutoff(
         weights=weights,
         boundary_angles=E.boundary_angles,
         tail_bound=tail,
-        tail_radius=tail_radius,
+        tail_radius=TAIL_RADIUS,
         rule=rule,
     )
 
@@ -111,24 +110,14 @@ def eval_h(c: CutoffFunction, z) -> complex | np.ndarray:
 
 
 def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
-    """g = exp(h); at the gap endpoints (where the full series diverges to
-    -infinity) the continuous extension 0 is returned."""
+    """g = exp(h); within ANGLE_SLACK of a gap endpoint e^{ib} (where the
+    full series diverges to -infinity) the continuous extension 0 is
+    returned."""
     z = np.asarray(z, dtype=complex)
-    vals = np.exp(eval_h(c, z))
-    flat = np.atleast_1d(vals)
-    zf = np.atleast_1d(z)
-    on_circle = np.abs(np.abs(zf) - 1.0) < 1e-12
-    if np.any(on_circle):
-        ang = np.angle(zf)
-        hit = np.zeros(zf.shape, dtype=bool)
-        for b in c.boundary_angles:
-            hit |= on_circle & (
-                np.minimum(np.mod(ang - b, TWO_PI), TWO_PI - np.mod(ang - b, TWO_PI))
-                <= ANGLE_SLACK
-            )
-        flat[hit] = 0.0
-    flat = flat.reshape(vals.shape)
-    return flat if flat.shape else complex(flat)
+    vals = np.asarray(np.exp(eval_h(c, z)))
+    for b in c.boundary_angles:
+        vals[np.abs(z - np.exp(1j * b)) <= ANGLE_SLACK] = 0.0
+    return vals if vals.shape else complex(vals)
 
 
 def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:

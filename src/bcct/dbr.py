@@ -50,6 +50,8 @@ from .transforms import (
 )
 
 EXTREME_FLOOR = -1.0e3
+# Degree windows over which the permanence constants are fitted.
+PERMANENCE_DEGREES = (8, 16, 24, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +85,11 @@ class SymbolB:
         return self.inner.eval(z) * herglotz_exp(self.log_modulus, z)
 
 
-def build_symbol(
-    inner: InnerFunction,
-    modulus: BoundaryWeight,
-    floor: float = EXTREME_FLOOR,
-) -> SymbolB:
+def build_symbol(inner: InnerFunction, modulus: BoundaryWeight) -> SymbolB:
     """Assemble b = theta * u from the inner part and the modulus of the
-    outer part on its carrier (modulus 1 elsewhere)."""
+    outer part on its carrier (modulus 1 elsewhere).  The symbol is flagged
+    extreme when the quadrature of log(delta) off the carrier is infinite or
+    at most EXTREME_FLOOR."""
     u = outer_from_weight(modulus)
     theta_b = inner.boundary_samples(modulus.grid_log2)
     b = theta_b * u.boundary
@@ -100,7 +100,7 @@ def build_symbol(
         logs = np.where(delta > 0.0, np.log(np.maximum(delta, 1e-320)), -math.inf)
     tail = logs[off]
     extreme = bool(off.any()) and (
-        not np.all(np.isfinite(tail)) or float(np.sum(tail)) / len(b) <= floor
+        not np.all(np.isfinite(tail)) or float(np.sum(tail)) / len(b) <= EXTREME_FLOOR
     )
     return SymbolB(
         inner=inner,
@@ -181,12 +181,11 @@ def kernel_difference_psd(
     b: SymbolB,
     b_n: SymbolB,
     points: np.ndarray | None = None,
-    divisor_samples: int = 1024,
-    divisor_tol: float = 1e-8,
 ) -> float:
     """Least eigenvalue of the Gram matrix [k_b - k_{b_n}] on a point lattice.
 
-    The divisor property |b/b_n| <= 1 is sampled first (both symbols are
+    The divisor property |b/b_n| <= 1 + 1e-8 is sampled first, on the
+    1024-point golden-angle lattice of radius 0.95 (both symbols are
     genuine analytic functions of the same discrete data, so the positive
     semidefiniteness is structural once the quotient is a self-map).
     """
@@ -194,12 +193,12 @@ def kernel_difference_psd(
         points = interior_lattice(32, 0.85)
     if len(points) > 64:
         raise ValueError("at most 64 lattice points")
-    sample_pts = interior_lattice(max(divisor_samples, 1000), 0.95)
+    sample_pts = interior_lattice(1024, 0.95)
     qb = np.asarray(b.eval(sample_pts), dtype=complex)
     qn = np.asarray(b_n.eval(sample_pts), dtype=complex)
     ratio = np.abs(qb) / np.maximum(np.abs(qn), 1e-300)
     worst = float(np.max(ratio))
-    if worst > 1.0 + divisor_tol:
+    if worst > 1.0 + 1e-8:
         raise NotADivisor(f"sampled |b/b_n| reaches {worst}")
     G = _kernel_matrix(b, points) - _kernel_matrix(b_n, points)
     G = 0.5 * (G + G.conj().T)
@@ -238,7 +237,7 @@ def _fejer_polynomial_symbol(b: SymbolB, degree: int) -> np.ndarray:
     c = np.fft.fft(b.boundary) / n
     taper = 1.0 - np.arange(degree + 1) / (degree + 1.0)
     pos = c[: degree + 1] * taper
-    neg_excess = float(np.sum(np.abs(c[n - degree :] * taper[1:][::-1]))) if degree else 0.0
+    neg_excess = float(np.sum(np.abs(c[n - degree :] * taper[1:][::-1])))
     return pos / (1.0 + neg_excess)
 
 
@@ -283,7 +282,6 @@ def j_relation_check(
     g: np.ndarray | None = None,
     lam: complex = 0.3,
     k_max: int = 32,
-    degree: int | None = None,
     mode: str = "fejer",
 ) -> JRelationReport:
     """Verify the defining relation and the orthogonal-complement pairing.
@@ -292,14 +290,14 @@ def j_relation_check(
     default mode the symbol is its own Fejer polynomial approximant with
     Delta refitted on the grid, so both residuals vanish to rounding; in
     ``direct`` mode the raw boundary samples of b are used (appropriate for
-    symbols with fast-converging coefficients, e.g. Blaschke products).
+    symbols with fast-converging coefficients, e.g. Blaschke products).  The
+    polynomial symbol has degree size/8 in the default mode and size/4 in
+    ``direct`` mode.
     """
     n = b.size
     band = n // 2 - 1
     if mode == "fejer":
-        if degree is None:
-            degree = n // 8
-        bc = _fejer_polynomial_symbol(b, degree)
+        bc = _fejer_polynomial_symbol(b, n // 8)
         b_samples = synthesize_analytic(AnalyticSeries(bc), b.grid_log2)
         delta = np.sqrt(np.maximum(0.0, 1.0 - np.abs(b_samples) ** 2))
         if f is None:
@@ -308,7 +306,7 @@ def j_relation_check(
         b_samples = b.boundary
         delta = b.delta
         if f is None:
-            bc = np.fft.fft(b.boundary)[: (degree or n // 4) + 1] / n
+            bc = np.fft.fft(b.boundary)[: n // 4 + 1] / n
             f, g = kernel_tuple(bc, delta, lam, b.grid_log2)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -361,26 +359,24 @@ def permanence_functional_check(
     E: BeurlingCarlesonSet,
     w: BoundaryWeight,
     alpha: WeightSequence | None = None,
-    degrees=(8, 16, 24, 32),
-    k_max: int = 32,
     cutoff_kmax: int = 12,
     orth_band: int = 1 << 19,
-    alpha_range: int = 4096,
-    n_max: int = 4,
 ) -> PermanenceReport:
     """Finite-scale permanence evidence for the pair (theta, E, w).
 
     Builds the degree-0..3 members s = theta conj(zeta p g_E W), computes
-    the model-space membership residual, splits the base transform into the
-    complement piece u1 and the carrier piece u2, and fits the functional
-    constants  max_j |u1_j| sqrt(alpha_j)  (boundedness against the dual
-    weighted norm) and  max_j |u2_j| / ||sqrt(w)||  (boundedness against the
-    weighted boundary norm) over growing degree windows.  With the singular
-    support on E both families of constants stabilize; an atom inside a gap
-    degrades the u1 family, which is reported, not thresholded.
+    the model-space membership residual for k <= 32, splits the base
+    transform into the complement piece u1 and the carrier piece u2, and
+    fits the functional constants  max_j |u1_j| sqrt(alpha_j)  (boundedness
+    against the dual weighted norm) and  max_j |u2_j| / ||sqrt(w)||
+    (boundedness against the weighted boundary norm) over the degree windows
+    PERMANENCE_DEGREES.  With the singular support on E both families of
+    constants stabilize; an atom inside a gap degrades the u1 family, which
+    is reported, not thresholded.
 
-    When no weight sequence is supplied one is constructed from u1 itself,
-    reducing the polynomial order until the construction fits the range.
+    When no weight sequence is supplied one is constructed from the first
+    4096 coefficients of u1, reducing the polynomial order from 4 until the
+    construction fits that range.
     """
     W = outer_from_weight(w)
     g_E = build_cutoff(E, k_max=cutoff_kmax)
@@ -400,19 +396,20 @@ def permanence_functional_check(
     # theta's coefficients are computed once for all four members.
     if theta.is_trivial:
         # Model space of theta = 1 is trivial; all functionals vanish.
-        resid = _max_orthogonality(members, k_max, min(orth_band, 4096))
-        return PermanenceReport(resid, tuple(degrees), (), (), 1.0, 1.0, 0, trivial=True)
+        resid = _max_orthogonality(members, 32, min(orth_band, 4096))
+        return PermanenceReport(resid, PERMANENCE_DEGREES, (), (), 1.0, 1.0, 0, trivial=True)
 
-    resid = _max_orthogonality(members, k_max, orth_band)
+    resid = _max_orthogonality(members, 32, orth_band)
 
-    split = split_transform(members[0], weight_values=w.values, max_k=max(degrees))
+    top = max(PERMANENCE_DEGREES)
+    split = split_transform(members[0], weight_values=w.values, max_k=top)
     u1 = split.u1.coeffs
     u2 = split.u2.coeffs
 
     orders = 0
     if alpha is None:
-        trunc = AnalyticSeries(u1[:alpha_range])
-        for trial in range(n_max, 0, -1):
+        trunc = AnalyticSeries(u1[:4096])
+        for trial in range(4, 0, -1):
             try:
                 alpha = rapid_weight(trunc, trial)
                 orders = trial
@@ -420,19 +417,18 @@ def permanence_functional_check(
             except RangeExhausted:
                 continue
         if alpha is None:
-            alpha = WeightSequence(np.ones(alpha_range))
+            alpha = WeightSequence(np.ones(4096))
     else:
         orders = alpha.rapid_orders_certified
 
-    top = max(degrees)
     c1_vals = np.abs(u1[: top + 1]) * np.sqrt(alpha.alpha[: top + 1])
     wmass = math.sqrt(float(np.sum(w.values[w.mask])) / w.values.size)
     c2_vals = np.abs(u2[: top + 1]) / max(wmass, 1e-300)
-    c1, s1 = _fitted_constants(c1_vals, degrees)
-    c2, s2 = _fitted_constants(c2_vals, degrees)
+    c1, s1 = _fitted_constants(c1_vals, PERMANENCE_DEGREES)
+    c2, s2 = _fitted_constants(c2_vals, PERMANENCE_DEGREES)
     return PermanenceReport(
         orthogonality_residual=resid,
-        degrees=tuple(degrees),
+        degrees=PERMANENCE_DEGREES,
         u1_constants=c1,
         u2_constants=c2,
         u1_stability=s1,

@@ -40,6 +40,9 @@ from .circle_sets import (
 from .errors import WeightNotLogIntegrable
 
 LOG_FLOOR = -1.0e3
+# Largest ratio of fitted constants on consecutive dyadic levels that the
+# derivative-growth certificates accept.
+STABILITY_FACTOR = 4.0
 # Steps of the Laguerre recurrence per chunk; one list of Python floats over
 # a whole 2^20 band would cost tens of MB of peak memory.
 _LAGUERRE_CHUNK = 4096
@@ -121,15 +124,13 @@ class OuterFunction:
         return _herglotz_log(self.log_modulus, z, m_max)[1:]
 
 
-def outer_from_weight(w: BoundaryWeight, band: int | None = None) -> OuterFunction:
-    """Boundary samples exp(u + i*conj(u)) with u = log(w) on the carrier."""
-    n = 1 << w.grid_log2
+def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
+    """Boundary samples exp(u + i*conj(u)) with u = log(w) on the carrier,
+    and their analytic projection on the indices 0..size/2-1."""
     with np.errstate(divide="ignore"):
         u = np.where(w.mask, np.log(np.maximum(w.values, 1e-320)), 0.0)
     boundary = np.exp(u + 1j * conjugate_function(u))
-    if band is None:
-        band = n // 2 - 1
-    series = analytic_coefficients(boundary, band)
+    series = analytic_coefficients(boundary)
     return OuterFunction(weight=w, boundary=boundary, log_modulus=u, series=series)
 
 
@@ -380,26 +381,24 @@ class DerivativeBoundReport:
     orders: tuple[int, ...]
     levels: tuple[float, ...]
     constants: dict
-    stability_factor: float
 
-    def stable(self, m: int, factor: float | None = None) -> bool:
-        f = self.stability_factor if factor is None else factor
+    def stable(self, m: int, factor: float = STABILITY_FACTOR) -> bool:
         cs = [c for c in self.constants[m] if c > 0.0]
         if len(cs) <= 1:
             return True
         ratios = [max(a, b) / min(a, b) for a, b in zip(cs, cs[1:])]
-        return max(ratios) <= f
+        return max(ratios) <= factor
 
     def to_json(self) -> dict:
         return {
             "levels": list(self.levels),
             "constants": {str(m): [float(c) for c in self.constants[m]] for m in self.orders},
-            "stability_factor": self.stability_factor,
+            "stability_factor": STABILITY_FACTOR,
             "stable": {str(m): self.stable(m) for m in self.orders},
         }
 
 
-def _certify_exp_factor(factor, carrier, orders_m, grid_log2, levels, stability_factor):
+def _certify_exp_factor(factor, carrier, orders_m, grid_log2, levels):
     orders_m = sorted(set(int(m) for m in orders_m))
     m_top = max(orders_m) if orders_m else 0
     windows = _dyadic_level_points(carrier, grid_log2, levels, factor, m_top)
@@ -410,7 +409,6 @@ def _certify_exp_factor(factor, carrier, orders_m, grid_log2, levels, stability_
         orders=tuple(orders_m),
         levels=tuple(w[0] for w in windows),
         constants=constants,
-        stability_factor=stability_factor,
     )
 
 
@@ -419,26 +417,18 @@ def certify_W_derivatives(
     E: BeurlingCarlesonSet,
     orders_m=(0, 1),
     levels: int = 4,
-    stability_factor: float = 4.0,
 ) -> DerivativeBoundReport:
     """Check |d^m W(e^{it})/dt^m| <= C_m dist(e^{it}, E)^{-2m} off the carrier.
 
     C_m is fitted per dyadic level as the max of |d^m W| * dist^{2m}; the
-    report flags whether consecutive-level ratios stay within the factor.
+    report flags whether consecutive-level ratios stay within STABILITY_FACTOR.
     """
 
     def factor(z, m_max):
         H = _herglotz_log(W.log_modulus, z, m_max)
         return np.exp(H[0]), H[1:]
 
-    return _certify_exp_factor(
-        factor,
-        E,
-        orders_m,
-        W.grid_log2,
-        levels,
-        stability_factor,
-    )
+    return _certify_exp_factor(factor, E, orders_m, W.grid_log2, levels)
 
 
 def certify_theta_derivatives(
@@ -447,7 +437,6 @@ def certify_theta_derivatives(
     orders_m=(0, 1),
     grid_log2: int = 14,
     levels: int = 4,
-    stability_factor: float = 4.0,
 ) -> DerivativeBoundReport:
     """Same protocol as :func:`certify_W_derivatives`, with the singular
     support inside the carrier set."""
@@ -460,7 +449,6 @@ def certify_theta_derivatives(
         orders_m,
         grid_log2,
         levels,
-        stability_factor,
     )
 
 

@@ -206,16 +206,16 @@ def annihilator_check(
 
     For each k <= k_max this evaluates
         -int z^k conj(C_{s 1_E}) dm + int_E z^k conj(s) dm,
-    the two integrals computed through independent grid sums.  The value is
-    zero because the transform is the analytic projection of s 1_E.  An
+    the two integrals computed through independent grid sums, the first from
+    the transform coefficients in ``member.spectrum``.  The value is zero
+    because the transform is the analytic projection of s 1_E.  An
     optional perturbation series is added to the transform to produce
     negative controls.
     """
     n = member.size
     mask = member.integration_mask
     t = grid_angles(member.grid_log2)
-    band = n // 2 - 1
-    coeffs = np.fft.fft(member.samples * mask)[: band + 1] / n
+    coeffs = member.spectrum[: n // 2]
     if perturbation is not None:
         coeffs = coeffs.copy()
         p = perturbation.coeffs
@@ -267,9 +267,10 @@ class MeasureMu:
         return float(np.max(np.abs(vals / center - 1.0)))
 
 
-def moments_beta_quadrature(C: float, k_max: int, nodes: int = 256) -> np.ndarray:
-    """Gauss-Legendre cross-check of the moment integrals int_0^1 u^k (1-u)^C du."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def moments_beta_quadrature(C: float, k_max: int) -> np.ndarray:
+    """256-node Gauss-Legendre cross-check of the moment integrals
+    int_0^1 u^k (1-u)^C du."""
+    x, w = np.polynomial.legendre.leggauss(256)
     u = 0.5 * (x + 1.0)
     w = 0.5 * w
     k = np.arange(k_max + 1)

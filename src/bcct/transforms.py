@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,16 @@ class KMember:
         if self.family == "K":
             return self.e_mask
         return np.ones(self.size, dtype=bool)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Grid Fourier coefficients of the transform integrand,
+        fft(samples * integration_mask) / size, computed on first use and
+        read-only.  Index r < size/2 is coefficient r of the member's Cauchy
+        transform; the certificates below all read this one array."""
+        c = np.fft.fft(self.samples * self.integration_mask) / self.size
+        c.flags.writeable = False
+        return c
 
 
 @dataclass(frozen=True)
@@ -180,18 +191,15 @@ def _decay_slope(coeffs: np.ndarray, window: tuple[int, int]) -> float:
 
 def smooth_transform(
     member: KMember,
-    band: int | None = None,
     fit_window: tuple[int, int] = (64, 1024),
 ) -> TransformResult:
-    """Coefficients of the member's Cauchy transform plus a decay slope fit.
+    """Coefficients 0..size/2-1 of the member's Cauchy transform, read from
+    ``member.spectrum``, plus a decay slope fit over ``fit_window``.
 
     For family K2, :func:`split_transform` gives the complement/carrier
     split (u1, u2) of the same transform.
     """
-    n = member.size
-    if band is None:
-        band = n // 2 - 1
-    series = analytic_coefficients(member.samples * member.integration_mask, band)
+    series = AnalyticSeries(member.spectrum[: member.size // 2])
     slope = _decay_slope(series.coeffs, fit_window)
     return TransformResult(series=series, decay_fit=slope, fit_window=fit_window)
 
@@ -204,37 +212,40 @@ def interior_lattice(n_points: int, radius: float) -> np.ndarray:
     return r * np.exp(1j * phi)
 
 
-def flip_check(member: KMember, n_points: int = 64, radius: float = 0.9) -> float:
-    """Compare the transform computed from E against minus the complement side.
+def flip_check(member: KMember) -> float:
+    """Compare the transform computed from E against minus the complement side,
+    on the 64-point golden-angle lattice of radius 0.9.
 
     Both quadratures are independent; the identity needs the conjugate
     analyticity and vanishing mean of s, so a member with a mean offset is a
-    working negative control.  Each side is a trapezoid Cauchy sum of its own
-    masked samples, evaluated by one FFT through the exact identity
-    (1 - z^n)^{-1} sum_r c_r z^r and truncated once |z|^R / (1 - |z|) <= eps/4
-    (364 terms on the default lattice, whose largest |z| is 0.896).
+    working negative control.  Each side is a trapezoid Cauchy sum through
+    the exact identity (1 - z^n)^{-1} sum_r c_r z^r, truncated once
+    |z|^R / (1 - |z|) <= eps/4 (364 terms on this lattice, whose largest |z|
+    is 0.896).  The E side reads ``member.spectrum``; the complement side is
+    its own FFT of the samples off E.
     """
     if member.family != "K":
         raise IngredientMismatch("flip identity applies to family K")
-    z = interior_lattice(n_points, radius)
-    a = _cauchy_sum(member.samples * member.e_mask, z)
-    b = -_cauchy_sum(member.samples * ~member.e_mask, z)
+    z = interior_lattice(64, 0.9)
+    a = _cauchy_sum(member.spectrum, z)
+    b = -_cauchy_sum(np.fft.fft(member.samples * ~member.e_mask) / member.size, z)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
 
 
-def backshift_identity(member: KMember, k: int, band: int | None = None) -> float:
-    """Residual of L^k C = C_{conj(zeta)^k s} on the coefficient band."""
+def backshift_identity(member: KMember, k: int) -> float:
+    """Residual of L^k C = C_{conj(zeta)^k s} on the coefficients 0..size/2-1.
+
+    The left side shifts ``member.spectrum``; the right side is its own FFT
+    of the shifted, masked samples.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     n = member.size
-    if band is None:
-        band = n // 2 - 1
-    mask = member.integration_mask
     t = grid_angles(member.grid_log2)
-    left = analytic_coefficients(member.samples * mask, band).coeffs[k:]
+    left = member.spectrum[k : n // 2]
     shifted = np.exp(-1j * k * t) * member.samples
-    right = analytic_coefficients(shifted * mask, band).coeffs[: len(left)]
+    right = analytic_coefficients(shifted * member.integration_mask).coeffs[: len(left)]
     return float(np.max(np.abs(left - right)))
 
 
@@ -332,26 +343,24 @@ class SplitResult:
 def split_transform(
     member: KMember,
     weight_values: np.ndarray | None = None,
-    band: int | None = None,
     fit_window: tuple[int, int] = (64, 1024),
     max_k: int = 32,
 ) -> SplitResult:
-    """Split C_s = u1 + u2 into the complement piece and the E piece.
+    """Split C_s = u1 + u2 into the complement piece and the E piece, on the
+    coefficients 0..size/2-1.
 
     u1 = C_{s 1_{T \\ E}} is the smooth part; u2 = C_{s 1_E} generates the
-    functional bounded against the weighted boundary norm.  The additivity
-    residual compares u1 + u2 with the directly computed C_s.
+    functional bounded against the weighted boundary norm.  Each piece is its
+    own FFT; the additivity residual compares u1 + u2 with C_s read from
+    ``member.spectrum`` (the K2 integration mask is the whole circle).
     """
     if member.family != "K2":
         raise IngredientMismatch("split applies to family K2")
     n = member.size
-    if band is None:
-        band = n // 2 - 1
     mask = member.e_mask
-    u2 = analytic_coefficients(member.samples * mask, band)
-    u1 = analytic_coefficients(member.samples * (~mask), band)
-    full = analytic_coefficients(member.samples, band)
-    resid = float(np.max(np.abs(u1.coeffs + u2.coeffs - full.coeffs)))
+    u2 = analytic_coefficients(member.samples * mask)
+    u1 = analytic_coefficients(member.samples * (~mask))
+    resid = float(np.max(np.abs(u1.coeffs + u2.coeffs - member.spectrum[: n // 2])))
     slope = _decay_slope(u1.coeffs, fit_window)
     consts = np.array([])
     if weight_values is not None:

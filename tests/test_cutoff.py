@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bcct.circle_sets import TWO_PI, Arc, rotate_set, validate_set
+from bcct.circle_sets import ANGLE_SLACK, TWO_PI, Arc, rotate_set, validate_set
 from bcct.cutoff import (
     boundary_samples,
     build_cutoff,
@@ -13,7 +15,7 @@ from bcct.cutoff import (
     g_t_derivatives,
 )
 from bcct.errors import ResolutionError
-from bcct.fixtures import two_gap
+from bcct.fixtures import geometric_gaps, two_gap
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +26,17 @@ def E():
 @pytest.fixture(scope="module")
 def cut(E):
     return build_cutoff(E, k_max=10)
+
+
+def angular_endpoint_hits(c, z):
+    """Points on the circle within ANGLE_SLACK of a gap endpoint, in angle."""
+    on_circle = np.abs(np.abs(z) - 1.0) < 1e-12
+    ang = np.angle(z)
+    hit = np.zeros(z.shape, dtype=bool)
+    for b in c.boundary_angles:
+        d = np.mod(ang - b, TWO_PI)
+        hit |= on_circle & (np.minimum(d, TWO_PI - d) <= ANGLE_SLACK)
+    return hit
 
 
 def disk_points(rng, count):
@@ -67,6 +80,28 @@ class TestEvalG:
     def test_zero_at_gap_endpoints(self, cut, E):
         for angle in E.boundary_angles:
             assert eval_g(cut, np.exp(1j * angle)) == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["two_gap", "geometric"]),
+        st.one_of(
+            st.integers(0, 255).map(lambda j: j * TWO_PI / 256),
+            st.floats(0.0, TWO_PI, exclude_max=True),
+        ),
+        st.integers(8, 16),
+    )
+    def test_endpoint_zeros_match_angular_rule(self, name, phi, log2):
+        # Dyadic rotations put the endpoints on grid points, others between.
+        E = rotate_set(two_gap() if name == "two_gap" else geometric_gaps(), phi)
+        c = build_cutoff(E, k_max=4)
+        z = np.exp(1j * TWO_PI * np.arange(1 << log2) / (1 << log2))
+        expect = np.where(angular_endpoint_hits(c, z), 0.0, np.exp(eval_h(c, z)))
+        got = boundary_samples(c, log2)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(eval_g(c, z.reshape(-1, 16)), expect.reshape(-1, 16))
+        for m in (0, 1, (1 << log2) // 3):
+            assert isinstance(eval_g(c, complex(z[m])), complex)
+            assert eval_g(c, complex(z[m])) == expect[m]
 
     def test_bounded_by_one_on_closed_disk(self, cut):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -87,6 +88,24 @@ class TestKernelDifference:
         sub = e_arc_subset(b.support, 1)
         b_n = restricted_symbol(b, sub)
         assert kernel_difference_psd(b, b_n) >= -1e-10
+
+    def test_least_eigenvalue_mpmath_oracle(self):
+        # Entry (i, j) of the Gram difference is
+        # (conj(b_n(z_i)) b_n(z_j) - conj(b(z_i)) b(z_j)) / (1 - conj(z_i) z_j),
+        # rebuilt at 40 digits from the same symbol values.
+        b, b_n = dbr_divisor_pair(14)
+        pts = interior_lattice(32, 0.85)
+        with mpmath.workdps(40):
+            z = [mpmath.mpc(p) for p in pts]
+            vb = [mpmath.mpc(v) for v in b.eval(pts)]
+            vn = [mpmath.mpc(v) for v in b_n.eval(pts)]
+            gram = mpmath.matrix(32, 32)
+            for i in range(32):
+                for j in range(32):
+                    num = mpmath.conj(vn[i]) * vn[j] - mpmath.conj(vb[i]) * vb[j]
+                    gram[i, j] = num / (1 - mpmath.conj(z[i]) * z[j])
+            oracle = float(min(mpmath.eigh(gram, eigvals_only=True)))
+        assert abs(kernel_difference_psd(b, b_n) - oracle) <= 1e-13
 
     def test_swapped_roles_fail(self):
         b, b_n = dbr_divisor_pair(G)

@@ -13,6 +13,7 @@ from bcct.fixtures import (
     taper_weight,
     two_gap,
 )
+from bcct.spaces import annihilator_check
 from bcct.transforms import (
     apply_backshift_poly,
     backshift_identity,
@@ -107,6 +108,30 @@ class TestSmoothTransform:
             standard_member("K", monomial(0), 16, k_max=12), fit_window=(64, 1024)
         ).decay_fit
         assert fine <= coarse + 0.5
+
+
+class TestSpectrum:
+    def test_one_fft_of_the_member(self, monkeypatch):
+        # The four checks read one spectrum; only the flip's complement side
+        # and the backshift's shifted side take FFTs of their own inputs.
+        m = standard_member("K", monomial(0), 10, k_max=8)
+        calls = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        smooth_transform(m)
+        flip_check(m)
+        backshift_identity(m, 1)
+        annihilator_check(m, k_max=0)
+        assert len(calls) == 3
+
+    def test_read_only(self, member_k):
+        with pytest.raises(ValueError):
+            member_k.spectrum[0] = 1.0
 
 
 class TestFlip:
