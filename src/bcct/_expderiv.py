@@ -21,31 +21,39 @@ from math import comb
 
 import numpy as np
 
-# Point x pole entries per block of a pole sum: large enough to amortize the
-# Python loop, small enough (32 MB per complex temporary) to stay in memory.
-_BLOCK_ENTRIES = 2_000_000
+# Point x pole entries per block of a pole sum.  2^15 complex entries are
+# 512 kB, so a block's difference, power and quotient buffers stay in a core's
+# cache between the passes over them.  Blocks of millions of entries go out to
+# memory on every pass, and their 32 MB temporaries set the peak RSS of runs
+# on small grids.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def pole_sum(poles: np.ndarray, weights: np.ndarray, z, m_max: int = 0) -> list[np.ndarray]:
     """[F, F', ..., F^(m_max)] at z for F(z) = sum_j w_j / (p_j - z).
 
     F^(k)(z) = k! sum_j w_j / (p_j - z)^(k+1); each row is reduced with
-    ``np.sum``, in blocks of at most ``_BLOCK_ENTRIES`` point x pole entries.
-    The results have the shape of ``z``.
+    ``np.sum``, in blocks of at most ``_BLOCK_ENTRIES`` point x pole entries
+    that reuse one difference, one power and one quotient buffer.  The
+    results have the shape of ``z``.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     out = [np.zeros(flat.shape, dtype=complex) for _ in range(m_max + 1)]
     step = max(1, _BLOCK_ENTRIES // max(1, len(poles)))
+    shape = (min(step, len(flat)), len(poles))
+    diff_buf, power_buf, quot_buf = (np.empty(shape, dtype=complex) for _ in range(3))
     for i in range(0, len(flat), step):
-        diff = poles - flat[i : i + step, None]
-        power = diff
+        rows = min(step, len(flat) - i)
+        diff, power, quot = diff_buf[:rows], power_buf[:rows], quot_buf[:rows]
+        np.subtract(poles, flat[i : i + rows, None], out=diff)
         fact = 1.0
         for k in range(m_max + 1):
             if k:
                 fact *= k
-                power = power * diff
-            out[k][i : i + step] = fact * np.sum(weights / power, axis=1)
+                np.multiply(power if k > 1 else diff, diff, out=power)
+            np.divide(weights, power if k else diff, out=quot)
+            out[k][i : i + step] = fact * np.sum(quot, axis=1)
     return [o.reshape(z.shape) for o in out]
 
 

@@ -7,6 +7,10 @@ Cauchy sum all live here.  The Cauchy sum uses the exact spectral identity
     (1/n) sum_m v_m / (1 - z conj(zeta_m)) = (1 - z^n)^{-1} sum_{r<n} c_r z^r,
 
 truncated once |z|^R / (1 - |z|) <= eps/4, so no kernel matrix is built.
+It serves the transforms' Cauchy integrals and, in
+:func:`bcct.factors.herglotz_exp`, the discrete Herglotz integral
+(1/n) sum_m u_m (zeta_m + z)/(zeta_m - z), which is twice the Cauchy sum of
+u minus its mean.
 Everything operates on grids whose size is a power of two, with the Fourier
 convention
 

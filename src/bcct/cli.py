@@ -121,6 +121,7 @@ class _Run:
     E: BeurlingCarlesonSet
     measure: SingularMeasure
     coeffs: AnalyticSeries
+    _members: dict[int, KMember] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def weight(self) -> BoundaryWeight:
@@ -139,9 +140,13 @@ class _Run:
         return cutoff_boundary_samples(self.cutoff, self.cfg.grid_log2)
 
     def member(self, k: int) -> KMember:
-        """The family-K member s = conj(zeta z^k g W)."""
-        return build_member("K", fixtures.monomial(k), cutoff=self.cutoff, cutoff_set=self.E,
-                            outer=self.outer, cutoff_samples=self.cutoff_samples)
+        """The family-K member s = conj(zeta z^k g W), built once per k."""
+        if k not in self._members:
+            self._members[k] = build_member(
+                "K", fixtures.monomial(k), cutoff=self.cutoff, cutoff_set=self.E,
+                outer=self.outer, cutoff_samples=self.cutoff_samples,
+            )
+        return self._members[k]
 
 
 def _read_set(source) -> BeurlingCarlesonSet:
@@ -236,8 +241,7 @@ def suite_outer(run: _Run) -> dict:
     cfg, E, w, W = run.cfg, run.E, run.weight, run.outer
     w0 = abs(complex(W.eval(0.0))) - math.exp(w.log_integral)
     n = 1 << cfg.grid_log2
-    coef = np.fft.fft(W.boundary) / n
-    neg = float(np.max(np.abs(coef[n // 2 + 1 :])))
+    neg = float(np.max(np.abs(W.spectrum[n // 2 + 1 :])))
     mod = float(np.max(np.abs(np.abs(W.boundary[w.mask]) - w.values[w.mask])))
     # derivative growth is certified on a weight with a genuine edge value
     # (the tapered weight is C^1 at the edge, so W' stays bounded and the

@@ -81,7 +81,11 @@ class SymbolB:
         return 1 << self.grid_log2
 
     def eval(self, z) -> complex | np.ndarray:
-        """Interior evaluation theta(z) * exp(Herglotz of log|u|)."""
+        """Interior evaluation theta(z) * exp(Herglotz of log|u|).
+
+        The Herglotz factor comes from :func:`herglotz_exp`: one FFT and the
+        spectral Cauchy sum at |z| <= 1 - 1e-6, the pole sum nearer the
+        circle."""
         return self.inner.eval(z) * herglotz_exp(self.log_modulus, z)
 
 

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._expderiv import pole_sum
 from .boundary_calculus import (
     AnalyticSeries,
+    _cauchy_sum,
     _fft_convolve,
-    analytic_coefficients,
     conjugate_function,
     grid_angles,
     indicator_mask,
@@ -109,15 +110,30 @@ class OuterFunction:
     weight: BoundaryWeight
     boundary: np.ndarray        # samples of W on the grid
     log_modulus: np.ndarray     # u = log|W| samples (real, 0 off the carrier)
-    series: AnalyticSeries      # analytic projection of the boundary samples
 
     @property
     def grid_log2(self) -> int:
         return self.weight.grid_log2
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Grid Fourier coefficients fft(boundary) / size, computed on first
+        use and read-only."""
+        c = np.fft.fft(self.boundary) / len(self.boundary)
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def series(self) -> AnalyticSeries:
+        """Analytic projection of the boundary samples on the indices
+        0..size/2-1, a read-only view of :attr:`spectrum`."""
+        return AnalyticSeries(self.spectrum[: len(self.spectrum) // 2])
+
     def eval(self, z) -> complex | np.ndarray:
-        """Interior values through the discrete Herglotz integral (exact
-        quadrature identity at z = 0)."""
+        """Interior values exp(H(z)) of the discrete Herglotz integral of
+        log|W|, by :func:`herglotz_exp`: the spectral Cauchy sum at
+        |z| <= 1 - 1e-6, the pole sum nearer the circle.  At z = 0 it is the
+        exact quadrature identity W(0) = exp(mean of log|W|)."""
         return herglotz_exp(self.log_modulus, z)
 
     def log_z_derivs(self, z: np.ndarray, m_max: int) -> list[np.ndarray]:
@@ -125,13 +141,12 @@ class OuterFunction:
 
 
 def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
-    """Boundary samples exp(u + i*conj(u)) with u = log(w) on the carrier,
-    and their analytic projection on the indices 0..size/2-1."""
+    """Boundary samples exp(u + i*conj(u)) with u = log(w) on the carrier.
+    Their analytic projection, ``series``, is computed on first use."""
     with np.errstate(divide="ignore"):
         u = np.where(w.mask, np.log(np.maximum(w.values, 1e-320)), 0.0)
     boundary = np.exp(u + 1j * conjugate_function(u))
-    series = analytic_coefficients(boundary)
-    return OuterFunction(weight=w, boundary=boundary, log_modulus=u, series=series)
+    return OuterFunction(weight=w, boundary=boundary, log_modulus=u)
 
 
 def _herglotz_log(log_modulus: np.ndarray, z, m_max: int = 0) -> list[np.ndarray]:
@@ -151,8 +166,25 @@ def _herglotz_log(log_modulus: np.ndarray, z, m_max: int = 0) -> list[np.ndarray
 
 
 def herglotz_exp(log_modulus: np.ndarray, z) -> complex | np.ndarray:
-    """exp of the discrete Herglotz integral of a real grid function."""
-    out = np.exp(_herglotz_log(log_modulus, z)[0])
+    """exp of the discrete Herglotz integral H of a real grid function u.
+
+    Since (zeta_m + z)/(zeta_m - z) = 2/(1 - z conj(zeta_m)) - 1, H is twice
+    the trapezoid Cauchy sum of u minus its mean c_0, so at |z| <= 1 - 1e-6
+    H(z) = 2 * _cauchy_sum(c, z) - c_0 with c = fft(u)/n: one FFT and a
+    Horner sum, exact to rounding.  Points nearer the circle lie outside
+    the domain of ``_cauchy_sum`` and take the pole sum of
+    :func:`_herglotz_log`.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    inside = np.abs(flat) <= 1.0 - 1e-6
+    H = np.empty(flat.shape, dtype=complex)
+    if inside.any():
+        c = np.fft.fft(log_modulus) / len(log_modulus)
+        H[inside] = 2.0 * _cauchy_sum(c, flat[inside]) - c[0]
+    if not inside.all():
+        H[~inside] = _herglotz_log(log_modulus, flat[~inside])[0]
+    out = np.exp(H).reshape(z.shape)
     return out if out.shape else complex(out)
 
 

@@ -139,12 +139,10 @@ def build_member(
         if not _same_set(cutoff_set, outer.weight.support):
             raise IngredientMismatch("cut-off and outer weight live on different sets")
 
-    n = 1 << grid_log2
-    t = grid_angles(grid_log2)
-    zeta = np.exp(1j * t)
     if cutoff_samples is None:
         cutoff_samples = cutoff_boundary_samples(cutoff, grid_log2)
-    q = zeta * synthesize_analytic(p, grid_log2) * cutoff_samples
+    zeta_p = AnalyticSeries(np.concatenate(([0.0], p.coeffs)))
+    q = synthesize_analytic(zeta_p, grid_log2) * cutoff_samples
     if outer is not None:
         if outer.grid_log2 != grid_log2:
             raise IngredientMismatch("outer factor sampled on a different grid")

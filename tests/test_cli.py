@@ -1,8 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
+import bcct.cli
 from bcct.cli import SUITES, main
 
 
@@ -67,6 +69,19 @@ class TestVerify:
             assert rc == 0
         for name in ("weights.json", "whitney.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_each_member_built_once(self, tmp_path, monkeypatch):
+        # the transform and annihilator suites share the member for p = 1
+        built = Counter()
+        real = bcct.cli.build_member
+
+        def counting(family, p, **kwargs):
+            built[p.degree] += 1
+            return real(family, p, **kwargs)
+
+        monkeypatch.setattr(bcct.cli, "build_member", counting)
+        assert main(["verify", "--suite", "all", "--out", str(tmp_path / "out")]) == 0
+        assert built == {0: 1, 1: 1, 3: 1}
 
     def test_suites_alone_match_all(self, tmp_path):
         # the suites of one run share their ingredients; a suite that modified

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bcct._expderiv import _BLOCK_ENTRIES, pole_sum
 from bcct.boundary_calculus import grid_angles
 from bcct.circle_sets import TWO_PI, Arc, point_carrier, validate_set
 from bcct.cutoff import _g_and_h_derivs, build_cutoff
@@ -12,6 +13,7 @@ from bcct.errors import WeightNotLogIntegrable
 from bcct.factors import (
     Atom,
     InnerFunction,
+    _herglotz_log,
     _atomic_inner_coefficients,
     _blaschke_factor_coefficients,
     SingularMeasure,
@@ -19,11 +21,13 @@ from bcct.factors import (
     boundary_weight,
     certify_theta_derivatives,
     certify_W_derivatives,
+    herglotz_exp,
     inner_singular_eval,
     measure_from_json,
     outer_from_weight,
 )
 from bcct.fixtures import taper_weight, two_gap
+from bcct.transforms import interior_lattice
 
 G = 13
 
@@ -100,6 +104,41 @@ class TestOuter:
         series_vals = evaluate_in_disk(W.series, z)
         herglotz_vals = W.eval(z)
         assert np.max(np.abs(series_vals - herglotz_vals)) <= 1e-6
+
+    def test_series_is_cached_and_read_only(self, E):
+        W = outer_from_weight(taper_weight(E, G))
+        assert W.series is W.series
+        assert len(W.series) == (1 << G) // 2
+        with pytest.raises(ValueError):
+            W.series.coeffs[0] = 0.0
+
+
+class TestHerglotzExp:
+    """Inside the disk herglotz_exp takes the spectral Cauchy sum; nearer
+    the circle than 1 - 1e-6 it takes the pole sum of _herglotz_log."""
+
+    def test_interior_matches_pole_sum_and_mpmath(self):
+        u = outer_from_weight(taper_weight(two_gap(), 10)).log_modulus
+        n = len(u)
+        z = interior_lattice(1024, 0.95)[-12:]  # the lattice's outermost points
+        spectral = herglotz_exp(u, z)
+        by_poles = np.exp(_herglotz_log(u, z)[0])
+        assert np.max(np.abs(spectral - by_poles) / np.abs(by_poles)) <= 1e-13
+        nodes = np.exp(1j * grid_angles(10))
+        with mpmath.workdps(30):
+            terms = [(mpmath.mpc(zeta), mpmath.mpf(um)) for zeta, um in zip(nodes, u) if um]
+            for zi, val in zip(z, spectral):
+                zm = mpmath.mpc(zi)
+                H = mpmath.fsum(um * (zeta + zm) / (zeta - zm) for zeta, um in terms) / n
+                ref = complex(mpmath.exp(H))
+                assert abs(val - ref) <= 1e-13 * abs(ref), zi
+
+    def test_near_circle_is_the_pole_sum(self):
+        u = outer_from_weight(taper_weight(two_gap(), 10)).log_modulus
+        z_edge = (1.0 - 1e-7) * np.exp(0.3j)
+        by_poles = np.exp(_herglotz_log(u, z_edge)[0])
+        assert herglotz_exp(u, z_edge) == by_poles
+        assert herglotz_exp(u, np.array([0.5, z_edge]))[1] == by_poles
 
 
 class TestWDerivatives:
@@ -341,6 +380,67 @@ def test_pole_sum_derivatives_match_mpmath(case):
             for k in (1, 2, 3):
                 ref = complex(mpmath.diff(oracle, mpmath.mpc(z), k))
                 assert abs(derivs[k - 1][i] - ref) <= 1e-12 * abs(ref), (k, z)
+
+
+# ---------------------------------------------------------------------------
+# pole_sum in cache-sized blocks against the loop it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_pole_sum(poles, weights, z, m_max=0):
+    # blocks of 2 * 10^6 entries and fresh temporaries for every product
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    out = [np.zeros(flat.shape, dtype=complex) for _ in range(m_max + 1)]
+    step = max(1, 2_000_000 // max(1, len(poles)))
+    for i in range(0, len(flat), step):
+        diff = poles - flat[i : i + step, None]
+        power = diff
+        fact = 1.0
+        for k in range(m_max + 1):
+            if k:
+                fact *= k
+                power = power * diff
+            out[k][i : i + step] = fact * np.sum(weights / power, axis=1)
+    return [o.reshape(z.shape) for o in out]
+
+
+def _cutoff_poles():
+    c = build_cutoff(two_gap(), k_max=16)  # 66 poles
+    return c.poles, -c.weights
+
+
+def _herglotz_poles():
+    u = outer_from_weight(boundary_weight(two_gap(), 0.5, 14)).log_modulus  # 12802 poles
+    nz = np.nonzero(u)[0]
+    zeta = np.exp(1j * TWO_PI * nz / len(u))
+    return zeta, 2.0 * zeta * u[nz] / len(u)
+
+
+def _assert_pole_sums_equal(poles, weights, z):
+    for m_max in range(4):
+        ours = pole_sum(poles, weights, z, m_max)
+        ref = _reference_pole_sum(poles, weights, z, m_max)
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            assert a.shape == b.shape == np.shape(z)
+            assert np.array_equal(a, b), (m_max, k)
+
+
+@pytest.mark.parametrize("poles, z", [
+    (_cutoff_poles, lambda: np.exp(1j * grid_angles(16))),
+    (_herglotz_poles, lambda: 0.999 * np.exp(1j * np.linspace(0.0, TWO_PI, 300, endpoint=False))),
+], ids=["66_poles_2p16_points", "12802_poles_300_points"])
+def test_pole_sum_bit_identical_to_reference(poles, z):
+    _assert_pole_sums_equal(*poles(), z())
+
+
+def test_pole_sum_block_edges_and_shapes():
+    poles, weights = _cutoff_poles()
+    step = _BLOCK_ENTRIES // len(poles)
+    rng = np.random.default_rng(5)
+    for n in (step - 1, step, step + 1):
+        _assert_pole_sums_equal(poles, weights, np.exp(1j * rng.uniform(0.0, TWO_PI, n)))
+    for z in (0.3 - 0.2j, 0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, (3, 5))), np.zeros(0)):
+        _assert_pole_sums_equal(poles, weights, z)
 
 
 # ---------------------------------------------------------------------------
