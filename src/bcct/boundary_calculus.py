@@ -16,7 +16,8 @@ convention
 
     c_n = (1/size) * sum_m samples_m * exp(-i n t_m),   t_m = 2 pi m / size,
 
-which is exact for trigonometric polynomials below the Nyquist band.
+which is exact for trigonometric polynomials below the Nyquist band; it is
+:func:`_spectrum`, and this module alone calls numpy.fft.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.fft lazily; a signal handler that calls np.fft during
+# that first import recurses, so the package loads it up front.
+import numpy.fft
 
 from .circle_sets import TWO_PI, BeurlingCarlesonSet, wrap_angle
 from .errors import BandTooLarge, OutsideDomain
@@ -94,14 +98,20 @@ class AnalyticSeries:
         return out
 
 
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """Grid Fourier coefficients fft(values) / len(values), read-only."""
+    c = np.fft.fft(values) / len(values)
+    c.flags.writeable = False
+    return c
+
+
 def fourier_coefficients(grid: BoundaryGrid, band: int) -> np.ndarray:
     """Two-sided coefficients c_{-band}..c_{band} (length 2*band+1)."""
     n = grid.size
     if band >= n // 2:
         raise BandTooLarge(f"band {band} >= Nyquist {n // 2}")
-    c = np.fft.fft(grid.samples) / n
     idx = np.arange(-band, band + 1) % n
-    return c[idx]
+    return _spectrum(grid.samples)[idx]
 
 
 def synthesize(coeffs: np.ndarray, log2_size: int) -> BoundaryGrid:
@@ -134,8 +144,7 @@ def analytic_coefficients(samples: np.ndarray, band: int | None = None) -> Analy
         band = n // 2 - 1
     if band >= n // 2:
         raise BandTooLarge(f"band {band} >= Nyquist {n // 2}")
-    c = np.fft.fft(samples) / n
-    return AnalyticSeries(c[: band + 1])
+    return AnalyticSeries(_spectrum(samples)[: band + 1])
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,7 +238,7 @@ def cauchy_quadrature(grid: BoundaryGrid, z, mask: np.ndarray | None = None):
     if np.any(np.abs(z) > 0.95):
         raise OutsideDomain("cauchy_quadrature needs |z| <= 0.95")
     vals = grid.samples if mask is None else grid.samples * mask
-    out = _cauchy_sum(np.fft.fft(vals) / len(vals), z)
+    out = _cauchy_sum(_spectrum(vals), z)
     return out if np.shape(out) else complex(out)
 
 

@@ -159,16 +159,11 @@ def dist_to_set(t: float, E: BeurlingCarlesonSet) -> float:
     Zero exactly when the point is not strictly inside a gap; otherwise the
     distance to the nearest endpoint of the gap containing it.
     """
-    for g in E.gaps:
-        u = wrap_angle(t - g.start)
-        span = g.end - g.start
-        if ANGLE_SLACK < u < span - ANGLE_SLACK:
-            return min(u, span - u) / TWO_PI
-    return 0.0
+    return float(distances_to_set(np.array([t]), E)[0])
 
 
 def distances_to_set(angles: np.ndarray, E: BeurlingCarlesonSet) -> np.ndarray:
-    """Vectorized :func:`dist_to_set` over an array of angles."""
+    """:func:`dist_to_set` at each of an array of angles."""
     t = np.asarray(angles, dtype=float)
     out = np.zeros_like(t)
     for g in E.gaps:
@@ -305,12 +300,17 @@ def _tail_lambda(c: np.ndarray) -> np.ndarray:
 
 def _lambda_rule(c: np.ndarray, rule: str) -> np.ndarray:
     """Multipliers for the masses c: the tail-sum rule applied in order of
-    decreasing c (ties keep their order), or all ones for ``"constant"``."""
+    decreasing c, or all ones for ``"constant"``.  Masses within 1e-12
+    relative are ties kept in index order, so the rounding noise between arcs
+    of equal length, which a rotation of the set changes, cannot reorder them."""
     if rule == "constant":
         return np.ones_like(c)
     if rule != "tail-sum":
         raise ValueError(f"unknown lambda rule {rule!r}")
     order = np.argsort(-c, kind="stable")
+    desc = c[order]
+    tie_group = np.cumsum(np.r_[False, desc[1:] < desc[:-1] * (1.0 - 1e-12)])
+    order = order[np.lexsort((order, tie_group))]
     lam = np.empty_like(c)
     lam[order] = _tail_lambda(c[order])
     return lam
@@ -321,7 +321,8 @@ def assign_lambdas(arcs: Sequence[WhitneyArc], rule: str = "tail-sum") -> list[W
 
     Default rule: order the arcs by decreasing ``c_j = |B_j| log(1/|B_j|)``
     and set ``lambda_j = max(1, T_j**-1/2)`` with ``T_j`` the tail sum of c
-    from position j on (the Abel-Dini trick).  This keeps
+    from position j on (the Abel-Dini trick; masses within 1e-12 relative
+    keep the arcs' order).  This keeps
     ``sum lambda_j c_j <= 2 sqrt(sum c_j) + sum c_j`` while lambda tends to
     infinity along the ordering.  ``rule="constant"`` sets every lambda to 1
     (ablation).

@@ -26,6 +26,7 @@ from .boundary_calculus import AnalyticSeries
 from .circle_sets import (
     BeurlingCarlesonSet,
     assign_lambdas,
+    dist_arc_to_set,
     gaps_from_json,
     validate_set,
     whitney_decompose,
@@ -192,8 +193,6 @@ def suite_whitney(run: _Run) -> dict:
         abs(w.length - E.gaps[w.parent].length / (3.0 * 2.0 ** abs(w.rank)))
         for w in arcs
     )
-    from .circle_sets import dist_arc_to_set
-
     dist_resid = max(abs(dist_arc_to_set(w.arc, E) - w.length) for w in arcs)
     c = np.array([w.length * math.log(1.0 / w.length) for w in arcs])
     lam = np.array([w.lam for w in arcs])

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expderiv import exp_t_derivatives, pole_sum
+from .boundary_calculus import grid_angles
 from .circle_sets import (
     ANGLE_SLACK,
-    TWO_PI,
     BeurlingCarlesonSet,
     WhitneyArc,
     _dyadic_level_points,
@@ -122,8 +122,7 @@ def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
 
 def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
     """g sampled on the uniform grid e^{i t_m}."""
-    t = TWO_PI * np.arange(1 << log2_size) / (1 << log2_size)
-    return eval_g(c, np.exp(1j * t))
+    return eval_g(c, np.exp(1j * grid_angles(log2_size)))
 
 
 def _g_and_h_derivs(c: CutoffFunction, z: np.ndarray, m_max: int):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .boundary_calculus import (
     AnalyticSeries,
+    _spectrum,
     grid_angles,
     indicator_mask,
     synthesize_analytic,
@@ -174,13 +175,6 @@ def kernel_eval(K: HbKernel, lam, z) -> complex | np.ndarray:
     return out if out.shape else complex(out)
 
 
-def _kernel_matrix(b: SymbolB, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(b.eval(points), dtype=complex)
-    num = 1.0 - np.conj(vals)[:, None] * vals[None, :]
-    den = 1.0 - np.conj(points)[:, None] * points[None, :]
-    return num / den
-
-
 def kernel_difference_psd(
     b: SymbolB,
     b_n: SymbolB,
@@ -204,7 +198,8 @@ def kernel_difference_psd(
     worst = float(np.max(ratio))
     if worst > 1.0 + 1e-8:
         raise NotADivisor(f"sampled |b/b_n| reaches {worst}")
-    G = _kernel_matrix(b, points) - _kernel_matrix(b_n, points)
+    lam, z = points[:, None], points[None, :]
+    G = kernel_eval(HbKernel(b), lam, z) - kernel_eval(HbKernel(b_n), lam, z)
     G = 0.5 * (G + G.conj().T)
     return float(np.min(np.linalg.eigvalsh(G)))
 
@@ -237,11 +232,10 @@ def _fejer_polynomial_symbol(b: SymbolB, degree: int) -> np.ndarray:
     the (tiny, aliasing-level) negative-index content can push the modulus
     above 1; the certified excess is divided out.
     """
-    n = b.size
-    c = np.fft.fft(b.boundary) / n
+    c = _spectrum(b.boundary)
     taper = 1.0 - np.arange(degree + 1) / (degree + 1.0)
     pos = c[: degree + 1] * taper
-    neg_excess = float(np.sum(np.abs(c[n - degree :] * taper[1:][::-1])))
+    neg_excess = float(np.sum(np.abs(c[len(c) - degree :] * taper[1:][::-1])))
     return pos / (1.0 + neg_excess)
 
 
@@ -274,9 +268,8 @@ def j_relation_residuals(
     k <= k_max; the direct part is the l2 norm of the projected sum on the
     coefficient band.
     """
-    n = len(b_samples)
     total = np.conj(b_samples) * f + delta * g
-    coeffs = np.fft.fft(total)[: band + 1] / n
+    coeffs = _spectrum(total)[: band + 1]
     return float(np.max(np.abs(coeffs[: k_max + 1]))), float(np.linalg.norm(coeffs))
 
 
@@ -310,7 +303,7 @@ def j_relation_check(
         b_samples = b.boundary
         delta = b.delta
         if f is None:
-            bc = np.fft.fft(b.boundary)[: n // 4 + 1] / n
+            bc = _spectrum(b.boundary)[: n // 4 + 1]
             f, g = kernel_tuple(bc, delta, lam, b.grid_log2)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -27,6 +27,7 @@ from .boundary_calculus import (
     AnalyticSeries,
     _cauchy_sum,
     _fft_convolve,
+    _spectrum,
     conjugate_function,
     grid_angles,
     indicator_mask,
@@ -37,6 +38,8 @@ from .circle_sets import (
     _dyadic_level_points,
     _read_json,
     dist_to_set,
+    gaps_from_json,
+    validate_set,
 )
 from .errors import WeightNotLogIntegrable
 
@@ -119,9 +122,7 @@ class OuterFunction:
     def spectrum(self) -> np.ndarray:
         """Grid Fourier coefficients fft(boundary) / size, computed on first
         use and read-only."""
-        c = np.fft.fft(self.boundary) / len(self.boundary)
-        c.flags.writeable = False
-        return c
+        return _spectrum(self.boundary)
 
     @cached_property
     def series(self) -> AnalyticSeries:
@@ -180,7 +181,7 @@ def herglotz_exp(log_modulus: np.ndarray, z) -> complex | np.ndarray:
     inside = np.abs(flat) <= 1.0 - 1e-6
     H = np.empty(flat.shape, dtype=complex)
     if inside.any():
-        c = np.fft.fft(log_modulus) / len(log_modulus)
+        c = _spectrum(log_modulus)
         H[inside] = 2.0 * _cauchy_sum(c, flat[inside]) - c[0]
     if not inside.all():
         H[~inside] = _herglotz_log(log_modulus, flat[~inside])[0]
@@ -512,8 +513,6 @@ def factors_from_json(source, grid_log2: int):
 
     and return (BoundaryWeight, InnerFunction).
     """
-    from .circle_sets import gaps_from_json, validate_set
-
     obj = _read_json(source)
     wdesc = obj["weight"]
     E = validate_set(gaps_from_json(wdesc["gaps_ref"]))

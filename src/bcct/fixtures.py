@@ -13,9 +13,8 @@ import numpy as np
 from .boundary_calculus import AnalyticSeries
 from .circle_sets import TWO_PI, Arc, BeurlingCarlesonSet, point_carrier, validate_set, wrap_angle
 from .cutoff import build_cutoff
-from .factors import Atom, BoundaryWeight, InnerFunction, SingularMeasure, boundary_weight
+from .factors import Atom, BoundaryWeight, InnerFunction, SingularMeasure, boundary_weight, outer_from_weight
 from .transforms import KMember, build_member
-from .factors import outer_from_weight
 
 
 def two_gap() -> BeurlingCarlesonSet:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_calculus import AnalyticSeries, grid_angles, synthesize_analytic
+from .boundary_calculus import AnalyticSeries, _spectrum, grid_angles, synthesize_analytic
 from .errors import LengthMismatch, RangeExhausted
 from .factors import BoundaryWeight
 from .transforms import KMember
@@ -295,8 +295,7 @@ def d_space_gram(dual: DualSequence | np.ndarray, w: BoundaryWeight, d: int) -> 
     if len(alpha_inv) < d + 1:
         raise LengthMismatch("weight sequence shorter than the requested degree")
     n = 1 << w.grid_log2
-    wm = np.where(w.mask, w.values, 0.0)
-    hatw = np.fft.fft(wm) / n
+    hatw = _spectrum(np.where(w.mask, w.values, 0.0))
     j = np.arange(d + 1)
     diff = (j[None, :] - j[:, None]) % n
     G = hatw[diff]

@@ -28,6 +28,7 @@ from .boundary_calculus import (
     AnalyticSeries,
     _cauchy_sum,
     _fft_convolve,
+    _spectrum,
     analytic_coefficients,
     grid_angles,
     indicator_mask,
@@ -73,9 +74,7 @@ class KMember:
         fft(samples * integration_mask) / size, computed on first use and
         read-only.  Index r < size/2 is coefficient r of the member's Cauchy
         transform; the certificates below all read this one array."""
-        c = np.fft.fft(self.samples * self.integration_mask) / self.size
-        c.flags.writeable = False
-        return c
+        return _spectrum(self.samples * self.integration_mask)
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ def flip_check(member: KMember) -> float:
         raise IngredientMismatch("flip identity applies to family K")
     z = interior_lattice(64, 0.9)
     a = _cauchy_sum(member.spectrum, z)
-    b = -_cauchy_sum(np.fft.fft(member.samples * ~member.e_mask) / member.size, z)
+    b = -_cauchy_sum(_spectrum(member.samples * ~member.e_mask), z)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
 

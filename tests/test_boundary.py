@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bcct
 from bcct.boundary_calculus import (
     AnalyticSeries,
     BoundaryGrid,
@@ -60,6 +65,13 @@ class TestFourier:
     def test_grid_size_floor(self):
         with pytest.raises(ValueError):
             BoundaryGrid(4, np.zeros(16, dtype=complex))
+
+    def test_import_loads_numpy_fft(self):
+        # numpy loads numpy.fft lazily; a signal handler that calls np.fft
+        # while that first import runs recurses, so importing bcct loads it.
+        env = dict(os.environ, PYTHONPATH=str(Path(bcct.__file__).parents[1]))
+        code = "import sys, bcct; sys.exit('numpy.fft' not in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestProjection:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcct.circle_sets import ANGLE_SLACK, TWO_PI, Arc, rotate_set, validate_set
@@ -137,6 +137,24 @@ class TestEvalG:
         left = eval_g(c_rot, z)
         right = eval_g(c, np.exp(-1j * phi) * z)
         assert np.max(np.abs(left - right)) <= 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([2, 4, 6]),
+        st.integers(8, 14),
+        st.integers(0, (1 << 14) - 1),
+    )
+    @example(4, 14, 1)
+    def test_grid_rotation_rolls_boundary_samples(self, gaps, log2, j):
+        # Whitney arcs of different geometric gaps have equal lengths, up to
+        # rounding that the rotation changes; their lambdas must not follow it.
+        E = two_gap() if gaps == 2 else geometric_gaps(gaps)
+        n = 1 << log2
+        j %= n
+        base = boundary_samples(build_cutoff(E), log2)
+        got = boundary_samples(build_cutoff(rotate_set(E, TWO_PI * j / n)), log2)
+        assert np.array_equal(got == 0.0, np.roll(base == 0.0, j))
+        assert np.max(np.abs(got - np.roll(base, j))) <= 1e-10 * np.max(np.abs(base))
 
 
 class TestTruncation:

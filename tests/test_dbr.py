@@ -89,6 +89,11 @@ class TestKernelDifference:
         b_n = restricted_symbol(b, sub)
         assert kernel_difference_psd(b, b_n) >= -1e-10
 
+    def test_points_outside_open_disk_rejected(self):
+        b, b_n = dbr_divisor_pair(G)
+        with pytest.raises(ValueError):
+            kernel_difference_psd(b, b_n, points=np.array([0.5, 1.0 + 0j]))
+
     def test_least_eigenvalue_mpmath_oracle(self):
         # Entry (i, j) of the Gram difference is
         # (conj(b_n(z_i)) b_n(z_j) - conj(b(z_i)) b(z_j)) / (1 - conj(z_i) z_j),
