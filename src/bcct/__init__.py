@@ -59,7 +59,6 @@ from .spaces import (
     x_norm,
 )
 from .dbr import (
-    HbKernel,
     SymbolB,
     build_symbol,
     j_relation_check,

@@ -12,6 +12,9 @@ derivatives of exp(psi) follow from the complete Bell recurrence
 
     B_0 = 1,   B_{n+1} = sum_k C(n,k) psi^(k+1) B_{n-k},
     (d/dt)^m exp(psi) = B_m * exp(psi).
+
+:func:`_dyadic_level_points` evaluates them on the dyadic distance windows
+off a set, where the derivative-growth and decay certificates are fitted.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+
+from .boundary_calculus import grid_angles
+from .circle_sets import BeurlingCarlesonSet, distances_to_set
+from .errors import ResolutionError
 
 # Point x pole entries per block of a pole sum.  2^15 complex entries are
 # 512 kB, so a block's difference, power and quotient buffers stay in a core's
@@ -100,3 +107,31 @@ def exp_t_derivatives(z: np.ndarray, value: np.ndarray, z_derivs: list[np.ndarra
     psi = t_derivs_from_z_derivs(z, z_derivs, m_max)
     bell = bell_factors(psi, m_max)
     return [value * b for b in bell]
+
+
+def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, factor, m_max: int):
+    """Dyadic distance windows off E and the t-derivatives of a factor there.
+
+    Level l holds the grid angles at distance in [2^-l, 2^(1-l)) from E, for
+    the ``levels`` deepest levels l <= grid_log2 - 3, so each window is at
+    least 8 cells wide.  ``factor(z, m_max)`` returns ``exp(L(z))`` and
+    ``[L'(z), ..., L^(m_max)(z)]``; each level yields ``(2^-l, distances,
+    [|G|, |G'|, ..., |G^(m_max)|])`` for G(t) = exp(L(e^{it})).
+    """
+    l_max = grid_log2 - 3
+    l_min = l_max - levels + 1
+    if l_min < 1:
+        raise ResolutionError("grid too coarse for the requested number of levels")
+    t = grid_angles(grid_log2)
+    dist = distances_to_set(t, E)
+    out = []
+    for l in range(l_min, l_max + 1):
+        d = 2.0 ** (-l)
+        sel = (dist >= d) & (dist < 2.0 * d)
+        if np.count_nonzero(sel) < 8:
+            raise ResolutionError(f"level 2^-{l}: fewer than 8 grid points at that distance")
+        z = np.exp(1j * t[sel])
+        value, z_derivs = factor(z, m_max)
+        gm = exp_t_derivatives(z, value, z_derivs, m_max)
+        out.append((d, dist[sel], [np.abs(g) for g in gm]))
+    return out

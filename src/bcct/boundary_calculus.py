@@ -98,6 +98,13 @@ class AnalyticSeries:
         return out
 
 
+def monomial(k: int) -> AnalyticSeries:
+    """The series of z^k."""
+    c = np.zeros(k + 1, dtype=complex)
+    c[k] = 1.0
+    return AnalyticSeries(c)
+
+
 def _spectrum(values: np.ndarray) -> np.ndarray:
     """Grid Fourier coefficients fft(values) / len(values), read-only."""
     c = np.fft.fft(values) / len(values)
@@ -243,7 +250,8 @@ def cauchy_quadrature(grid: BoundaryGrid, z, mask: np.ndarray | None = None):
 
 
 def indicator_mask(E: BeurlingCarlesonSet, log2_size: int) -> np.ndarray:
-    """Boolean grid mask of membership in E, with snapped gap endpoints.
+    """Boolean grid mask of membership in E, with snapped gap endpoints,
+    read-only (a weight and the members built on it share one mask).
 
     Gap endpoints are snapped to the nearest grid point (always within half a
     cell); the snapped endpoints themselves belong to E, matching the closed
@@ -258,6 +266,7 @@ def indicator_mask(E: BeurlingCarlesonSet, log2_size: int) -> np.ndarray:
         lo_i, hi_i = round(lo), round(hi)
         idx = np.arange(lo_i + 1, hi_i) % n
         mask[idx] = False
+    mask.flags.writeable = False
     return mask
 
 

@@ -21,8 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._expderiv import exp_t_derivatives
-from .errors import DegenerateArc, EntropyDivergence, OverlapError, ResolutionError
+from .errors import DegenerateArc, EntropyDivergence, OverlapError
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,35 +174,6 @@ def distances_to_set(angles: np.ndarray, E: BeurlingCarlesonSet) -> np.ndarray:
     return out
 
 
-def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, factor, m_max: int):
-    """Dyadic distance windows off E and the t-derivatives of a factor there.
-
-    Level l holds the grid angles at distance in [2^-l, 2^(1-l)) from E, for
-    the ``levels`` deepest levels l <= grid_log2 - 3, so each window is at
-    least 8 cells wide.  ``factor(z, m_max)`` returns ``exp(L(z))`` and
-    ``[L'(z), ..., L^(m_max)(z)]``; each level yields ``(2^-l, distances,
-    [|G|, |G'|, ..., |G^(m_max)|])`` for G(t) = exp(L(e^{it})).
-    """
-    l_max = grid_log2 - 3
-    l_min = l_max - levels + 1
-    if l_min < 1:
-        raise ResolutionError("grid too coarse for the requested number of levels")
-    n = 1 << grid_log2
-    t = TWO_PI * np.arange(n) / n
-    dist = distances_to_set(t, E)
-    out = []
-    for l in range(l_min, l_max + 1):
-        d = 2.0 ** (-l)
-        sel = (dist >= d) & (dist < 2.0 * d)
-        if np.count_nonzero(sel) < 8:
-            raise ResolutionError(f"level 2^-{l}: fewer than 8 grid points at that distance")
-        z = np.exp(1j * t[sel])
-        value, z_derivs = factor(z, m_max)
-        gm = exp_t_derivatives(z, value, z_derivs, m_max)
-        out.append((d, dist[sel], [np.abs(g) for g in gm]))
-    return out
-
-
 def dist_arc_to_set(arc: Arc, E: BeurlingCarlesonSet) -> float:
     """Distance between a closed subarc of a gap and the set.
 
@@ -268,16 +238,7 @@ def whitney_decompose(E: BeurlingCarlesonSet, k_max: int) -> list[WhitneyArc]:
                 lo = 1.0 / (3.0 * 2.0 ** (-k))
                 hi = 1.0 / (3.0 * 2.0 ** (-k - 1))
             sub = Arc(a + lo * span, a + hi * span)
-            arcs.append(
-                WhitneyArc(
-                    parent=n,
-                    rank=k,
-                    arc=sub,
-                    length=ell,
-                    midpoint=complex(math.cos(sub.mid_angle), math.sin(sub.mid_angle)),
-                    radius=1.0 + ell,
-                )
-            )
+            arcs.append(WhitneyArc(n, k, sub, ell, sub.midpoint, radius=1.0 + ell))
     return arcs
 
 

@@ -59,17 +59,6 @@ from .transforms import (
 # three decades of the angle resolution of a double; 2.0**k overflows at 1024.
 K_MAX_LIMIT = 40
 
-SUITES = (
-    "whitney",
-    "cutoff",
-    "outer",
-    "transform",
-    "weights",
-    "annihilator",
-    "permanence",
-    "dbr-psd",
-)
-
 
 @dataclass
 class RunConfig:
@@ -283,16 +272,21 @@ def suite_transform(run: _Run) -> dict:
 
 
 def _read_coeffs_csv(path) -> AnalyticSeries:
-    """Coefficient CSV: either one value per line or rows (k, value)."""
+    """Coefficient CSV: either one value per line or rows (k, value), the
+    value last.  A first line whose last field is not a number is a header;
+    every other value must be a finite number."""
     rows = [r for r in Path(path).read_text().strip().splitlines() if r]
-    if rows and not rows[0][0].isdigit() and not rows[0].lstrip().startswith("-"):
-        rows = rows[1:]  # header
     vals = []
-    for r in rows:
-        parts = r.split(",")
-        vals.append(float(parts[-1]))
+    for i, r in enumerate(rows):
+        try:
+            vals.append(float(r.split(",")[-1]))
+        except ValueError:
+            if i:
+                raise
     if not vals:
         raise ValueError("no coefficient values")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("coefficient values must be finite")
     return AnalyticSeries(np.asarray(vals, dtype=complex))
 
 
@@ -369,6 +363,7 @@ _SUITE_FN = {
     "permanence": suite_permanence,
     "dbr-psd": suite_dbr_psd,
 }
+SUITES = tuple(_SUITE_FN)
 
 
 def run_suite(cfg: RunConfig) -> int:

@@ -15,20 +15,13 @@ finite proxy of that decay (monotone dyadic ratios).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._expderiv import exp_t_derivatives, pole_sum
+from ._expderiv import _dyadic_level_points, exp_t_derivatives, pole_sum
 from .boundary_calculus import grid_angles
-from .circle_sets import (
-    ANGLE_SLACK,
-    BeurlingCarlesonSet,
-    WhitneyArc,
-    _dyadic_level_points,
-    _lambda_rule,
-    whitney_decompose,
-)
+from .circle_sets import ANGLE_SLACK, BeurlingCarlesonSet, WhitneyArc, _lambda_rule, whitney_decompose
 
 # Ranks appended beyond k_max when computing tail data; the per-rank mass
 # decays geometrically so 60 extra ranks exhaust double precision.
@@ -53,7 +46,6 @@ class CutoffFunction:
     boundary_angles: tuple[float, ...]
     tail_bound: float
     tail_radius: float
-    rule: str
 
 
 def build_cutoff(
@@ -81,10 +73,7 @@ def build_cutoff(
     c = all_lengths * np.log(1.0 / all_lengths)
     lam = _lambda_rule(c, rule)
 
-    kept = [
-        WhitneyArc(w.parent, w.rank, w.arc, w.length, w.midpoint, w.radius, float(l))
-        for w, l in zip(base, lam[: len(base)])
-    ]
+    kept = [replace(w, lam=float(l)) for w, l in zip(base, lam[: len(base)])]
     poles = np.array([w.pole for w in kept])
     weights = np.array([w.lam * w.midpoint * w.length * math.log(1.0 / w.length) for w in kept])
 
@@ -99,7 +88,6 @@ def build_cutoff(
         boundary_angles=E.boundary_angles,
         tail_bound=tail,
         tail_radius=TAIL_RADIUS,
-        rule=rule,
     )
 
 

@@ -28,8 +28,10 @@ import numpy as np
 from .boundary_calculus import (
     AnalyticSeries,
     _spectrum,
+    evaluate_in_disk,
     grid_angles,
     indicator_mask,
+    monomial,
     synthesize_analytic,
 )
 from .circle_sets import BeurlingCarlesonSet
@@ -69,7 +71,6 @@ class SymbolB:
     """
 
     inner: InnerFunction
-    outer_weight: BoundaryWeight
     grid_log2: int
     boundary: np.ndarray
     delta: np.ndarray
@@ -109,7 +110,6 @@ def build_symbol(inner: InnerFunction, modulus: BoundaryWeight) -> SymbolB:
     )
     return SymbolB(
         inner=inner,
-        outer_weight=modulus,
         grid_log2=modulus.grid_log2,
         boundary=b,
         delta=delta,
@@ -144,33 +144,16 @@ def restricted_symbol(
 # kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HbKernel:
-    """Reproducing kernel of a symbol; an explicit evaluation closure for b
-    may replace the symbol (e.g. b = 0 gives the Szego kernel)."""
-
-    symbol: SymbolB | None = None
-    b_eval: object = None
-
-    def b_at(self, z):
-        if self.b_eval is not None:
-            return self.b_eval(z)
-        if self.symbol is None:
-            raise ValueError("kernel needs a symbol or an evaluation closure")
-        return self.symbol.eval(z)
-
-    def eval(self, lam, z) -> complex | np.ndarray:
-        return kernel_eval(self, lam, z)
-
-
-def kernel_eval(K: HbKernel, lam, z) -> complex | np.ndarray:
-    """k_b(lam, z); Hermitian in its arguments, nonnegative on the diagonal."""
+def kernel_eval(b, lam, z) -> complex | np.ndarray:
+    """k_b(lam, z) for the callable b, such as ``SymbolB.eval`` (b = 0 gives
+    the Szego kernel); Hermitian in its arguments, nonnegative on the
+    diagonal."""
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(lam) >= 1.0) or np.any(np.abs(z) >= 1.0):
         raise ValueError("kernel arguments must lie in the open disk")
-    blam = np.asarray(K.b_at(lam), dtype=complex)
-    bz = np.asarray(K.b_at(z), dtype=complex)
+    blam = np.asarray(b(lam), dtype=complex)
+    bz = np.asarray(b(z), dtype=complex)
     out = (1.0 - np.conj(blam) * bz) / (1.0 - np.conj(lam) * z)
     return out if out.shape else complex(out)
 
@@ -199,7 +182,7 @@ def kernel_difference_psd(
     if worst > 1.0 + 1e-8:
         raise NotADivisor(f"sampled |b/b_n| reaches {worst}")
     lam, z = points[:, None], points[None, :]
-    G = kernel_eval(HbKernel(b), lam, z) - kernel_eval(HbKernel(b_n), lam, z)
+    G = kernel_eval(b.eval, lam, z) - kernel_eval(b_n.eval, lam, z)
     G = 0.5 * (G + G.conj().T)
     return float(np.min(np.linalg.eigvalsh(G)))
 
@@ -248,7 +231,7 @@ def kernel_tuple(
     zeta = np.exp(1j * t)
     s_lam = 1.0 / (1.0 - np.conj(lam) * zeta)
     b_samples = synthesize_analytic(AnalyticSeries(b_coeffs), grid_log2)
-    b_at_lam = complex(np.polyval(b_coeffs[::-1], lam))
+    b_at_lam = complex(evaluate_in_disk(AnalyticSeries(b_coeffs), lam))
     f = (1.0 - np.conj(b_at_lam) * b_samples) * s_lam
     g = -np.conj(b_at_lam) * delta * s_lam
     return f, g
@@ -381,7 +364,7 @@ def permanence_functional_check(
     members = [
         build_member(
             "K2",
-            AnalyticSeries(np.eye(1, j + 1, j).ravel()),
+            monomial(j),
             cutoff=g_E,
             cutoff_set=E,
             outer=W,
@@ -401,7 +384,6 @@ def permanence_functional_check(
     top = max(PERMANENCE_DEGREES)
     split = split_transform(members[0], weight_values=w.values, max_k=top)
     u1 = split.u1.coeffs
-    u2 = split.u2.coeffs
 
     orders = 0
     if alpha is None:
@@ -419,10 +401,8 @@ def permanence_functional_check(
         orders = alpha.rapid_orders_certified
 
     c1_vals = np.abs(u1[: top + 1]) * np.sqrt(alpha.alpha[: top + 1])
-    wmass = math.sqrt(float(np.sum(w.values[w.mask])) / w.values.size)
-    c2_vals = np.abs(u2[: top + 1]) / max(wmass, 1e-300)
     c1, s1 = _fitted_constants(c1_vals, PERMANENCE_DEGREES)
-    c2, s2 = _fitted_constants(c2_vals, PERMANENCE_DEGREES)
+    c2, s2 = _fitted_constants(split.u2_functional_constants, PERMANENCE_DEGREES)
     return PermanenceReport(
         orthogonality_residual=resid,
         degrees=PERMANENCE_DEGREES,

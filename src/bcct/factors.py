@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._expderiv import pole_sum
+from ._expderiv import _dyadic_level_points, pole_sum
 from .boundary_calculus import (
     AnalyticSeries,
     _cauchy_sum,
@@ -35,7 +35,6 @@ from .boundary_calculus import (
 from .circle_sets import (
     TWO_PI,
     BeurlingCarlesonSet,
-    _dyadic_level_points,
     _read_json,
     dist_to_set,
     gaps_from_json,
@@ -200,8 +199,10 @@ class Atom:
     part: str = "C"  # declared tag: "C" or "K"
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("atom mass must be positive")
+        if not math.isfinite(self.angle):
+            raise ValueError("atom angle must be finite")
+        if not (math.isfinite(self.mass) and self.mass > 0.0):
+            raise ValueError("atom mass must be finite and positive")
         if self.part not in ("C", "K"):
             raise ValueError("atom part tag must be 'C' or 'K'")
 

@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from .boundary_calculus import AnalyticSeries
+from .boundary_calculus import AnalyticSeries, monomial
 from .circle_sets import TWO_PI, Arc, BeurlingCarlesonSet, point_carrier, validate_set, wrap_angle
 from .cutoff import build_cutoff
+from .dbr import build_symbol, restricted_symbol
 from .factors import Atom, BoundaryWeight, InnerFunction, SingularMeasure, boundary_weight, outer_from_weight
 from .transforms import KMember, build_member
 
@@ -121,12 +122,6 @@ def standard_member(
     return build_member("K2", p, cutoff=g, cutoff_set=E, outer=W, theta=th)
 
 
-def monomial(k: int) -> AnalyticSeries:
-    c = np.zeros(k + 1, dtype=complex)
-    c[k] = 1.0
-    return AnalyticSeries(c)
-
-
 def e_arc_subset(E: BeurlingCarlesonSet, index: int = 0) -> BeurlingCarlesonSet:
     """One closed arc of E as a set of its own (complement = a single gap)."""
     a, span = _e_arcs(E)[index]
@@ -137,8 +132,6 @@ def dbr_symbol(grid_log2: int, atom_mass: float = 0.1, level: float = 0.5):
     """Extreme symbol on the two-gap set: |b| = level on E, atom at a gap
     endpoint (a point of E), tagged as the part vanishing on measure-zero
     carriers."""
-    from .dbr import build_symbol
-
     E = two_gap()
     nu = SingularMeasure((endpoint_atom(E, atom_mass, "K"),))
     theta = InnerFunction((), nu)
@@ -148,8 +141,6 @@ def dbr_symbol(grid_log2: int, atom_mass: float = 0.1, level: float = 0.5):
 def dbr_divisor_pair(grid_log2: int, atom_mass: float = 0.1):
     """(b, b_n) of the contractive-containment recipe: b_n keeps |b| only on
     one arc of E and drops the singular atom."""
-    from .dbr import build_symbol, restricted_symbol
-
     b = dbr_symbol(grid_log2, atom_mass)
     sub = e_arc_subset(b.support, 0)
     b_n = restricted_symbol(b, sub, inner_part=InnerFunction())

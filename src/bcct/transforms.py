@@ -31,7 +31,6 @@ from .boundary_calculus import (
     _spectrum,
     analytic_coefficients,
     grid_angles,
-    indicator_mask,
     synthesize_analytic,
 )
 from .circle_sets import BeurlingCarlesonSet
@@ -45,14 +44,13 @@ _NOISE_FLOOR_FACTOR = 32 * np.finfo(float).eps
 @dataclass(frozen=True)
 class KMember:
     """Boundary samples of one member s, with its analytic part q kept
-    separate (s = theta * conj(q); theta = 1 for family K)."""
+    separate (s = theta * conj(q); theta = 1 for family K).  ``e_mask`` is
+    the outer weight's own read-only mask of E (None for family K1)."""
 
     family: str
-    polynomial: AnalyticSeries
     samples: np.ndarray
     q_samples: np.ndarray
     grid_log2: int
-    base_set: BeurlingCarlesonSet
     theta: InnerFunction | None
     e_mask: np.ndarray | None
 
@@ -81,7 +79,6 @@ class KMember:
 class TransformResult:
     series: AnalyticSeries
     decay_fit: float
-    fit_window: tuple[int, int]
 
     @property
     def nonzero(self) -> bool:
@@ -150,17 +147,13 @@ def build_member(
     if theta is not None:
         s = theta.boundary_samples(grid_log2) * s
 
-    base = outer.weight.support if outer is not None else cutoff_set
-    mask = indicator_mask(base, grid_log2) if family != "K1" else None
     return KMember(
         family=family,
-        polynomial=p,
         samples=s,
         q_samples=q,
         grid_log2=grid_log2,
-        base_set=base,
         theta=theta,
-        e_mask=mask,
+        e_mask=outer.weight.mask if outer is not None else None,
     )
 
 
@@ -198,7 +191,7 @@ def smooth_transform(
     """
     series = AnalyticSeries(member.spectrum[: member.size // 2])
     slope = _decay_slope(series.coeffs, fit_window)
-    return TransformResult(series=series, decay_fit=slope, fit_window=fit_window)
+    return TransformResult(series=series, decay_fit=slope)
 
 
 def interior_lattice(n_points: int, radius: float) -> np.ndarray:

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import bcct.cli
-from bcct.cli import SUITES, main
+from bcct.cli import SUITES, _read_coeffs_csv, main
 
 
 def write_one_gap(tmp_path):
@@ -107,9 +107,16 @@ MALFORMED_INPUTS = {
     "negative_atom_mass": lambda d: [
         "verify", "--suite", "permanence",
         "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": 0.0, "mass": -1}]}')],
+    "nan_atom_mass": lambda d: [
+        "verify", "--suite", "permanence",
+        "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": 0.0, "mass": NaN}]}')],
+    "infinite_atom_angle": lambda d: [
+        "verify", "--suite", "permanence",
+        "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": Infinity, "mass": 0.1}]}')],
     "non_numeric_coeffs_row": lambda d: [
         "weights", "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,abc\n")],
     "empty_coeffs": lambda d: ["weights", "--coeffs", _input_file(d, "e.csv", "k,value\n")],
+    "nan_coeff": lambda d: ["weights", "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,nan\n")],
     "kmax_too_large": lambda d: ["whitney", "--kmax", "2000"],
     "tol_nan": lambda d: ["verify", "--suite", "permanence", "--tol", "nan"],
     "tol_inf": lambda d: ["verify", "--suite", "permanence", "--tol", "inf"],
@@ -127,6 +134,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("first", [".5", "+0.5", " 0.5"])
+def test_headerless_coeffs_keep_first_value(tmp_path, first):
+    # a first line that parses as a number is data, whatever its first character
+    p = _input_file(tmp_path, "c.csv", f"{first}\n0.25\n0.125\n0.0625\n")
+    assert list(_read_coeffs_csv(p).coeffs) == [0.5, 0.25, 0.125, 0.0625]
 
 
 class TestEnvironment:

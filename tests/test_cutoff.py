@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcct.circle_sets import ANGLE_SLACK, TWO_PI, Arc, rotate_set, validate_set
+from bcct._expderiv import _dyadic_level_points
+from bcct.circle_sets import ANGLE_SLACK, TWO_PI, Arc, dist_to_set, rotate_set, validate_set
 from bcct.cutoff import (
     boundary_samples,
     build_cutoff,
@@ -206,6 +207,31 @@ class TestDecayCertificate:
         obj = rep.to_json()
         assert len(obj["levels"]) == 6
         assert {c["N"] for c in obj["checks"]} == {0, 1}
+
+
+class TestDyadicWindows:
+    @pytest.mark.parametrize("make_set", [two_gap, lambda: geometric_gaps(4)])
+    @pytest.mark.parametrize("grid_log2", [10, 12])
+    def test_windows_match_scalar_distances(self, make_set, grid_log2):
+        # oracle: level d holds exactly the grid angles whose scalar distance
+        # to E lies in [d, 2d), with those distances
+        E = make_set()
+        n = 1 << grid_log2
+        dist = [dist_to_set(TWO_PI * k / n, E) for k in range(n)]
+        seen = []
+
+        def factor(z, m_max):
+            seen.append(z)
+            return np.ones_like(z), []
+
+        windows = _dyadic_level_points(E, grid_log2, 3, factor, 0)
+        assert [w[0] for w in windows] == [2.0**-l for l in range(grid_log2 - 5, grid_log2 - 2)]
+        for (d, dsel, _), z in zip(windows, seen):
+            expect = [k for k in range(n) if d <= dist[k] < 2.0 * d]
+            k = np.rint(np.mod(np.angle(z), TWO_PI) * n / TWO_PI).astype(int) % n
+            assert sorted(k) == expect
+            assert np.max(np.abs(z - np.exp(1j * TWO_PI * k / n))) <= 1e-15
+            assert list(dsel) == [dist[j] for j in k]
 
 
 class TestDerivativeEngine:

@@ -4,7 +4,6 @@ import pytest
 
 from bcct.circle_sets import TWO_PI
 from bcct.dbr import (
-    HbKernel,
     build_symbol,
     j_relation_check,
     j_relation_residuals,
@@ -34,19 +33,19 @@ G = 13
 
 class TestKernel:
     def test_zero_symbol_gives_szego(self):
-        K = HbKernel(b_eval=lambda z: np.zeros_like(np.asarray(z, dtype=complex)))
+        K = lambda z: np.zeros_like(np.asarray(z, dtype=complex))
         lam, z = 0.3 + 0.1j, -0.2 + 0.45j
         assert kernel_eval(K, lam, z) == pytest.approx(
             1.0 / (1.0 - np.conj(lam) * z), abs=1e-15
         )
 
     def test_center_with_vanishing_symbol_is_one(self):
-        K = HbKernel(b_eval=lambda z: 0.7 * np.asarray(z, dtype=complex))
+        K = lambda z: 0.7 * np.asarray(z, dtype=complex)
         assert kernel_eval(K, 0.0, 0.3) == pytest.approx(1.0, abs=1e-15)
 
     def test_hermitian_symmetry(self):
         b = dbr_symbol(G)
-        K = HbKernel(b)
+        K = b.eval
         rng = np.random.default_rng(0)
         for _ in range(20):
             lam, z = [complex(*p) * 0.7 for p in rng.uniform(-1, 1, (2, 2))]
@@ -56,7 +55,7 @@ class TestKernel:
 
     def test_diagonal_nonnegative_and_matches_formula(self):
         b = dbr_symbol(G)
-        K = HbKernel(b)
+        K = b.eval
         rng = np.random.default_rng(1)
         z = 0.9 * np.sqrt(rng.uniform(0, 1, 1000)) * np.exp(1j * rng.uniform(0, TWO_PI, 1000))
         vals = np.asarray(b.eval(z))

@@ -296,6 +296,12 @@ class TestJsonInterfaces:
         zeros = blaschke_from_json('[{"re": 0.5, "im": -0.1}]')
         assert zeros == (0.5 - 0.1j,)
 
+    @pytest.mark.parametrize("angle, mass", [(0.0, math.nan), (0.0, math.inf), (math.inf, 0.1),
+                                             (math.nan, 0.1), (0.0, 0.0)])
+    def test_atom_needs_finite_angle_and_positive_finite_mass(self, angle, mass):
+        with pytest.raises(ValueError):
+            Atom(angle, mass)
+
     def test_measure_file(self, tmp_path):
         p = tmp_path / "nu.json"
         p.write_text(json.dumps({"atoms": [{"angle": 1.0, "mass": 0.5}]}))

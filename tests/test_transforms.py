@@ -7,6 +7,7 @@ from bcct.cutoff import build_cutoff, boundary_samples
 from bcct.errors import IngredientMismatch
 from bcct.factors import Atom, InnerFunction, SingularMeasure, outer_from_weight
 from bcct.fixtures import (
+    endpoint_atom,
     monomial,
     point_atom,
     standard_member,
@@ -78,6 +79,16 @@ class TestBuildMember:
         peak = mags.max()
         band = np.concatenate([mags[2000:4000], mags[-4000:-2000]])
         assert np.max(band) <= 1e-4 * peak
+
+    def test_members_share_the_weight_mask(self, E):
+        # one read-only indicator of E per grid, held by the weight and its members
+        W = outer_from_weight(taper_weight(E, G))
+        g = build_cutoff(E, k_max=6)
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+        for family, th in (("K", None), ("K2", theta)):
+            m = build_member(family, monomial(0), cutoff=g, cutoff_set=E, outer=W, theta=th)
+            assert m.e_mask is W.weight.mask
+            assert not m.e_mask.flags.writeable
 
     def test_degenerate_full_circle_excluded(self):
         with pytest.raises(ValueError):
