@@ -166,6 +166,19 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))
 
 
+def _fft_correlate(a: np.ndarray, b: np.ndarray, lags: int) -> np.ndarray:
+    """Cross-correlation sum_m conj(a_m) b_{m+l} for l = 0..lags-1, by FFT.
+
+    Terms with m + l >= len(b) are absent.  The transform length is the
+    smallest power of two >= max(len(b), len(a) + lags - 1), so no product
+    wraps around into a kept lag.
+    """
+    n = 1
+    while n < max(len(b), len(a) + lags - 1):
+        n <<= 1
+    return np.fft.ifft(np.conj(np.fft.fft(a, n)) * np.fft.fft(b, n))[:lags]
+
+
 def conjugate_function(u: np.ndarray) -> np.ndarray:
     """Harmonic conjugate on the grid: multiplier -i*sign(n), mean killed.
 

@@ -21,7 +21,14 @@ import numpy as np
 
 from ._expderiv import _dyadic_level_points, exp_t_derivatives, pole_sum
 from .boundary_calculus import grid_angles
-from .circle_sets import ANGLE_SLACK, BeurlingCarlesonSet, WhitneyArc, _lambda_rule, whitney_decompose
+from .circle_sets import (
+    ANGLE_SLACK,
+    TWO_PI,
+    BeurlingCarlesonSet,
+    WhitneyArc,
+    _lambda_rule,
+    whitney_decompose,
+)
 
 # Ranks appended beyond k_max when computing tail data; the per-rank mass
 # decays geometrically so 60 extra ranks exhaust double precision.
@@ -98,13 +105,22 @@ def eval_h(c: CutoffFunction, z) -> complex | np.ndarray:
 
 
 def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
-    """g = exp(h); within ANGLE_SLACK of a gap endpoint e^{ib} (where the
-    full series diverges to -infinity) the continuous extension 0 is
-    returned."""
+    """g = exp(h); at points on the circle (| |z| - 1 | < 1e-12) within
+    ANGLE_SLACK in angle of a gap endpoint e^{ib} (where the full series
+    diverges to -infinity) the continuous extension 0 is returned.
+
+    The chord |z - e^{ib}| carries a rounding error of about 1e-16, 1 % of
+    ANGLE_SLACK, so it only preselects the points within 1e-11 of the
+    endpoint; the angle decides among those few.
+    """
     z = np.asarray(z, dtype=complex)
     vals = np.asarray(np.exp(eval_h(c, z)))
+    flat_z, flat_vals = z.reshape(-1), vals.reshape(-1)  # views of z and vals
     for b in c.boundary_angles:
-        vals[np.abs(z - np.exp(1j * b)) <= ANGLE_SLACK] = 0.0
+        near = np.flatnonzero(np.abs(flat_z - np.exp(1j * b)) <= 1e-11)
+        d = np.mod(np.angle(flat_z[near]) - b, TWO_PI)
+        on_circle = np.abs(np.abs(flat_z[near]) - 1.0) < 1e-12
+        flat_vals[near[on_circle & (np.minimum(d, TWO_PI - d) <= ANGLE_SLACK)]] = 0.0
     return vals if vals.shape else complex(vals)
 
 

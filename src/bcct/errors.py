@@ -26,7 +26,9 @@ class OutsideDomain(ToolkitError):
 
 
 class ResolutionError(ToolkitError):
-    """The boundary grid is too coarse for the requested dyadic levels."""
+    """The grid or the double-precision range cannot resolve the request:
+    too coarse a grid for the dyadic levels, or an atom too heavy for its
+    closed-form coefficients."""
 
 
 class WeightNotLogIntegrable(ToolkitError):

@@ -40,7 +40,7 @@ from .circle_sets import (
     gaps_from_json,
     validate_set,
 )
-from .errors import WeightNotLogIntegrable
+from .errors import ResolutionError, WeightNotLogIntegrable
 
 LOG_FLOOR = -1.0e3
 # Largest ratio of fitted constants on consecutive dyadic levels that the
@@ -273,7 +273,16 @@ def _atomic_inner_coefficients(mass: float, band: int) -> np.ndarray:
     the same IEEE operations in the same order as a float64 scalar loop, so
     the result does not depend on the chunk length.  Against 40-digit mpmath
     the absolute error stays below 4e-13 up to n = 2^20.
+
+    Raises ResolutionError when e^{-mass} is below the smallest normal
+    double (mass above about 708), or when L_n(x) overflows so that a
+    coefficient is not finite.
     """
+    scale = math.exp(-mass)
+    if scale < np.finfo(float).tiny:
+        raise ResolutionError(
+            f"atom mass {mass} is too large: e^-mass underflows double precision"
+        )
     x = 2.0 * mass
     Ls = np.empty(band + 1)
     Ls[0] = 1.0
@@ -289,8 +298,14 @@ def _atomic_inner_coefficients(mass: float, band: int) -> np.ndarray:
         Ls[lo + 1 : lo + 1 + len(step)] = step
     out = np.empty(band + 1)
     out[0] = 1.0
-    out[1:] = Ls[1:] - Ls[:-1]
-    return math.exp(-mass) * out
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:] = Ls[1:] - Ls[:-1]
+        out = scale * out
+    if not np.all(np.isfinite(out)):
+        raise ResolutionError(
+            f"atom mass {mass}: the Laguerre recurrence overflows at band {band}"
+        )
+    return out
 
 
 def _blaschke_factor_coefficients(a: complex, band: int) -> np.ndarray:

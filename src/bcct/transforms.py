@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary_calculus import (
     AnalyticSeries,
     _cauchy_sum,
-    _fft_convolve,
+    _fft_correlate,
     _spectrum,
     analytic_coefficients,
     grid_angles,
@@ -249,24 +250,23 @@ def apply_backshift_poly(series: AnalyticSeries, p: AnalyticSeries) -> AnalyticS
     return AnalyticSeries(out)
 
 
-def _exact_coefficients(
-    member: KMember, band: int, th: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _q_coefficients(member: KMember, band: int) -> np.ndarray:
+    """Coefficients 0..q_band of the member's analytic part q, with
+    q_band = min(band, size/2 - 1)."""
+    return analytic_coefficients(member.q_samples, min(band, member.size // 2 - 1)).coeffs
+
+
+def _exact_coefficients(member: KMember, band: int) -> tuple[np.ndarray, np.ndarray | None]:
     """c_0..c_band of C_s, and the theta coefficients they were computed from
-    (0..band + q_band + 1; None when theta is trivial).  ``th`` passes in
-    coefficients already computed for the same theta, grid and band."""
-    n = member.size
-    q_band = min(band, n // 2 - 1)
-    q_hat = analytic_coefficients(member.q_samples, q_band).coeffs
+    (0..band + q_band + 1; None when theta is trivial)."""
+    q_hat = _q_coefficients(member, band)
     if member.theta is None or member.theta.is_trivial:
         out = np.zeros(band + 1, dtype=complex)
         out[0] = np.conj(q_hat[0])
         return out, None
-    if th is None:
-        th = member.theta.coefficients(band + q_band + 1)
-    # c_n = sum_j th[n + j] conj(q_j): a convolution with reversed conj(q).
-    full = _fft_convolve(th, np.conj(q_hat[::-1]))
-    return full[q_band : q_band + band + 1], th
+    th = member.theta.coefficients(band + len(q_hat))
+    # c_n = sum_j conj(q_j) th[n + j]: a correlation of q with theta.
+    return _fft_correlate(q_hat, th, band + 1), th
 
 
 def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticSeries:
@@ -283,40 +283,58 @@ def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticS
 def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
     """max over the members and k = 0..max_k of | <theta z^k, C_s> |.
 
-    The members must share one inner factor and one grid: theta's
-    coefficients are computed for the first member and reused for the rest.
-    Each inner product is a direct lag sum of the exact theta coefficients
-    against the transform coefficients,
+    The members must share one inner factor and one grid.  With c the
+    transform coefficients (:func:`_exact_coefficients`), the residual is
 
-        conj(<theta z^k, C_s>) = sum_{m=0}^{band-k} c_{m+k} conj(theta_m),
+        r_k = conj(<theta z^k, C_s>) = sum_{m=0}^{band-k} conj(theta_m) c_{m+k}.
 
-    one dot product per lag, which is all the check needs.
+    Substituting c_n = sum_j conj(q_j) theta_{n+j} splits it, with
+    K = min(max_k, band) and M0 = band - K, into
+
+        r_k = sum_j conj(q_j) B_{k+j} + sum_{m=M0+1}^{band-k} conj(theta_m) c_{m+k},
+
+    where B_l = sum_{m=0}^{M0} conj(theta_m) theta_{m+l} is theta's
+    truncated autocorrelation.  B is one FFT correlation shared by all
+    members; each member then costs K + 1 dot products against B and K
+    against theta (its c_{M0+1}..c_band), all of length q_band + 1, plus a
+    K-term tail.  NaN anywhere propagates to the result.
     """
     first = members[0]
-    th = None
-    resid = 0.0
     for m in members:
         if m.theta is not first.theta or m.size != first.size:
             raise IngredientMismatch("members must share one inner factor and one grid")
-        c_s, th = _exact_coefficients(m, band, th)
-        if th is None:
-            r = c_s[: max_k + 1]
-        else:
-            r = [np.vdot(th[: band + 1 - k], c_s[k:]) for k in range(min(max_k, band) + 1)]
-        resid = max(resid, float(np.max(np.abs(r))))
-    return resid
+    q_hats = [_q_coefficients(m, band) for m in members]
+    if first.theta is None or first.theta.is_trivial:
+        # C_s = conj(q_0), so r_0 = conj(q_0) and every other r_k is 0.
+        return float(np.max(np.abs([q[0] for q in q_hats])))
+    q_len = len(q_hats[0])
+    th = first.theta.coefficients(band + q_len)
+    K = min(max_k, band)
+    m0 = band - K
+    B = _fft_correlate(th[: m0 + 1], th, q_len + K)
+    heads = sliding_window_view(B, q_len)  # row k: B_k..B_{k+q_band}
+    # row i: theta_s..theta_{s+q_band} for s = m0+1+i, i < K
+    shifted = sliding_window_view(th[m0 + 1 :], q_len)[:K]
+    resid = []
+    for q in q_hats:
+        qc = np.conj(q)
+        r = heads @ qc
+        c_tail = shifted @ qc  # c_{m0+1}..c_band
+        for k in range(K):
+            r[k] += np.vdot(th[m0 + 1 : band + 1 - k], c_tail[k:])
+        resid.append(np.abs(r))
+    return float(np.max(resid))
 
 
 def model_space_orthogonality(member: KMember, max_k: int = 32, band: int = 8192) -> float:
     """max_k | <theta z^k, C_s> | for k = 0..max_k, in coefficient space,
     theta being the member's own inner factor.
 
-    The inner product of theta z^k against the transform is evaluated as the
-    coefficient lag sum of the exact theta coefficients with the transform
-    coefficients (the band-limited form of the grid inner product); it
-    vanishes when C_s belongs to the model space of theta.  The theta
-    coefficients computed for the transform are reused (their prefix
-    0..band).
+    The inner product of theta z^k against the transform is the coefficient
+    lag sum of the exact theta coefficients with the transform coefficients
+    0..band (the band-limited form of the grid inner product), evaluated
+    through theta's autocorrelation as in :func:`_max_orthogonality`; it
+    vanishes when C_s belongs to the model space of theta.
     """
     return _max_orthogonality([member], max_k, band)
 

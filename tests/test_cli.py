@@ -136,6 +136,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_heavy_atom_fails_permanence(tmp_path, capsys):
+    # e^{-800} underflows, so theta's coefficients cannot be formed; the
+    # suite must fail, not report a residual of 0.0
+    m = _input_file(tmp_path, "m.json", '{"atoms": [{"angle": 1.0, "mass": 800}]}')
+    out = tmp_path / "out"
+    argv = ["verify", "--suite", "permanence", "--grid", "10", "--measure", m, "--out", str(out)]
+    assert main(argv) == 1
+    verdict = json.loads((out / "permanence.json").read_text())
+    assert verdict["pass"] is False
+    assert [c["name"] for c in verdict["checks"]] == ["execution"]
+    assert "800" in verdict["checks"][0]["value"]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("first", [".5", "+0.5", " 0.5"])
 def test_headerless_coeffs_keep_first_value(tmp_path, first):
     # a first line that parses as a number is data, whatever its first character

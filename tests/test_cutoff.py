@@ -91,6 +91,9 @@ class TestEvalG:
         ),
         st.integers(8, 16),
     )
+    # An endpoint exactly ANGLE_SLACK from a grid point, where the rounded
+    # chord (1.0049e-14) and the angle (1e-14) fall on either side.
+    @example("two_gap", 1e-14, 8)
     def test_endpoint_zeros_match_angular_rule(self, name, phi, log2):
         # Dyadic rotations put the endpoints on grid points, others between.
         E = rotate_set(two_gap() if name == "two_gap" else geometric_gaps(), phi)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from bcct._expderiv import _BLOCK_ENTRIES, pole_sum
 from bcct.boundary_calculus import grid_angles
 from bcct.circle_sets import TWO_PI, Arc, point_carrier, validate_set
 from bcct.cutoff import _g_and_h_derivs, build_cutoff
-from bcct.errors import WeightNotLogIntegrable
+from bcct.errors import ResolutionError, WeightNotLogIntegrable
 from bcct.factors import (
     Atom,
     InnerFunction,
@@ -474,6 +475,16 @@ def test_atomic_coefficients_bit_identical_to_scalar_loop(band):
         assert np.array_equal(
             _atomic_inner_coefficients(mass, band), _scalar_laguerre_coefficients(mass, band)
         )
+
+
+@pytest.mark.parametrize("mass", [705.0, 710.0, 800.0])
+def test_heavy_atom_raises_instead_of_overflowing(mass):
+    # e^{-mass} underflows above mass 708.4; below it L_n(2 mass) overflows
+    # at this band.  Either way no inf/NaN coefficient and no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError, match=str(mass)):
+            _atomic_inner_coefficients(mass, 1 << 14)
 
 
 # Indices up to 2^20, with both sides of the first two chunk edges of the

@@ -1,7 +1,17 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from bcct.boundary_calculus import AnalyticSeries, _fft_convolve, grid_angles
+import bcct.transforms
+from bcct.boundary_calculus import (
+    AnalyticSeries,
+    _fft_convolve,
+    _fft_correlate,
+    analytic_coefficients,
+    grid_angles,
+)
 from bcct.circle_sets import Arc, validate_set
 from bcct.cutoff import build_cutoff, boundary_samples
 from bcct.errors import IngredientMismatch
@@ -24,6 +34,7 @@ from bcct.transforms import (
     smooth_transform,
     split_transform,
     _exact_coefficients,
+    _max_orthogonality,
     transform_coefficients_exact,
 )
 
@@ -242,6 +253,105 @@ class TestModelSpace:
         r = np.abs(_fft_convolve(c_s, np.conj(th[band::-1]))[band : band + 33])
         scale = np.linalg.norm(c_s) * np.linalg.norm(th[: band + 1])
         assert abs(model_space_orthogonality(m, max_k=32, band=band) - np.max(r)) <= 1e-13 * scale
+
+
+def _permanence_members(grid_log2):
+    # the four K2 members of the permanence check, p = z^0..z^3, on one theta
+    E = two_gap()
+    W = outer_from_weight(taper_weight(E, grid_log2))
+    g = build_cutoff(E, k_max=8)
+    theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+    return [
+        build_member("K2", monomial(j), cutoff=g, cutoff_set=E, outer=W, theta=theta)
+        for j in range(4)
+    ]
+
+
+def _lag_sum_residual(members, max_k, band):
+    # The direct lag sums r_k = sum_{m=0}^{band-k} conj(theta_m) c_{m+k},
+    # with c_n = sum_j conj(q_j) theta_{n+j} by one FFT convolution per
+    # member.  Returns max |r_k| and the scale |c_s| |theta| of its rounding.
+    resid, scale = [], 0.0
+    for m in members:
+        q_band = min(band, m.size // 2 - 1)
+        q = analytic_coefficients(m.q_samples, q_band).coeffs
+        if m.theta.is_trivial:
+            resid.append(abs(q[0]))
+            scale = max(scale, abs(q[0]))
+            continue
+        th = m.theta.coefficients(band + q_band + 1)
+        c = _fft_convolve(th, np.conj(q[::-1]))[q_band : q_band + band + 1]
+        r = [np.vdot(th[: band + 1 - k], c[k:]) for k in range(min(max_k, band) + 1)]
+        resid.append(np.max(np.abs(r)))
+        scale = max(scale, np.linalg.norm(c) * np.linalg.norm(th[: band + 1]))
+    return max(resid), scale
+
+
+ORTHOGONALITY_CASES = {
+    "one_member": lambda: ([standard_member("K2", monomial(0), 12, k_max=8)], 4096),
+    "permanence_members": lambda: (_permanence_members(12), 4096),
+    "band_below_max_k": lambda: ([standard_member("K2", monomial(0), 12, k_max=8)], 16),
+    # q_band = 2^10/2 - 1 = 511 < band
+    "k1_q_band_below_band": lambda: ([standard_member("K1", monomial(0), 10, k_max=8)], 4096),
+    "blaschke": lambda: (
+        [standard_member("K1", monomial(1), 12, k_max=8, theta=InnerFunction((0.5,)))], 4096),
+    "trivial": lambda: (
+        [standard_member("K1", monomial(0), 12, k_max=8, theta=InnerFunction())], 1024),
+}
+
+
+class TestAutocorrelationResidual:
+    @pytest.mark.parametrize("case", sorted(ORTHOGONALITY_CASES))
+    def test_matches_direct_lag_sums(self, case):
+        members, band = ORTHOGONALITY_CASES[case]()
+        ref, scale = _lag_sum_residual(members, 32, band)
+        assert abs(_max_orthogonality(members, 32, band) - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("M", [0, 1, 17, 40, 64])
+    def test_correlation_matches_mpmath(self, M):
+        # B_l = sum_{m=0}^{M} conj(theta_m) theta_{m+l}, l = 0..band, for one
+        # atom of mass 0.3 at angle 0.7 and band 64, with the terms past
+        # theta_band absent; theta_n = e^{-0.7 i n} e^{-0.3}
+        # (L_n(0.6) - L_{n-1}(0.6)) at 40 digits.
+        band = 64
+        th = InnerFunction((), SingularMeasure((Atom(0.7, 0.3),))).coefficients(band)
+        got = _fft_correlate(th[: M + 1], th, band + 1)
+        assert got.shape == (band + 1,)
+        with mpmath.workdps(40):
+            mass, x = mpmath.mpf(0.3), mpmath.mpf(0.6)
+            laguerre = [mpmath.laguerre(n, 0, x) for n in range(band + 1)]
+            ref = [mpmath.exp(-mass) * mpmath.expj(-mpmath.mpf(0.7) * n)
+                   * (laguerre[n] - (laguerre[n - 1] if n else 0)) for n in range(band + 1)]
+            for k in range(band + 1):
+                b = mpmath.fsum(
+                    mpmath.conj(ref[m]) * ref[m + k] for m in range(min(M, band - k) + 1)
+                )
+                assert abs(got[k] - complex(b)) <= 1e-14, k
+
+    def test_one_correlation_for_four_members(self, monkeypatch):
+        members = _permanence_members(12)
+        calls = []
+
+        def counted(a, b, lags):
+            calls.append((len(a), len(b), lags))
+            return _fft_correlate(a, b, lags)
+
+        monkeypatch.setattr(bcct.transforms, "_fft_correlate", counted)
+        _max_orthogonality(members, 32, 4096)
+        # theta's autocorrelation over m <= band - 32, lags 0..q_band + 32
+        assert calls == [(4096 - 32 + 1, 4096 + 2047 + 2, 2047 + 33)]
+
+    def test_nan_theta_coefficients_propagate(self, monkeypatch):
+        m = standard_member("K2", monomial(0), 12, k_max=8)
+        coefficients = InnerFunction.coefficients
+
+        def with_nan(theta, band):
+            c = coefficients(theta, band).copy()
+            c[5] = np.nan
+            return c
+
+        monkeypatch.setattr(InnerFunction, "coefficients", with_nan)
+        assert math.isnan(model_space_orthogonality(m, max_k=32, band=4096))
 
 
 class TestSplit:
