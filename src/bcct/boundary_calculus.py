@@ -90,7 +90,11 @@ class AnalyticSeries:
         return len(self.coeffs) - 1
 
     def norm_h2(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        # numpy's own pairwise sum: a BLAS dot (np.linalg.norm) sums in an
+        # order that follows its thread count, so the last digits would
+        # depend on the CPUs the process may use.
+        c = self.coeffs
+        return math.sqrt(float(np.sum(c.real**2 + c.imag**2)))
 
     def padded(self, n: int) -> np.ndarray:
         out = np.zeros(n, dtype=complex)
@@ -180,19 +184,22 @@ def _fft_correlate(a: np.ndarray, b: np.ndarray, lags: int) -> np.ndarray:
 
 
 def conjugate_function(u: np.ndarray) -> np.ndarray:
-    """Harmonic conjugate on the grid: multiplier -i*sign(n), mean killed.
+    """Harmonic conjugate on the grid: multiplier -i*sign(n), mean and
+    Nyquist (of even lengths) killed; one real FFT pair.
 
     For real input the output is real, has mean zero, and exp(u + i*conj(u))
     has (numerically) vanishing negative Fourier coefficients.
     """
     u = np.asarray(u, dtype=float)
     n = len(u)
-    c = np.fft.fft(u)
-    mult = np.zeros(n, dtype=complex)
-    mult[1 : n // 2] = -1j
-    mult[n // 2 + 1 :] = 1j
-    # Nyquist and mean stay zero.
-    return np.real(np.fft.ifft(c * mult))
+    # The real transform holds the indices 0..n/2; irfft supplies the
+    # conjugate symmetric rest, where the multiplier is +i.
+    c = np.fft.rfft(u)
+    c *= -1j
+    c[0] = 0.0
+    if n % 2 == 0:
+        c[-1] = 0.0  # Nyquist
+    return np.fft.irfft(c, n)
 
 
 def fejer_means(series: AnalyticSeries, degree: int) -> AnalyticSeries:

@@ -14,7 +14,6 @@ finite proxy of that decay (monotone dyadic ratios).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,14 +74,18 @@ def build_cutoff(
     ext_lengths = []
     for gap in E.gaps:
         for k in range(k_max + 1, k_max + _EXTENSION_RANKS + 1):
-            ext_lengths.extend([gap.length / (3.0 * 2.0**k)] * 2)
+            length = gap.length / (3.0 * 2.0**k)
+            if length > 0.0:  # a rank that underflows to 0 carries no mass
+                ext_lengths.extend([length] * 2)
     all_lengths = np.array(lengths + ext_lengths)
-    c = all_lengths * np.log(1.0 / all_lengths)
+    # |B| log(1/|B|) without 1/|B|, which overflows for the subnormal
+    # lengths of a tiny gap's extension ranks.
+    c = -all_lengths * np.log(all_lengths)
     lam = _lambda_rule(c, rule)
 
     kept = [replace(w, lam=float(l)) for w, l in zip(base, lam[: len(base)])]
     poles = np.array([w.pole for w in kept])
-    weights = np.array([w.lam * w.midpoint * w.length * math.log(1.0 / w.length) for w in kept])
+    weights = np.array([w.lam * w.midpoint * cw for w, cw in zip(kept, c[: len(base)])])
 
     lam_ext, c_ext = lam[len(base) :], c[len(base) :]
     radius_gap = all_lengths[len(base) :] + (1.0 - TAIL_RADIUS)
@@ -118,15 +121,31 @@ def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
     flat_z, flat_vals = z.reshape(-1), vals.reshape(-1)  # views of z and vals
     for b in c.boundary_angles:
         near = np.flatnonzero(np.abs(flat_z - np.exp(1j * b)) <= 1e-11)
-        d = np.mod(np.angle(flat_z[near]) - b, TWO_PI)
-        on_circle = np.abs(np.abs(flat_z[near]) - 1.0) < 1e-12
-        flat_vals[near[on_circle & (np.minimum(d, TWO_PI - d) <= ANGLE_SLACK)]] = 0.0
+        _zero_endpoint_hits(flat_z, flat_vals, near, b)
     return vals if vals.shape else complex(vals)
 
 
 def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
-    """g sampled on the uniform grid e^{i t_m}."""
-    return eval_g(c, np.exp(1j * grid_angles(log2_size)))
+    """g sampled on the uniform grid e^{i t_m}, equal to :func:`eval_g` there.
+
+    The grid cell is far wider than ANGLE_SLACK, so only the grid points
+    next to b n / 2pi can lie within it of an endpoint b.
+    """
+    n = 1 << log2_size
+    z = np.exp(1j * grid_angles(log2_size))
+    vals = np.exp(eval_h(c, z))
+    for b in c.boundary_angles:
+        m = round(b * n / TWO_PI)
+        _zero_endpoint_hits(z, vals, np.arange(m - 1, m + 2) % n, b)
+    return vals
+
+
+def _zero_endpoint_hits(z: np.ndarray, vals: np.ndarray, idx: np.ndarray, b: float) -> None:
+    """Set vals[idx] to 0 where z[idx] is on the circle within ANGLE_SLACK in
+    angle of e^{ib}."""
+    d = np.mod(np.angle(z[idx]) - b, TWO_PI)
+    on_circle = np.abs(np.abs(z[idx]) - 1.0) < 1e-12
+    vals[idx[on_circle & (np.minimum(d, TWO_PI - d) <= ANGLE_SLACK)]] = 0.0
 
 
 def _g_and_h_derivs(c: CutoffFunction, z: np.ndarray, m_max: int):

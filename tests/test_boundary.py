@@ -27,6 +27,7 @@ from bcct.boundary_calculus import (
 )
 from bcct.circle_sets import TWO_PI, Arc, validate_set
 from bcct.errors import BandTooLarge, OutsideDomain
+from bcct.fixtures import taper_weight, two_gap
 
 G = 10  # 1024-point grid for most checks
 
@@ -72,6 +73,27 @@ class TestFourier:
         env = dict(os.environ, PYTHONPATH=str(Path(bcct.__file__).parents[1]))
         code = "import sys, bcct; sys.exit('numpy.fft' not in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_norm_h2_does_not_follow_blas_threads(self):
+        # np.linalg.norm is a BLAS dot, whose summation order follows
+        # OpenBLAS's thread count; verdicts must not depend on the CPUs.
+        code = (
+            "import numpy as np; from bcct.boundary_calculus import AnalyticSeries; "
+            "r = np.random.default_rng(0); c = r.normal(size=1 << 18) + 1j * r.normal(size=1 << 18); "
+            "print(repr(AnalyticSeries(c).norm_h2()))"
+        )
+        norms = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(bcct.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            norms.add(proc.stdout)
+        assert len(norms) == 1
+        re, im = np.random.default_rng(1).normal(size=(2, 5000))
+        c = re + 1j * im
+        exact = math.sqrt(math.fsum(x.real**2 + x.imag**2 for x in c))
+        assert AnalyticSeries(c).norm_h2() == pytest.approx(exact, rel=1e-15)
 
 
 class TestProjection:
@@ -129,6 +151,30 @@ class TestConjugate:
         c[len(u) // 2] = 0.0
         u0 = np.real(np.fft.ifft(c))
         assert np.max(np.abs(twice + u0)) <= 1e-12
+
+    @pytest.mark.parametrize("log2", [8, 11, 13, 16])
+    def test_real_transforms_match_complex_path(self, log2):
+        # the complex FFT pair that the real one replaced
+        def complex_path(u):
+            n = len(u)
+            mult = np.zeros(n, dtype=complex)
+            mult[1 : n // 2] = -1j
+            mult[n // 2 + 1 :] = 1j
+            return np.real(np.fft.ifft(np.fft.fft(u) * mult))
+
+        w = taper_weight(two_gap(), log2)
+        taper = np.where(w.mask, np.log(np.where(w.mask, w.values, 1.0)), 0.0)
+        random = np.random.default_rng(log2).normal(size=1 << log2)
+        for u in (random, taper):
+            err = np.max(np.abs(conjugate_function(u) - complex_path(u)))
+            assert err <= 1e-14 * np.max(np.abs(u))
+
+    def test_odd_length_keeps_its_top_frequency(self):
+        # an odd grid has no Nyquist index: every k != 0 gets -i sign(k)
+        n = 255
+        t = TWO_PI * np.arange(n) / n
+        out = conjugate_function(np.cos(127 * t) + 2.0)
+        assert np.max(np.abs(out - np.sin(127 * t))) <= 1e-12
 
 
 class TestFejer:

@@ -150,6 +150,23 @@ def test_heavy_atom_fails_permanence(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kmax", ["10", "40"])
+def test_tiny_gap_fails_cutoff_without_overflow(tmp_path, capsys, kmax):
+    # The extension ranks of a 1e-300 gap reach the subnormals (and 0 beyond
+    # k_max 17 on), where 1/|B| overflows; the masses are formed without it.
+    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 0.0, "end": 1e-300}]}')
+    out = tmp_path / "out"
+    argv = ["verify", "--suite", "cutoff", "--set", s, "--kmax", kmax, "--out", str(out)]
+    assert main(argv) == 1
+    verdict = json.loads((out / "cutoff.json").read_text())
+    assert verdict["checks"] == [{
+        "name": "execution", "pass": False, "threshold": None,
+        "value": "level 2^-6: fewer than 8 grid points at that distance",
+    }]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("first", [".5", "+0.5", " 0.5"])
 def test_headerless_coeffs_keep_first_value(tmp_path, first):
     # a first line that parses as a number is data, whatever its first character

@@ -1,12 +1,18 @@
+import inspect
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from bcct._expderiv import _BLOCK_ENTRIES, pole_sum
+from bcct import _expderiv
+from bcct._expderiv import _BLOCK_ENTRIES, _SPLIT_ENTRIES, _block_buffers, _pole_rows, pole_sum
 from bcct.boundary_calculus import grid_angles
 from bcct.circle_sets import TWO_PI, Arc, point_carrier, validate_set
 from bcct.cutoff import _g_and_h_derivs, build_cutoff
@@ -448,6 +454,147 @@ def test_pole_sum_block_edges_and_shapes():
         _assert_pole_sums_equal(poles, weights, np.exp(1j * rng.uniform(0.0, TWO_PI, n)))
     for z in (0.3 - 0.2j, 0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, (3, 5))), np.zeros(0)):
         _assert_pole_sums_equal(poles, weights, z)
+
+
+# ---------------------------------------------------------------------------
+# pole_sum split between two threads against the serial block loop
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def worker_rows(monkeypatch):
+    """Split as on two CPUs (on one as well), and record the rows that each
+    second thread sums."""
+    rows = []
+    serial = _expderiv._pole_rows
+
+    def recorded(poles, weights, points, out, m_max, buffers):
+        if threading.current_thread() is not threading.main_thread():
+            rows.append(len(points))
+        serial(poles, weights, points, out, m_max, buffers)
+
+    monkeypatch.setattr(_expderiv, "_CPUS", 2)
+    monkeypatch.setattr(_expderiv, "_pole_rows", recorded)
+    return rows
+
+
+def _assert_split_equals_serial(poles, weights, z, worker_rows, splits):
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    step = max(1, _BLOCK_ENTRIES // len(poles))
+    for m_max in range(4):
+        worker_rows.clear()
+        ours = pole_sum(poles, weights, z, m_max)
+        ref = [np.empty(flat.shape, dtype=complex) for _ in range(m_max + 1)]
+        _pole_rows(poles, weights, flat, ref, m_max, _block_buffers(len(flat), len(poles)))
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            assert a.shape == z.shape
+            assert np.array_equal(a, b.reshape(z.shape)), (m_max, k)
+        assert len(worker_rows) == splits
+        for rows in worker_rows:  # the second thread starts on a block boundary
+            assert (len(flat) - rows) % step == 0
+            assert 0 < rows and abs(len(flat) - 2 * rows) < 2 * step
+
+
+def test_pole_sum_splits_at_the_threshold(worker_rows):
+    poles, weights = _cutoff_poles()
+    step = _BLOCK_ENTRIES // len(poles)
+    first = -(-_SPLIT_ENTRIES // len(poles))  # the fewest points that split
+    assert (first - 1) * len(poles) < _SPLIT_ENTRIES <= first * len(poles)
+    rng = np.random.default_rng(8)
+    for n, splits in ((first - 1, 0), (first, 1), (first + 7, 1)):
+        assert n % step != 0
+        z = np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        _assert_split_equals_serial(poles, weights, z, worker_rows, splits)
+
+
+def test_pole_sum_split_shapes(worker_rows):
+    poles, weights = _cutoff_poles()
+    rng = np.random.default_rng(9)
+    z2 = 0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, (2, 33_000)))
+    _assert_split_equals_serial(poles, weights, z2, worker_rows, 1)
+    for z in (np.zeros(0), 0.3 - 0.2j):
+        _assert_split_equals_serial(poles, weights, z, worker_rows, 0)
+
+
+def test_pole_sum_split_with_more_poles_than_a_block(worker_rows):
+    # one point per block (step 1)
+    rng = np.random.default_rng(10)
+    n_poles = _BLOCK_ENTRIES + 5
+    poles = 1.01 * np.exp(1j * rng.uniform(0.0, TWO_PI, n_poles))
+    weights = rng.normal(size=n_poles) + 1j * rng.normal(size=n_poles)
+    z = 0.95 * np.exp(1j * rng.uniform(0.0, TWO_PI, 129))
+    assert len(z) * n_poles >= _SPLIT_ENTRIES
+    _assert_split_equals_serial(poles, weights, z, worker_rows, 1)
+
+
+def test_pole_sum_raises_what_the_second_thread_raised(monkeypatch):
+    def failing(poles, weights, points, out, m_max, buffers):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("second half")
+
+    monkeypatch.setattr(_expderiv, "_CPUS", 2)
+    monkeypatch.setattr(_expderiv, "_pole_rows", failing)
+    poles, weights = _cutoff_poles()
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="second half"):
+        pole_sum(poles, weights, np.exp(1j * grid_angles(16)))
+    assert threading.active_count() == threads  # joined
+
+
+def test_pole_sum_worker_count_is_not_a_setting():
+    # a second thread only where the process may use two CPUs; no parameter
+    # or environment variable chooses it
+    assert list(inspect.signature(pole_sum).parameters) == ["poles", "weights", "z", "m_max"]
+    source = inspect.getsource(_expderiv)
+    assert "environ" not in source and "getenv" not in source
+    if hasattr(os, "sched_getaffinity"):
+        assert _expderiv._CPUS == len(os.sched_getaffinity(0))
+
+
+def test_pole_sum_from_many_threads():
+    # callers on more threads than cores, each with its own second thread,
+    # must each get their own rows back
+    poles, weights = _cutoff_poles()
+    rng = np.random.default_rng(11)
+    zs = [np.exp(1j * rng.uniform(0.0, TWO_PI, 70_000 + 13 * i)) for i in range(6)]
+    expect = [pole_sum(poles, weights, z, 1) for z in zs]
+    got = [None] * len(zs)
+
+    def run(i):
+        got[i] = pole_sum(poles, weights, zs[i], 1)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(zs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for g, e in zip(got, expect):
+        assert all(np.array_equal(a, b) for a, b in zip(g, e))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_pole_sum_in_a_forked_child():
+    # a fork copies only the calling thread; a split in the child must not
+    # wait on a thread of the parent
+    poles, weights = _cutoff_poles()
+    z = np.exp(1j * grid_angles(16))  # 2^16 x 66 entries: a split sum
+    expect = pole_sum(poles, weights, z)[0]
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=lambda: queue.put(pole_sum(poles, weights, z)[0]))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.kill()
+        child.join()
+    assert np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------
