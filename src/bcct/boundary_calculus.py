@@ -313,25 +313,3 @@ def synthesize_analytic(series: AnalyticSeries, log2_size: int) -> np.ndarray:
     c = np.zeros(n, dtype=complex)
     c[: len(series.coeffs)] = series.coeffs
     return np.fft.ifft(c) * n
-
-
-def coefficients_to_csv(coeffs: np.ndarray, path, first_index: int = 0) -> None:
-    """Dump a coefficient vector as CSV rows (n, Re c_n, Im c_n)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    with open(path, "w") as fh:
-        fh.write("n,re,im\n")
-        for i, c in enumerate(coeffs):
-            fh.write(f"{first_index + i},{c.real:.17g},{c.imag:.17g}\n")
-
-
-def grid_to_file(grid: BoundaryGrid, path) -> None:
-    """Dump grid samples: CSV rows (t_m, Re, Im), or .npy binary."""
-    path = str(path)
-    if path.endswith(".npy"):
-        np.save(path, grid.samples)
-        return
-    t = grid.angles
-    with open(path, "w") as fh:
-        fh.write("t,re,im\n")
-        for tm, s in zip(t, grid.samples):
-            fh.write(f"{tm:.17g},{s.real:.17g},{s.imag:.17g}\n")

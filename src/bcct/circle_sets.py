@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateArc, EntropyDivergence, OverlapError
+from .errors import DegenerateArc, EntropyDivergence, OverlapError, ResolutionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,9 +39,10 @@ def wrap_angle(t: float) -> float:
 class Arc:
     """Open arc on the circle given by start/end angles in radians.
 
-    ``end - start`` must be positive and at most ``2*pi``.  The full-length
-    case ``end - start == 2*pi`` is reserved for the single gap whose
-    complement is one point (a measure-zero carrier); it is only accepted by
+    ``end - start`` must be positive and at most ``2*pi``, and the normalized
+    length must not underflow to 0.  The full-length case
+    ``end - start == 2*pi`` is reserved for the single gap whose complement is
+    one point (a measure-zero carrier); it is only accepted by
     :func:`validate_set` when it is the sole gap.
     """
 
@@ -51,6 +52,8 @@ class Arc:
     def __post_init__(self):
         if not (self.end > self.start):
             raise ValueError(f"arc needs end > start, got [{self.start}, {self.end}]")
+        if self.length == 0.0:
+            raise ValueError(f"arc [{self.start}, {self.end}] has normalized length 0")
         if self.end - self.start > TWO_PI + ANGLE_SLACK:
             raise ValueError("arc longer than the full circle")
 
@@ -133,7 +136,7 @@ def validate_set(
 
     if not math.isfinite(tail_entropy_bound) or tail_entropy_bound < 0.0:
         raise EntropyDivergence("tail entropy bound is not a finite nonnegative number")
-    entropy = sum(g.length * math.log(1.0 / g.length) for g in gaps if g.length < 1.0)
+    entropy = float(sum(_whitney_mass(np.array([g.length for g in gaps if g.length < 1.0]))))
     entropy += tail_entropy_bound
     if entropy > max_entropy:
         raise EntropyDivergence(f"entropy {entropy} exceeds allowed {max_entropy}")
@@ -188,6 +191,17 @@ def dist_arc_to_set(arc: Arc, E: BeurlingCarlesonSet) -> float:
 # Whitney decomposition
 # ---------------------------------------------------------------------------
 
+def _whitney_mass(lengths: np.ndarray) -> np.ndarray:
+    """``|B| log(1/|B|)`` for normalized lengths in (0, 1], as ``-L log L``:
+    ``1/L`` would overflow for subnormal lengths."""
+    return -lengths * np.log(lengths)
+
+
+def _rank_length(gap_length: float, k: int) -> float:
+    """Normalized length ``|A| / (3 * 2**|k|)`` of a gap's rank-k Whitney arc."""
+    return gap_length / (3.0 * 2.0 ** abs(k))
+
+
 @dataclass(frozen=True)
 class WhitneyArc:
     """One arc of the Whitney tiling of a gap.
@@ -217,6 +231,7 @@ def whitney_decompose(E: BeurlingCarlesonSet, k_max: int) -> list[WhitneyArc]:
     Rank 0 is the middle third of the gap; rank +-k has length
     ``|A_n|/(3*2**k)`` and hugs the corresponding gap endpoint.  The two
     untiled residual end segments each have length ``|A_n|/(3*2**k_max)``.
+    Raises :class:`ResolutionError` when an arc is too short for a double.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -228,7 +243,7 @@ def whitney_decompose(E: BeurlingCarlesonSet, k_max: int) -> list[WhitneyArc]:
         a = gap.start
         span = gap.end - gap.start
         for k in range(-k_max, k_max + 1):
-            ell = L / (3.0 * 2.0 ** abs(k))
+            ell = _rank_length(L, k)
             if k == 0:
                 lo, hi = 1.0 / 3.0, 2.0 / 3.0
             elif k > 0:
@@ -237,7 +252,12 @@ def whitney_decompose(E: BeurlingCarlesonSet, k_max: int) -> list[WhitneyArc]:
             else:
                 lo = 1.0 / (3.0 * 2.0 ** (-k))
                 hi = 1.0 / (3.0 * 2.0 ** (-k - 1))
-            sub = Arc(a + lo * span, a + hi * span)
+            start, end = a + lo * span, a + hi * span
+            if not (ell > 0.0 and (end - start) / TWO_PI > 0.0):
+                raise ResolutionError(
+                    f"gap {n}: the rank {k} Whitney arc is below double-precision resolution"
+                )
+            sub = Arc(start, end)
             arcs.append(WhitneyArc(n, k, sub, ell, sub.midpoint, radius=1.0 + ell))
     return arcs
 
@@ -248,7 +268,7 @@ def whitney_residuals(E: BeurlingCarlesonSet, k_max: int) -> list[tuple[int, flo
     Per gap there are two residual segments of equal normalized length
     ``|A_n| / (3 * 2**k_max)``; they are reported, never silently dropped.
     """
-    return [(n, g.length / (3.0 * 2.0**k_max)) for n, g in enumerate(E.gaps)]
+    return [(n, _rank_length(g.length, k_max)) for n, g in enumerate(E.gaps)]
 
 
 def _tail_lambda(c: np.ndarray) -> np.ndarray:
@@ -259,15 +279,11 @@ def _tail_lambda(c: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, lam)
 
 
-def _lambda_rule(c: np.ndarray, rule: str) -> np.ndarray:
+def _lambda_rule(c: np.ndarray) -> np.ndarray:
     """Multipliers for the masses c: the tail-sum rule applied in order of
-    decreasing c, or all ones for ``"constant"``.  Masses within 1e-12
-    relative are ties kept in index order, so the rounding noise between arcs
-    of equal length, which a rotation of the set changes, cannot reorder them."""
-    if rule == "constant":
-        return np.ones_like(c)
-    if rule != "tail-sum":
-        raise ValueError(f"unknown lambda rule {rule!r}")
+    decreasing c.  Masses within 1e-12 relative are ties kept in index order,
+    so the rounding noise between arcs of equal length, which a rotation of
+    the set changes, cannot reorder them."""
     order = np.argsort(-c, kind="stable")
     desc = c[order]
     tie_group = np.cumsum(np.r_[False, desc[1:] < desc[:-1] * (1.0 - 1e-12)])
@@ -277,23 +293,21 @@ def _lambda_rule(c: np.ndarray, rule: str) -> np.ndarray:
     return lam
 
 
-def assign_lambdas(arcs: Sequence[WhitneyArc], rule: str = "tail-sum") -> list[WhitneyArc]:
+def assign_lambdas(arcs: Sequence[WhitneyArc]) -> list[WhitneyArc]:
     """Attach the multipliers ``lambda_j`` to a Whitney system.
 
-    Default rule: order the arcs by decreasing ``c_j = |B_j| log(1/|B_j|)``
-    and set ``lambda_j = max(1, T_j**-1/2)`` with ``T_j`` the tail sum of c
-    from position j on (the Abel-Dini trick; masses within 1e-12 relative
-    keep the arcs' order).  This keeps
-    ``sum lambda_j c_j <= 2 sqrt(sum c_j) + sum c_j`` while lambda tends to
-    infinity along the ordering.  ``rule="constant"`` sets every lambda to 1
-    (ablation).
+    Order the arcs by decreasing ``c_j = |B_j| log(1/|B_j|)`` and set
+    ``lambda_j = max(1, T_j**-1/2)`` with ``T_j`` the tail sum of c from
+    position j on (the Abel-Dini trick; masses within 1e-12 relative keep the
+    arcs' order).  This keeps ``sum lambda_j c_j <= 2 sqrt(sum c_j) + sum c_j``
+    while lambda tends to infinity along the ordering.
     """
     if not arcs:
         raise ValueError("empty Whitney system")
     lengths = np.array([w.length for w in arcs])
     if np.any(lengths >= 1.0):
         raise DegenerateArc("Whitney arc of normalized length >= 1")
-    lam = _lambda_rule(lengths * np.log(1.0 / lengths), rule)
+    lam = _lambda_rule(_whitney_mass(lengths))
     return [replace(w, lam=float(l)) for w, l in zip(arcs, lam)]
 
 
@@ -302,26 +316,17 @@ def assign_lambdas(arcs: Sequence[WhitneyArc], rule: str = "tail-sum") -> list[W
 # ---------------------------------------------------------------------------
 
 def _read_json(source):
-    """``source`` parsed: the path of a JSON file, a JSON string, or an
-    already parsed object (returned as is)."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
+    """``source`` parsed: the path of a JSON file, or a JSON string."""
+    if Path(str(source)).exists():
         return json.loads(Path(source).read_text())
-    if isinstance(source, str):
-        return json.loads(source)
-    return source
+    return json.loads(source)
 
 
 def gaps_from_json(source) -> list[Arc]:
-    """Read ``{"gaps": [{"start": rad, "end": rad}, ...]}``.
-
-    ``source`` may be a dict, a JSON string, or a path to a JSON file.
-    """
+    """Read ``{"gaps": [{"start": rad, "end": rad}, ...]}`` from a JSON string
+    or the path of a JSON file."""
     obj = _read_json(source)
     return [Arc(float(g["start"]), float(g["end"])) for g in obj["gaps"]]
-
-
-def set_to_json(E: BeurlingCarlesonSet) -> dict:
-    return {"gaps": [{"start": g.start, "end": g.end} for g in E.gaps]}
 
 
 def whitney_to_csv(arcs: Iterable[WhitneyArc], path) -> None:

@@ -25,6 +25,7 @@ from . import fixtures
 from .boundary_calculus import AnalyticSeries
 from .circle_sets import (
     BeurlingCarlesonSet,
+    _whitney_mass,
     assign_lambdas,
     dist_arc_to_set,
     gaps_from_json,
@@ -183,7 +184,7 @@ def suite_whitney(run: _Run) -> dict:
         for w in arcs
     )
     dist_resid = max(abs(dist_arc_to_set(w.arc, E) - w.length) for w in arcs)
-    c = np.array([w.length * math.log(1.0 / w.length) for w in arcs])
+    c = _whitney_mass(np.array([w.length for w in arcs]))
     lam = np.array([w.lam for w in arcs])
     bound = 2.0 * math.sqrt(c.sum()) + c.sum()
     whitney_to_csv(arcs, cfg.out_dir / "whitney.csv")
@@ -213,7 +214,7 @@ def suite_cutoff(run: _Run) -> dict:
     re_h = float(np.max(np.real(eval_h(c, pts))))
     g_mag = float(np.max(np.abs(eval_g(c, pts))))
     # Shallow-level ratios for higher orders are not monotone under the
-    # default multiplier rule; the CLI certifies the plain modulus decay and
+    # tail-sum multiplier rule; the CLI certifies the plain modulus decay and
     # reports the rest (deep-level certification needs finer grids).
     rep = certify_decay(c, E, orders_N=(0,), orders_m=(0,), grid_log2=cfg.grid_log2)
     _write_json(cfg.out_dir / "cutoff_decay.json", rep.to_json())

@@ -26,6 +26,8 @@ from .circle_sets import (
     BeurlingCarlesonSet,
     WhitneyArc,
     _lambda_rule,
+    _rank_length,
+    _whitney_mass,
     whitney_decompose,
 )
 
@@ -54,11 +56,7 @@ class CutoffFunction:
     tail_radius: float
 
 
-def build_cutoff(
-    E: BeurlingCarlesonSet,
-    k_max: int = 16,
-    rule: str = "tail-sum",
-) -> CutoffFunction:
+def build_cutoff(E: BeurlingCarlesonSet, k_max: int = 16) -> CutoffFunction:
     """Construct the truncated cut-off data for the set E.
 
     The multipliers use the tail-sum rule computed over the Whitney system
@@ -74,14 +72,12 @@ def build_cutoff(
     ext_lengths = []
     for gap in E.gaps:
         for k in range(k_max + 1, k_max + _EXTENSION_RANKS + 1):
-            length = gap.length / (3.0 * 2.0**k)
+            length = _rank_length(gap.length, k)
             if length > 0.0:  # a rank that underflows to 0 carries no mass
                 ext_lengths.extend([length] * 2)
     all_lengths = np.array(lengths + ext_lengths)
-    # |B| log(1/|B|) without 1/|B|, which overflows for the subnormal
-    # lengths of a tiny gap's extension ranks.
-    c = -all_lengths * np.log(all_lengths)
-    lam = _lambda_rule(c, rule)
+    c = _whitney_mass(all_lengths)
+    lam = _lambda_rule(c)
 
     kept = [replace(w, lam=float(l)) for w, l in zip(base, lam[: len(base)])]
     poles = np.array([w.pole for w in kept])

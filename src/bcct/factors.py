@@ -37,8 +37,6 @@ from .circle_sets import (
     BeurlingCarlesonSet,
     _read_json,
     dist_to_set,
-    gaps_from_json,
-    validate_set,
 )
 from .errors import ResolutionError, WeightNotLogIntegrable
 
@@ -69,10 +67,6 @@ class BoundaryWeight:
     values: np.ndarray
     mask: np.ndarray
     log_integral: float
-
-    @property
-    def w_max(self) -> float:
-        return float(np.max(self.values[self.mask]))
 
 
 def boundary_weight(
@@ -513,26 +507,3 @@ def measure_from_json(source) -> SingularMeasure:
         for a in obj["atoms"]
     )
     return SingularMeasure(atoms)
-
-
-def blaschke_from_json(source) -> tuple[complex, ...]:
-    """Read ``[{"re":.., "im":..}, ...]``."""
-    obj = _read_json(source)
-    return tuple(complex(float(z["re"]), float(z["im"])) for z in obj)
-
-
-def factors_from_json(source, grid_log2: int):
-    """Read the combined factor description
-
-        {"weight": {"gaps_ref": <path or inline gaps>, "values": <const>},
-         "measure": {"atoms": [...]}, "blaschke": [{"re":..,"im":..}, ...]}
-
-    and return (BoundaryWeight, InnerFunction).
-    """
-    obj = _read_json(source)
-    wdesc = obj["weight"]
-    E = validate_set(gaps_from_json(wdesc["gaps_ref"]))
-    weight = boundary_weight(E, wdesc.get("values", 1.0), grid_log2)
-    nu = measure_from_json(obj["measure"]) if "measure" in obj else SingularMeasure(())
-    zeros = blaschke_from_json(obj.get("blaschke", []))
-    return weight, InnerFunction(zeros, nu)

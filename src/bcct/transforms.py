@@ -256,35 +256,29 @@ def _q_coefficients(member: KMember, band: int) -> np.ndarray:
     return analytic_coefficients(member.q_samples, min(band, member.size // 2 - 1)).coeffs
 
 
-def _exact_coefficients(member: KMember, band: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """c_0..c_band of C_s, and the theta coefficients they were computed from
-    (0..band + q_band + 1; None when theta is trivial)."""
-    q_hat = _q_coefficients(member, band)
-    if member.theta is None or member.theta.is_trivial:
-        out = np.zeros(band + 1, dtype=complex)
-        out[0] = np.conj(q_hat[0])
-        return out, None
-    th = member.theta.coefficients(band + len(q_hat))
-    # c_n = sum_j conj(q_j) th[n + j]: a correlation of q with theta.
-    return _fft_correlate(q_hat, th, band + 1), th
-
-
 def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticSeries:
-    """Coefficients of C_s via exact inner-factor coefficients.
+    """Coefficients c_0..c_band of C_s via exact inner-factor coefficients.
 
     Writing s = theta * conj(q) with q analytic and smooth, the coefficient
     c_n of C_s is sum_j theta_{n+j} * conj(q_j).  Using the closed-form
     Taylor coefficients of theta avoids the aliasing floor that pointwise
     sampling of an atomic inner factor would impose.
     """
-    return AnalyticSeries(_exact_coefficients(member, band)[0])
+    q_hat = _q_coefficients(member, band)
+    if member.theta is None or member.theta.is_trivial:
+        out = np.zeros(band + 1, dtype=complex)
+        out[0] = np.conj(q_hat[0])
+        return AnalyticSeries(out)
+    th = member.theta.coefficients(band + len(q_hat))
+    # c_n = sum_j conj(q_j) th[n + j]: a correlation of q with theta.
+    return AnalyticSeries(_fft_correlate(q_hat, th, band + 1))
 
 
 def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
     """max over the members and k = 0..max_k of | <theta z^k, C_s> |.
 
     The members must share one inner factor and one grid.  With c the
-    transform coefficients (:func:`_exact_coefficients`), the residual is
+    transform coefficients (:func:`transform_coefficients_exact`), the residual is
 
         r_k = conj(<theta z^k, C_s>) = sum_{m=0}^{band-k} conj(theta_m) c_{m+k}.
 

@@ -301,25 +301,3 @@ class TestMaskAndSup:
         bound = sup_norm_bound(s, 12)
         dense = np.abs(synthesize_analytic(s, 16))
         assert np.max(dense) <= bound * (1.0 + 1e-12)
-
-
-class TestDumps:
-    def test_coefficients_csv(self, tmp_path):
-        from bcct.boundary_calculus import coefficients_to_csv
-
-        path = tmp_path / "coef.csv"
-        coefficients_to_csv(np.array([1.0 + 2.0j, 3.0]), path, first_index=-1)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,re,im"
-        assert lines[1].startswith("-1,1,2")
-
-    def test_grid_csv_and_binary(self, tmp_path):
-        from bcct.boundary_calculus import grid_to_file
-
-        grid = BoundaryGrid.from_function(8, lambda t: np.exp(1j * t))
-        csv_path = tmp_path / "grid.csv"
-        grid_to_file(grid, csv_path)
-        assert csv_path.read_text().startswith("t,re,im")
-        npy_path = tmp_path / "grid.npy"
-        grid_to_file(grid, npy_path)
-        assert np.allclose(np.load(npy_path), grid.samples)

@@ -15,7 +15,6 @@ from bcct.circle_sets import (
     gaps_from_json,
     point_carrier,
     rotate_set,
-    set_to_json,
     validate_set,
     whitney_decompose,
     whitney_to_csv,
@@ -183,13 +182,6 @@ class TestLambdas:
         expect = np.maximum(1.0, 2.0 ** ((j - 1) / 2.0))
         assert np.allclose(lam[:30], expect[:30], rtol=1e-6)
 
-    def test_constant_rule(self):
-        E = validate_set([Arc(0.0, 1.0)])
-        arcs = assign_lambdas(whitney_decompose(E, 5), rule="constant")
-        c = sum(w.length * math.log(1.0 / w.length) for w in arcs)
-        total = sum(w.lam * w.length * math.log(1.0 / w.length) for w in arcs)
-        assert total == pytest.approx(c, abs=1e-14)
-
     def test_three_gap_mass_bound_by_direct_summation(self):
         E = validate_set([Arc(0.0, 0.8), Arc(1.5, 2.0), Arc(3.0, 4.2)])
         arcs = assign_lambdas(whitney_decompose(E, 12))
@@ -223,7 +215,7 @@ class TestInterfaces:
     def test_json_round_trip(self, tmp_path):
         E = validate_set([Arc(0.25, 1.0), Arc(2.0, 2.75)])
         path = tmp_path / "set.json"
-        path.write_text(json.dumps(set_to_json(E)))
+        path.write_text(json.dumps({"gaps": [{"start": g.start, "end": g.end} for g in E.gaps]}))
         gaps = gaps_from_json(path)
         E2 = validate_set(gaps)
         assert E2.entropy == pytest.approx(E.entropy, abs=1e-15)

@@ -124,6 +124,12 @@ MALFORMED_INPUTS = {
     "overlapping_set_gaps": lambda d: [
         "verify", "--suite", "whitney", "--set", _input_file(d, "o.json", json.dumps(
             {"gaps": [{"start": 0.0, "end": 1.0}, {"start": 0.5, "end": 1.5}]}))],
+    # end > start, but the normalized length (end - start) / 2pi underflows to 0
+    "zero_length_gap": lambda d: [
+        "verify", "--suite", "whitney",
+        "--set", _input_file(d, "z.json", '{"gaps": [{"start": 0.0, "end": 5e-324}]}')],
+    "zero_length_gap_validate": lambda d: [
+        "validate", _input_file(d, "z.json", '{"gaps": [{"start": 0.0, "end": 5e-324}]}')],
 }
 
 
@@ -165,6 +171,38 @@ def test_tiny_gap_fails_cutoff_without_overflow(tmp_path, capsys, kmax):
         "value": "level 2^-6: fewer than 8 grid points at that distance",
     }]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_gap_whitney_mass_is_finite(tmp_path, capsys):
+    # Ranks up to 40 of a 1e-300 gap are subnormal: 1/|B| would overflow and
+    # make the mass and its bound both infinite, which would pass.
+    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 0.0, "end": 1e-300}]}')
+    out = tmp_path / "out"
+    argv = ["verify", "--suite", "whitney", "--set", s, "--kmax", "40", "--out", str(out)]
+    assert main(argv) == 0
+    verdict = json.loads((out / "whitney.json").read_text())
+    (mass,) = [c for c in verdict["checks"] if c["name"] == "lambda_mass"]
+    assert math.isfinite(mass["value"]) and math.isfinite(mass["threshold"])
+    assert 0.0 < mass["value"] <= mass["threshold"] < 1e-148
+    assert capsys.readouterr().err == ""
+
+
+def test_gap_below_whitney_resolution_fails_each_suite(tmp_path, capsys):
+    # A one-ulp gap is a valid set, but its Whitney arcs of rank 10 collapse
+    # to a point; every suite still writes its verdict.
+    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 1.0, "end": 1.0000000000000002}]}')
+    out = tmp_path / "out"
+    assert main(["verify", "--suite", "all", "--set", s, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    for suite in SUITES:
+        assert (out / f"{suite}.json").exists(), suite
+    for suite in ("whitney", "cutoff", "transform", "annihilator", "permanence"):
+        verdict = json.loads((out / f"{suite}.json").read_text())
+        assert verdict["checks"] == [{
+            "name": "execution", "pass": False, "threshold": None,
+            "value": "gap 0: the rank -10 Whitney arc is below double-precision resolution",
+        }], suite
 
 
 @pytest.mark.parametrize("first", [".5", "+0.5", " 0.5"])

@@ -192,13 +192,6 @@ class TestDecayCertificate:
         assert rep.monotone(0, 0)
         assert rep.monotone(2, 0)
 
-    def test_constant_rule_ablation_reports_without_certificate(self, E):
-        c = build_cutoff(E, k_max=16, rule="constant")
-        rep = certify_decay(c, E, orders_N=(4,), orders_m=(0,), grid_log2=16)
-        # with constant multipliers the high-order ratio need not decrease;
-        # the report is still produced
-        assert len(rep.rho(4, 0)) == 6
-
     def test_resolution_guard(self, E):
         c = build_cutoff(E, k_max=4)
         with pytest.raises(ResolutionError):

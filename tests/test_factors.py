@@ -24,7 +24,6 @@ from bcct.factors import (
     _atomic_inner_coefficients,
     _blaschke_factor_coefficients,
     SingularMeasure,
-    blaschke_from_json,
     boundary_weight,
     certify_theta_derivatives,
     certify_W_derivatives,
@@ -299,10 +298,6 @@ class TestJsonInterfaces:
         assert nu.total_mass == pytest.approx(0.3)
         assert nu.part_mass("K") == pytest.approx(0.2)
 
-    def test_blaschke_schema(self):
-        zeros = blaschke_from_json('[{"re": 0.5, "im": -0.1}]')
-        assert zeros == (0.5 - 0.1j,)
-
     @pytest.mark.parametrize("angle, mass", [(0.0, math.nan), (0.0, math.inf), (math.inf, 0.1),
                                              (math.nan, 0.1), (0.0, 0.0)])
     def test_atom_needs_finite_angle_and_positive_finite_mass(self, angle, mass):
@@ -314,25 +309,6 @@ class TestJsonInterfaces:
         p.write_text(json.dumps({"atoms": [{"angle": 1.0, "mass": 0.5}]}))
         nu = measure_from_json(p)
         assert nu.atoms[0].part == "C"
-
-
-class TestCombinedSchema:
-    def test_factors_from_json(self, tmp_path):
-        from bcct.factors import factors_from_json
-        from bcct.circle_sets import set_to_json
-        from bcct.fixtures import two_gap
-
-        gaps_file = tmp_path / "set.json"
-        gaps_file.write_text(json.dumps(set_to_json(two_gap())))
-        payload = {
-            "weight": {"gaps_ref": str(gaps_file), "values": 0.5},
-            "measure": {"atoms": [{"angle": 0.0, "mass": 0.1, "part": "K"}]},
-            "blaschke": [{"re": 0.4, "im": 0.0}],
-        }
-        weight, inner = factors_from_json(payload, 10)
-        assert weight.w_max == pytest.approx(0.5)
-        assert inner.singular.total_mass == pytest.approx(0.1)
-        assert inner.blaschke_zeros == (0.4 + 0j,)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from bcct.transforms import (
     model_space_orthogonality,
     smooth_transform,
     split_transform,
-    _exact_coefficients,
     _max_orthogonality,
     transform_coefficients_exact,
 )
@@ -249,7 +248,8 @@ class TestModelSpace:
         kw = {} if theta is None else {"theta": theta}
         m = standard_member("K2" if theta is None else "K1", monomial(0), 12, k_max=8, **kw)
         band = 4096
-        c_s, th = _exact_coefficients(m, band)
+        c_s = transform_coefficients_exact(m, band).coeffs
+        th = m.theta.coefficients(band)
         r = np.abs(_fft_convolve(c_s, np.conj(th[band::-1]))[band : band + 33])
         scale = np.linalg.norm(c_s) * np.linalg.norm(th[: band + 1])
         assert abs(model_space_orthogonality(m, max_k=32, band=band) - np.max(r)) <= 1e-13 * scale
