@@ -14,14 +14,9 @@ from .circle_sets import (
 )
 from .boundary_calculus import (
     AnalyticSeries,
-    BoundaryGrid,
-    analytic_projection,
-    cauchy_quadrature,
     conjugate_function,
     evaluate_in_disk,
     fejer_means,
-    fourier_coefficients,
-    synthesize,
 )
 from .cutoff import CutoffFunction, build_cutoff, certify_decay, eval_g, eval_h
 from .factors import (

@@ -1,23 +1,32 @@
 """Spectral engine on uniform circle grids.
 
-Fourier analysis/synthesis, analytic (Riesz) projection, the conjugate
-function, Fejer means, Horner evaluation inside the disk and the trapezoid
-Cauchy sum all live here.  The Cauchy sum uses the exact spectral identity
+Everything takes and returns plain sample and coefficient arrays, with the
+grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
 
-    (1/n) sum_m v_m / (1 - z conj(zeta_m)) = (1 - z^n)^{-1} sum_{r<n} c_r z^r,
+* :func:`_spectrum` -- the spectrum c = fft(v)/n of grid values v, that is
 
-truncated once |z|^R / (1 - |z|) <= eps/4, so no kernel matrix is built.
-It serves the transforms' Cauchy integrals and, in
-:func:`bcct.factors.herglotz_exp`, the discrete Herglotz integral
-(1/n) sum_m u_m (zeta_m + z)/(zeta_m - z), which is twice the Cauchy sum of
-u minus its mean.
-Everything operates on grids whose size is a power of two, with the Fourier
-convention
+      c_r = (1/n) * sum_m v_m * exp(-i r t_m),
 
-    c_n = (1/size) * sum_m samples_m * exp(-i n t_m),   t_m = 2 pi m / size,
+  exact for trigonometric polynomials below the Nyquist band; this module
+  alone calls numpy.fft;
+* :func:`analytic_coefficients` -- the analytic (Riesz) projection, the
+  Taylor coefficients c_0..c_band read off the spectrum;
+* :func:`synthesize_analytic` -- its inverse, the grid samples of an
+  analytic polynomial;
+* :func:`_cauchy_sum` -- the trapezoid Cauchy sum, from the spectrum by the
+  exact identity
 
-which is exact for trigonometric polynomials below the Nyquist band; it is
-:func:`_spectrum`, and this module alone calls numpy.fft.
+      (1/n) sum_m v_m / (1 - z conj(zeta_m)) = (1 - z^n)^{-1} sum_{r<n} c_r z^r,
+
+  truncated once |z|^R / (1 - |z|) <= eps/4, so no kernel matrix is built.
+  It serves the transforms' Cauchy integrals and, in
+  :func:`bcct.factors.herglotz_exp`, the discrete Herglotz integral
+  (1/n) sum_m u_m (zeta_m + z)/(zeta_m - z), which is twice the Cauchy sum
+  of u minus its mean.
+
+Alongside them: the conjugate function, Fejer means, Horner evaluation
+inside the disk, FFT convolution and correlation, and the grid mask of a
+set.  The package's grids have 2**log2_size points.
 """
 
 from __future__ import annotations
@@ -32,40 +41,6 @@ import numpy.fft
 
 from .circle_sets import TWO_PI, BeurlingCarlesonSet, wrap_angle
 from .errors import BandTooLarge, OutsideDomain
-
-MIN_LOG2_SIZE = 8
-
-
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Complex samples on the uniform grid of ``2**log2_size`` circle points."""
-
-    log2_size: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.log2_size < MIN_LOG2_SIZE:
-            raise ValueError(f"grid needs log2_size >= {MIN_LOG2_SIZE}")
-        n = 1 << self.log2_size
-        if self.samples.shape != (n,):
-            raise ValueError(f"expected {n} samples, got {self.samples.shape}")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.log2_size
-
-    @property
-    def angles(self) -> np.ndarray:
-        return grid_angles(self.log2_size)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.exp(1j * self.angles)
-
-    @classmethod
-    def from_function(cls, log2_size: int, fn) -> "BoundaryGrid":
-        t = grid_angles(log2_size)
-        return cls(log2_size, np.asarray(fn(t), dtype=complex))
 
 
 def grid_angles(log2_size: int) -> np.ndarray:
@@ -116,39 +91,8 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
     return c
 
 
-def fourier_coefficients(grid: BoundaryGrid, band: int) -> np.ndarray:
-    """Two-sided coefficients c_{-band}..c_{band} (length 2*band+1)."""
-    n = grid.size
-    if band >= n // 2:
-        raise BandTooLarge(f"band {band} >= Nyquist {n // 2}")
-    idx = np.arange(-band, band + 1) % n
-    return _spectrum(grid.samples)[idx]
-
-
-def synthesize(coeffs: np.ndarray, log2_size: int) -> BoundaryGrid:
-    """Evaluate a two-sided coefficient vector on the grid (inverse of analysis)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    band = (len(coeffs) - 1) // 2
-    if len(coeffs) != 2 * band + 1:
-        raise ValueError("two-sided coefficient vector must have odd length")
-    n = 1 << log2_size
-    if band >= n // 2:
-        raise BandTooLarge(f"band {band} >= Nyquist {n // 2}")
-    c = np.zeros(n, dtype=complex)
-    idx = np.arange(-band, band + 1) % n
-    c[idx] = coeffs
-    return BoundaryGrid(log2_size, np.fft.ifft(c) * n)
-
-
-def analytic_projection(coeffs: np.ndarray) -> AnalyticSeries:
-    """Keep the indices n >= 0 of a two-sided coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    band = (len(coeffs) - 1) // 2
-    return AnalyticSeries(coeffs[band:])
-
-
 def analytic_coefficients(samples: np.ndarray, band: int | None = None) -> AnalyticSeries:
-    """Analytic projection straight from grid samples (indices 0..band)."""
+    """Analytic (Riesz) projection of grid samples: spectrum indices 0..band."""
     samples = np.asarray(samples, dtype=complex)
     n = len(samples)
     if band is None:
@@ -249,24 +193,6 @@ def _cauchy_sum(c: np.ndarray, z):
         eps = np.finfo(float).eps
         terms = min(n, math.ceil(math.log(eps / 4 * (1.0 - r_max)) / math.log(r_max)))
     return evaluate_in_disk(AnalyticSeries(c[:terms]), z) / (1.0 - z**n)
-
-
-def cauchy_quadrature(grid: BoundaryGrid, z, mask: np.ndarray | None = None):
-    """Trapezoid quadrature of the Cauchy integral of the samples.
-
-        C(z) = (1/size) * sum_m samples_m * mask_m / (1 - z * conj(zeta_m))
-
-    Evaluated exactly, to rounding, as (1 - z^size)^{-1} sum_r c_r z^r with
-    c = fft(samples * mask)/size, the spectrum passed to :func:`_cauchy_sum`
-    (which truncates the sum once |z|^R / (1 - |z|) <= eps/4).  Spectrally
-    accurate for smooth integrands; O(1/size) near indicator jumps.  Only |z| <= 0.95 is accepted,
-    which keeps the truncation below about 800 terms.
-    """
-    if np.any(np.abs(z) > 0.95):
-        raise OutsideDomain("cauchy_quadrature needs |z| <= 0.95")
-    vals = grid.samples if mask is None else grid.samples * mask
-    out = _cauchy_sum(_spectrum(vals), z)
-    return out if np.shape(out) else complex(out)
 
 
 def indicator_mask(E: BeurlingCarlesonSet, log2_size: int) -> np.ndarray:

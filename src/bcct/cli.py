@@ -202,10 +202,10 @@ def suite_whitney(run: _Run) -> dict:
     }
 
 
-def disk_points(rng, count: int, radius: float = 1.0) -> np.ndarray:
+def disk_points(rng, count: int) -> np.ndarray:
     xy = rng.uniform(-1.0, 1.0, (3 * count, 2))
     z = xy[:, 0] + 1j * xy[:, 1]
-    return radius * z[np.abs(z) < 1.0][:count]
+    return z[np.abs(z) < 1.0][:count]
 
 
 def suite_cutoff(run: _Run) -> dict:

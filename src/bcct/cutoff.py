@@ -30,6 +30,7 @@ from .circle_sets import (
     _whitney_mass,
     whitney_decompose,
 )
+from .errors import ResolutionError
 
 # Ranks appended beyond k_max when computing tail data; the per-rank mass
 # decays geometrically so 60 extra ranks exhaust double precision.
@@ -63,18 +64,24 @@ def build_cutoff(E: BeurlingCarlesonSet, k_max: int = 16) -> CutoffFunction:
     extended well beyond ``k_max``, so enlarging ``k_max`` only appends terms
     and never changes the lambda of an arc already present.  The certified
     ``tail_bound`` is the mass of the omitted ranks divided by the distance
-    from their poles to the disk of radius ``TAIL_RADIUS``.
+    from their poles to the disk of radius ``TAIL_RADIUS``.  Raises
+    :class:`ResolutionError` when a pole radius ``1 + |B|`` rounds to 1,
+    since Re h < 0 on the closed disk needs every pole outside it.
     """
     base = whitney_decompose(E, k_max)
+    for w in base:
+        if not w.radius > 1.0:
+            raise ResolutionError(
+                f"gap {w.parent}: the rank {w.rank} Whitney pole rounds onto the unit circle"
+            )
     lengths = [w.length for w in base]
     # Hypothetical continuation beyond k_max: only lengths are needed for the
-    # lambda rule and the tail mass, so no arc geometry is constructed.
+    # lambda rule and the tail mass, so no arc geometry is constructed.  The
+    # kept lengths exceed 2^-53, so no extension rank underflows to 0.
     ext_lengths = []
     for gap in E.gaps:
         for k in range(k_max + 1, k_max + _EXTENSION_RANKS + 1):
-            length = _rank_length(gap.length, k)
-            if length > 0.0:  # a rank that underflows to 0 carries no mass
-                ext_lengths.extend([length] * 2)
+            ext_lengths.extend([_rank_length(gap.length, k)] * 2)
     all_lengths = np.array(lengths + ext_lengths)
     c = _whitney_mass(all_lengths)
     lam = _lambda_rule(c)

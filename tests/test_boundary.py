@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 import bcct
 from bcct.boundary_calculus import (
     AnalyticSeries,
-    BoundaryGrid,
-    analytic_projection,
-    cauchy_quadrature,
+    _cauchy_sum,
+    _spectrum,
+    analytic_coefficients,
     conjugate_function,
     evaluate_in_disk,
     fejer_means,
-    fourier_coefficients,
     grid_angles,
     indicator_mask,
     sup_norm_bound,
-    synthesize,
     synthesize_analytic,
 )
 from bcct.circle_sets import TWO_PI, Arc, validate_set
@@ -32,40 +30,31 @@ from bcct.fixtures import taper_weight, two_gap
 G = 10  # 1024-point grid for most checks
 
 
-def random_trig_poly(rng, degree, log2_size):
-    coeffs = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
-    return coeffs, synthesize(coeffs, log2_size)
-
-
 class TestFourier:
     def test_single_negative_mode(self):
-        grid = BoundaryGrid.from_function(G, lambda t: np.exp(-3j * t))
-        c = fourier_coefficients(grid, 5)
-        expect = np.zeros(11, dtype=complex)
-        expect[5 - 3] = 1.0
+        c = _spectrum(np.exp(-3j * grid_angles(G)))
+        expect = np.zeros(1 << G, dtype=complex)
+        expect[-3] = 1.0
         assert np.max(np.abs(c - expect)) <= 1e-12
 
     def test_cosine(self):
-        grid = BoundaryGrid.from_function(G, lambda t: 2.0 * np.cos(t))
-        c = fourier_coefficients(grid, 2)
-        assert abs(c[2 + 1] - 1.0) <= 1e-12
-        assert abs(c[2 - 1] - 1.0) <= 1e-12
-        assert abs(c[2]) <= 1e-12
+        c = _spectrum(2.0 * np.cos(grid_angles(G)))
+        assert abs(c[1] - 1.0) <= 1e-12
+        assert abs(c[-1] - 1.0) <= 1e-12
+        assert abs(c[0]) <= 1e-12
 
     def test_random_polynomial_round_trip(self):
         rng = np.random.default_rng(7)
-        coeffs, grid = random_trig_poly(rng, 20, G)
-        back = fourier_coefficients(grid, 20)
-        assert np.max(np.abs(back - coeffs)) <= 1e-12
+        coeffs = rng.normal(size=21) + 1j * rng.normal(size=21)
+        samples = synthesize_analytic(AnalyticSeries(coeffs), G)
+        back = analytic_coefficients(samples, 20)
+        assert np.max(np.abs(back.coeffs - coeffs)) <= 1e-12
+        assert np.max(np.abs(_spectrum(samples)[21:])) <= 1e-12
 
     def test_band_too_large(self):
-        grid = BoundaryGrid.from_function(G, lambda t: np.cos(t))
+        samples = np.cos(grid_angles(G))
         with pytest.raises(BandTooLarge):
-            fourier_coefficients(grid, 512)
-
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            BoundaryGrid(4, np.zeros(16, dtype=complex))
+            analytic_coefficients(samples, len(samples) // 2)
 
     def test_import_loads_numpy_fft(self):
         # numpy loads numpy.fft lazily; a signal handler that calls np.fft
@@ -97,26 +86,12 @@ class TestFourier:
 
 
 class TestProjection:
-    def test_negative_mode_killed(self):
-        c = np.zeros(3, dtype=complex)
-        c[0] = 1.0  # index -1
-        s = analytic_projection(c)
-        assert np.max(np.abs(s.coeffs)) == 0.0
-
     def test_mixed_modes(self):
-        c = np.zeros(7, dtype=complex)
-        c[3] = 2.0
-        c[6] = 1j
-        s = analytic_projection(c)
-        assert np.allclose(s.coeffs, [2.0, 0.0, 0.0, 1j])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        c = rng.normal(size=9) + 1j * rng.normal(size=9)
-        once = analytic_projection(c)
-        padded = np.concatenate([np.zeros(4), once.coeffs])
-        twice = analytic_projection(padded)
-        assert np.allclose(once.coeffs, twice.coeffs)
+        # 2 + i z^3 with negative modes 5 conj(z) + 0.5 conj(z)^2 on top
+        z = np.exp(1j * grid_angles(G))
+        samples = 2.0 + 1j * z**3 + 5.0 * np.conj(z) + 0.5 * np.conj(z) ** 2
+        s = analytic_coefficients(samples, 3)
+        assert np.allclose(s.coeffs, [2.0, 0.0, 0.0, 1j], rtol=0.0, atol=1e-12)
 
 
 class TestConjugate:
@@ -213,17 +188,16 @@ class TestEvaluation:
         with pytest.raises(OutsideDomain):
             evaluate_in_disk(AnalyticSeries([1.0]), 1.0)
         with pytest.raises(OutsideDomain):
-            cauchy_quadrature(BoundaryGrid.from_function(G, np.cos), 0.99)
+            _cauchy_sum(_spectrum(np.cos(grid_angles(G))), 1.0 - 1e-7)
 
     def test_projection_evaluation_matches_quadrature(self):
         # smooth boundary data: both routes agree to 1e-6 at 64 points
-        grid = BoundaryGrid.from_function(
-            G, lambda t: np.exp(0.4 * np.cos(t)) + 1j * np.sin(2 * t) * 0.2
-        )
-        series = analytic_projection(fourier_coefficients(grid, 200))
+        t = grid_angles(G)
+        v = np.exp(0.4 * np.cos(t)) + 1j * np.sin(2 * t) * 0.2
+        series = analytic_coefficients(v, 200)
         rng = np.random.default_rng(23)
         z = 0.9 * np.sqrt(rng.uniform(0, 1, 64)) * np.exp(1j * rng.uniform(0, TWO_PI, 64))
-        direct = cauchy_quadrature(grid, z)
+        direct = _cauchy_sum(_spectrum(v), z)
         series_vals = evaluate_in_disk(series, z)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - series_vals)) <= 1e-6 * scale
@@ -231,19 +205,19 @@ class TestEvaluation:
 
 class TestCauchy:
     def test_constant_full_circle(self):
-        grid = BoundaryGrid.from_function(12, lambda t: np.ones_like(t, dtype=complex))
+        c = _spectrum(np.ones(1 << 12, dtype=complex))
         z = np.array([0.0, 0.3 + 0.4j, -0.9j])
-        assert np.max(np.abs(cauchy_quadrature(grid, z) - 1.0)) <= 1e-12
+        assert np.max(np.abs(_cauchy_sum(c, z) - 1.0)) <= 1e-12
 
     def test_conjugate_coordinate_vanishes(self):
-        grid = BoundaryGrid.from_function(12, lambda t: np.exp(-1j * t))
+        c = _spectrum(np.exp(-1j * grid_angles(12)))
         z = np.array([0.1, 0.5j, -0.4 + 0.2j])
-        assert np.max(np.abs(cauchy_quadrature(grid, z))) <= 1e-12
+        assert np.max(np.abs(_cauchy_sum(c, z))) <= 1e-12
 
     def test_coordinate_reproduced(self):
-        grid = BoundaryGrid.from_function(12, lambda t: np.exp(1j * t))
+        c = _spectrum(np.exp(1j * grid_angles(12)))
         z = np.array([0.25, -0.3 + 0.1j])
-        assert np.max(np.abs(cauchy_quadrature(grid, z) - z)) <= 1e-12
+        assert np.max(np.abs(_cauchy_sum(c, z) - z)) <= 1e-12
 
 
 def dense_cauchy_sum(vals, z):
@@ -255,6 +229,8 @@ def dense_cauchy_sum(vals, z):
 
 
 class TestCauchyOracle:
+    # the trapezoid Cauchy sum that flip_check and herglotz_exp use, against
+    # the sum over the explicit kernel
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(0, 10**6),
@@ -269,19 +245,18 @@ class TestCauchyOracle:
     def test_matches_dense_sum(self, seed, log2, masked, radius):
         rng = np.random.default_rng(seed)
         n = 1 << log2
-        grid = BoundaryGrid(log2, rng.normal(size=n) + 1j * rng.normal(size=n))
-        mask = rng.uniform(size=n) < 0.5 if masked else None
-        vals = grid.samples if mask is None else grid.samples * mask
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if masked:
+            vals = vals * (rng.uniform(size=n) < 0.5)
         phi = rng.uniform(0, TWO_PI, 16)
         r = radius * np.sqrt(rng.uniform(0, 1, 16))
         r[0], r[1], phi[1] = 0.0, radius, 0.0  # z = 0, and z = radius exactly
         z = r * np.exp(1j * phi)
-        got = cauchy_quadrature(grid, z, mask)
+        c = _spectrum(vals)
+        got = _cauchy_sum(c, z)
         ref = dense_cauchy_sum(vals, z)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # a scalar point gives a complex scalar
-        one = cauchy_quadrature(grid, z[1], mask)
-        assert isinstance(one, complex)
+        one = _cauchy_sum(c, z[1])
         assert abs(one - ref[1]) <= 1e-13 * np.max(np.abs(ref))
 
 

@@ -159,8 +159,8 @@ def test_heavy_atom_fails_permanence(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kmax", ["10", "40"])
 def test_tiny_gap_fails_cutoff_without_overflow(tmp_path, capsys, kmax):
-    # The extension ranks of a 1e-300 gap reach the subnormals (and 0 beyond
-    # k_max 17 on), where 1/|B| overflows; the masses are formed without it.
+    # Every Whitney pole of a 1e-300 gap has radius 1 + |B| == 1.0: it lies on
+    # the circle, so build_cutoff refuses it before any pole sum overflows.
     s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 0.0, "end": 1e-300}]}')
     out = tmp_path / "out"
     argv = ["verify", "--suite", "cutoff", "--set", s, "--kmax", kmax, "--out", str(out)]
@@ -168,9 +168,29 @@ def test_tiny_gap_fails_cutoff_without_overflow(tmp_path, capsys, kmax):
     verdict = json.loads((out / "cutoff.json").read_text())
     assert verdict["checks"] == [{
         "name": "execution", "pass": False, "threshold": None,
-        "value": "level 2^-6: fewer than 8 grid points at that distance",
+        "value": f"gap 0: the rank -{kmax} Whitney pole rounds onto the unit circle",
     }]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_gap_poles_on_circle_fail_each_cutoff_suite(tmp_path, capsys):
+    # Poles on the circle would overflow the pole sums (1 / 0) and put NaN
+    # into g; each suite that builds the cut-off fails cleanly instead.
+    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 0.0, "end": 1e-300}]}')
+    out = tmp_path / "out"
+    argv = ["verify", "--suite", "all", "--set", s, "--kmax", "40", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
+    for suite in SUITES:
+        assert (out / f"{suite}.json").exists(), suite
+    assert json.loads((out / "whitney.json").read_text())["pass"] is True
+    for suite in ("cutoff", "transform", "annihilator", "permanence"):
+        verdict = json.loads((out / f"{suite}.json").read_text())
+        assert verdict["checks"] == [{
+            "name": "execution", "pass": False, "threshold": None,
+            "value": "gap 0: the rank -40 Whitney pole rounds onto the unit circle",
+        }], suite
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bcct.transforms
 from bcct.boundary_calculus import (
@@ -12,7 +14,7 @@ from bcct.boundary_calculus import (
     analytic_coefficients,
     grid_angles,
 )
-from bcct.circle_sets import Arc, validate_set
+from bcct.circle_sets import TWO_PI, Arc, rotate_set, validate_set
 from bcct.cutoff import build_cutoff, boundary_samples
 from bcct.errors import IngredientMismatch
 from bcct.factors import Atom, InnerFunction, SingularMeasure, outer_from_weight
@@ -153,6 +155,23 @@ class TestSpectrum:
     def test_read_only(self, member_k):
         with pytest.raises(ValueError):
             member_k.spectrum[0] = 1.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(10, 14), st.integers(0, (1 << 14) - 1))
+    @example(14, 1)
+    @example(12, 37)
+    @example(13, (1 << 13) // 3)
+    def test_rotation_equivariance(self, log2, j):
+        # Rotating E by phi maps s = conj(zeta g W) to e^{-i phi} s(e^{-i phi} zeta),
+        # so coefficient r of the Cauchy transform picks up e^{-i (r+1) phi}.
+        n = 1 << log2
+        phi = TWO_PI * (j % n) / n
+        base = standard_member("K", monomial(0), log2, k_max=10)
+        rot = standard_member("K", monomial(0), log2, k_max=10, E=rotate_set(two_gap(), phi))
+        r = np.arange(n // 2)
+        expect = np.exp(-1j * (r + 1) * phi) * base.spectrum[: n // 2]
+        err = np.max(np.abs(rot.spectrum[: n // 2] - expect))
+        assert err <= 1e-11 * np.max(np.abs(base.spectrum[: n // 2]))
 
 
 class TestFlip:
