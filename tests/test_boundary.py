@@ -86,6 +86,11 @@ class TestFourier:
 
 
 class TestProjection:
+    def test_negative_mode_killed(self):
+        z = np.exp(1j * grid_angles(G))
+        s = analytic_coefficients(np.conj(z), 1)
+        assert np.max(np.abs(s.coeffs)) <= 1e-15
+
     def test_mixed_modes(self):
         # 2 + i z^3 with negative modes 5 conj(z) + 0.5 conj(z)^2 on top
         z = np.exp(1j * grid_angles(G))
