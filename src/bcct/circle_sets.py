@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateArc, EntropyDivergence, OverlapError, ResolutionError
+from .errors import DegenerateArc, OverlapError, ResolutionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,18 +93,11 @@ class BeurlingCarlesonSet:
         return tuple(out)
 
 
-def validate_set(
-    gaps: Sequence[Arc],
-    tail_entropy_bound: float = 0.0,
-    max_entropy: float = math.inf,
-) -> BeurlingCarlesonSet:
+def validate_set(gaps: Sequence[Arc]) -> BeurlingCarlesonSet:
     """Check disjointness, compute measure and entropy, build the set.
 
-    ``tail_entropy_bound`` certifies the entropy contribution of gaps that a
-    parametrized infinite family did not enumerate; finite gap lists use the
-    default 0.  Raises :class:`OverlapError` when two gaps intersect or touch
-    and :class:`EntropyDivergence` when the certified entropy is not finite
-    (or exceeds ``max_entropy``).
+    The gap list is finite, so the entropy is the finite sum over its gaps.
+    Raises :class:`OverlapError` when two gaps intersect or touch.
     """
     gaps = tuple(gaps)
     if not gaps:
@@ -134,13 +127,7 @@ def validate_set(
                     f"gaps overlap or touch near angle {wrap_angle(e_g):.6f}"
                 )
 
-    if not math.isfinite(tail_entropy_bound) or tail_entropy_bound < 0.0:
-        raise EntropyDivergence("tail entropy bound is not a finite nonnegative number")
     entropy = float(sum(_whitney_mass(np.array([g.length for g in gaps if g.length < 1.0]))))
-    entropy += tail_entropy_bound
-    if entropy > max_entropy:
-        raise EntropyDivergence(f"entropy {entropy} exceeds allowed {max_entropy}")
-
     measure = max(0.0, 1.0 - total)
     return BeurlingCarlesonSet(gaps=gaps, measure=measure, entropy=entropy)
 
@@ -315,17 +302,15 @@ def assign_lambdas(arcs: Sequence[WhitneyArc]) -> list[WhitneyArc]:
 # external interfaces
 # ---------------------------------------------------------------------------
 
-def _read_json(source):
-    """``source`` parsed: the path of a JSON file, or a JSON string."""
-    if Path(str(source)).exists():
-        return json.loads(Path(source).read_text())
-    return json.loads(source)
+def _read_json(path):
+    """The JSON file at ``path``, parsed."""
+    return json.loads(Path(path).read_text())
 
 
-def gaps_from_json(source) -> list[Arc]:
-    """Read ``{"gaps": [{"start": rad, "end": rad}, ...]}`` from a JSON string
-    or the path of a JSON file."""
-    obj = _read_json(source)
+def gaps_from_json(path) -> list[Arc]:
+    """Read ``{"gaps": [{"start": rad, "end": rad}, ...]}`` from the JSON file
+    at ``path``."""
+    obj = _read_json(path)
     return [Arc(float(g["start"]), float(g["end"])) for g in obj["gaps"]]
 
 

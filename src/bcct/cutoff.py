@@ -44,7 +44,7 @@ class CutoffFunction:
     """Truncated cut-off function together with its truncation certificate.
 
     ``tail_bound`` dominates the modulus change of h caused by all omitted
-    Whitney ranks, uniformly on ``|z| <= tail_radius``.  (No finite bound
+    Whitney ranks, uniformly on ``|z| <= TAIL_RADIUS``.  (No finite bound
     exists on the closed disk itself: near the set the omitted terms pile
     up, which is exactly how g vanishes there.)
     """
@@ -54,7 +54,6 @@ class CutoffFunction:
     weights: np.ndarray      # lambda_j * b_j * |B_j| * log(1/|B_j|)
     boundary_angles: tuple[float, ...]
     tail_bound: float
-    tail_radius: float
 
 
 def build_cutoff(E: BeurlingCarlesonSet, k_max: int = 16) -> CutoffFunction:
@@ -100,7 +99,6 @@ def build_cutoff(E: BeurlingCarlesonSet, k_max: int = 16) -> CutoffFunction:
         weights=weights,
         boundary_angles=E.boundary_angles,
         tail_bound=tail,
-        tail_radius=TAIL_RADIUS,
     )
 
 
@@ -204,14 +202,13 @@ def certify_decay(
     orders_N,
     orders_m,
     grid_log2: int = 16,
-    levels: int = 6,
 ) -> DecayReport:
     """Evaluate the dyadic decay ratios of G and its t-derivatives.
 
     Level l collects the grid points at distance in [2^-l, 2^(1-l)) from the
     set; rho is the maximum of |G^(m)| / dist^N over the level.  The deepest
     level is grid_log2 - 3 so each level window is at least 8 cells wide,
-    and the certificate is the monotone decrease of rho over the reported
+    and the certificate is the monotone decrease of rho over the 6 deepest
     levels.  Derivatives come from the closed-form pole sums, so the values
     are exact up to rounding even where g is extremely small.
     """
@@ -220,7 +217,7 @@ def certify_decay(
     if min(orders_N, default=0) < 0 or min(orders_m, default=0) < 0:
         raise ValueError("orders must be nonnegative")
     windows = _dyadic_level_points(
-        E, grid_log2, levels, lambda z, m: _g_and_h_derivs(c, z, m), max(orders_m)
+        E, grid_log2, 6, lambda z, m: _g_and_h_derivs(c, z, m), max(orders_m)
     )
 
     entries = {}

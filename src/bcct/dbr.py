@@ -20,7 +20,6 @@ residual and the two split-functional bounds for a family of members.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,6 @@ from .transforms import (
     split_transform,
 )
 
-EXTREME_FLOOR = -1.0e3
 # Degree windows over which the permanence constants are fitted.
 PERMANENCE_DEGREES = (8, 16, 24, 32)
 
@@ -66,8 +64,8 @@ class SymbolB:
     """Bounded symbol b = theta * u with |b| < 1 exactly on the carrier E.
 
     ``delta`` is sqrt(1 - |b|^2) on the grid; off E it vanishes identically,
-    which is what flags the symbol as an extreme point (the quadrature of
-    log(delta) over the complement hits the floor).
+    which is what flags the symbol as an extreme point (log(delta) is not
+    integrable over the complement).
     """
 
     inner: InnerFunction
@@ -94,20 +92,14 @@ class SymbolB:
 def build_symbol(inner: InnerFunction, modulus: BoundaryWeight) -> SymbolB:
     """Assemble b = theta * u from the inner part and the modulus of the
     outer part on its carrier (modulus 1 elsewhere).  The symbol is flagged
-    extreme when the quadrature of log(delta) off the carrier is infinite or
-    at most EXTREME_FLOOR."""
+    extreme when delta is exactly 0 at some grid point off the carrier, where
+    log(delta) = -inf makes its quadrature diverge."""
     u = outer_from_weight(modulus)
     theta_b = inner.boundary_samples(modulus.grid_log2)
     b = theta_b * u.boundary
     delta2 = np.maximum(0.0, 1.0 - np.abs(b) ** 2)
     delta = np.sqrt(delta2)
-    off = ~modulus.mask
-    with np.errstate(divide="ignore"):
-        logs = np.where(delta > 0.0, np.log(np.maximum(delta, 1e-320)), -math.inf)
-    tail = logs[off]
-    extreme = bool(off.any()) and (
-        not np.all(np.isfinite(tail)) or float(np.sum(tail)) / len(b) <= EXTREME_FLOOR
-    )
+    extreme = bool(np.any(delta[~modulus.mask] == 0.0))
     return SymbolB(
         inner=inner,
         grid_log2=modulus.grid_log2,
@@ -158,22 +150,15 @@ def kernel_eval(b, lam, z) -> complex | np.ndarray:
     return out if out.shape else complex(out)
 
 
-def kernel_difference_psd(
-    b: SymbolB,
-    b_n: SymbolB,
-    points: np.ndarray | None = None,
-) -> float:
-    """Least eigenvalue of the Gram matrix [k_b - k_{b_n}] on a point lattice.
+def kernel_difference_psd(b: SymbolB, b_n: SymbolB) -> float:
+    """Least eigenvalue of the Gram matrix [k_b - k_{b_n}] on the 32-point
+    golden-angle lattice of radius 0.85.
 
     The divisor property |b/b_n| <= 1 + 1e-8 is sampled first, on the
     1024-point golden-angle lattice of radius 0.95 (both symbols are
     genuine analytic functions of the same discrete data, so the positive
     semidefiniteness is structural once the quotient is a self-map).
     """
-    if points is None:
-        points = interior_lattice(32, 0.85)
-    if len(points) > 64:
-        raise ValueError("at most 64 lattice points")
     sample_pts = interior_lattice(1024, 0.95)
     qb = np.asarray(b.eval(sample_pts), dtype=complex)
     qn = np.asarray(b_n.eval(sample_pts), dtype=complex)
@@ -181,6 +166,7 @@ def kernel_difference_psd(
     worst = float(np.max(ratio))
     if worst > 1.0 + 1e-8:
         raise NotADivisor(f"sampled |b/b_n| reaches {worst}")
+    points = interior_lattice(32, 0.85)
     lam, z = points[:, None], points[None, :]
     G = kernel_eval(b.eval, lam, z) - kernel_eval(b_n.eval, lam, z)
     G = 0.5 * (G + G.conj().T)
@@ -195,17 +181,6 @@ def kernel_difference_psd(
 class JRelationReport:
     annihilator_residual: float
     direct_residual: float
-    lam: complex
-    mode: str
-
-    def to_json(self) -> dict:
-        return {
-            "annihilator_residual": self.annihilator_residual,
-            "direct_residual": self.direct_residual,
-            "lam_re": self.lam.real,
-            "lam_im": self.lam.imag,
-            "mode": self.mode,
-        }
 
 
 def _fejer_polynomial_symbol(b: SymbolB, degree: int) -> np.ndarray:
@@ -258,21 +233,19 @@ def j_relation_residuals(
 
 def j_relation_check(
     b: SymbolB,
-    f: np.ndarray | None = None,
-    g: np.ndarray | None = None,
     lam: complex = 0.3,
     k_max: int = 32,
     mode: str = "fejer",
 ) -> JRelationReport:
-    """Verify the defining relation and the orthogonal-complement pairing.
+    """Verify the defining relation and the orthogonal-complement pairing on
+    the kernel tuple (f, g) at ``lam`` (:func:`kernel_tuple`).
 
-    Without explicit (f, g) the kernel tuple at ``lam`` is used.  In the
-    default mode the symbol is its own Fejer polynomial approximant with
-    Delta refitted on the grid, so both residuals vanish to rounding; in
-    ``direct`` mode the raw boundary samples of b are used (appropriate for
-    symbols with fast-converging coefficients, e.g. Blaschke products).  The
-    polynomial symbol has degree size/8 in the default mode and size/4 in
-    ``direct`` mode.
+    In the default mode the symbol is its own Fejer polynomial approximant
+    with Delta refitted on the grid, so both residuals vanish to rounding;
+    in ``direct`` mode the raw boundary samples of b are used (appropriate
+    for symbols with fast-converging coefficients, e.g. Blaschke products).
+    The polynomial symbol has degree size/8 in the default mode and size/4
+    in ``direct`` mode.
     """
     n = b.size
     band = n // 2 - 1
@@ -280,20 +253,15 @@ def j_relation_check(
         bc = _fejer_polynomial_symbol(b, n // 8)
         b_samples = synthesize_analytic(AnalyticSeries(bc), b.grid_log2)
         delta = np.sqrt(np.maximum(0.0, 1.0 - np.abs(b_samples) ** 2))
-        if f is None:
-            f, g = kernel_tuple(bc, delta, lam, b.grid_log2)
     elif mode == "direct":
         b_samples = b.boundary
         delta = b.delta
-        if f is None:
-            bc = _spectrum(b.boundary)[: n // 4 + 1]
-            f, g = kernel_tuple(bc, delta, lam, b.grid_log2)
+        bc = _spectrum(b.boundary)[: n // 4 + 1]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if g is None:
-        g = np.zeros(n, dtype=complex)
+    f, g = kernel_tuple(bc, delta, lam, b.grid_log2)
     ann, direct = j_relation_residuals(b_samples, delta, f, g, k_max, band)
-    return JRelationReport(ann, direct, complex(lam), mode)
+    return JRelationReport(ann, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +350,7 @@ def permanence_functional_check(
     resid = _max_orthogonality(members, 32, orth_band)
 
     top = max(PERMANENCE_DEGREES)
-    split = split_transform(members[0], weight_values=w.values, max_k=top)
+    split = split_transform(members[0], weight_values=w.values)
     u1 = split.u1.coeffs
 
     orders = 0

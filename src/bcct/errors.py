@@ -9,10 +9,6 @@ class OverlapError(ToolkitError):
     """Two gap arcs intersect (or share an endpoint)."""
 
 
-class EntropyDivergence(ToolkitError):
-    """The certified entropy tail bound of a gap family is not finite."""
-
-
 class DegenerateArc(ToolkitError):
     """An arc has normalized length >= 1 where a proper subarc is required."""
 
@@ -32,7 +28,7 @@ class ResolutionError(ToolkitError):
 
 
 class WeightNotLogIntegrable(ToolkitError):
-    """Quadrature of log(w) over the support fell below the floor."""
+    """A weight is not finite and positive on its carrier."""
 
 
 class IngredientMismatch(ToolkitError):

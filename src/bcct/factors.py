@@ -40,7 +40,6 @@ from .circle_sets import (
 )
 from .errors import ResolutionError, WeightNotLogIntegrable
 
-LOG_FLOOR = -1.0e3
 # Largest ratio of fitted constants on consecutive dyadic levels that the
 # derivative-growth certificates accept.
 STABILITY_FACTOR = 4.0
@@ -58,8 +57,8 @@ class BoundaryWeight:
     """Positive bounded weight supported on a closed carrier set.
 
     ``values`` holds full-grid samples; only entries under ``mask`` (the
-    carrier) are meaningful.  ``log_integral`` is the grid quadrature of
-    log(w) over the carrier, certified above the floor.
+    carrier) are meaningful, and they are finite and positive.  ``log_integral``
+    is the grid quadrature of log(w) over the carrier, at least log(1e-320).
     """
 
     support: BeurlingCarlesonSet
@@ -69,13 +68,10 @@ class BoundaryWeight:
     log_integral: float
 
 
-def boundary_weight(
-    E: BeurlingCarlesonSet,
-    values,
-    grid_log2: int,
-    floor: float = LOG_FLOOR,
-) -> BoundaryWeight:
-    """Build a :class:`BoundaryWeight` from samples or a callable of the angle."""
+def boundary_weight(E: BeurlingCarlesonSet, values, grid_log2: int) -> BoundaryWeight:
+    """Build a :class:`BoundaryWeight` from samples or a callable of the angle;
+    raises :class:`WeightNotLogIntegrable` unless they are finite and positive
+    on E."""
     n = 1 << grid_log2
     mask = indicator_mask(E, grid_log2)
     if callable(values):
@@ -89,13 +85,7 @@ def boundary_weight(
     on = vals[mask]
     if on.size and (np.any(~np.isfinite(on)) or np.any(on <= 0.0)):
         raise WeightNotLogIntegrable("weight must be finite and positive on the carrier")
-    with np.errstate(divide="ignore"):
-        logw = np.where(mask, np.log(np.maximum(vals, 1e-320)), 0.0)
-    log_integral = float(np.sum(logw[mask]) / n)
-    if not np.isfinite(log_integral) or log_integral <= floor:
-        raise WeightNotLogIntegrable(
-            f"quadrature of log w is {log_integral}, below the floor {floor}"
-        )
+    log_integral = float(np.sum(np.log(np.maximum(on, 1e-320))) / n)
     return BoundaryWeight(E, grid_log2, vals, mask, log_integral)
 
 
@@ -425,12 +415,12 @@ class DerivativeBoundReport:
     levels: tuple[float, ...]
     constants: dict
 
-    def stable(self, m: int, factor: float = STABILITY_FACTOR) -> bool:
+    def stable(self, m: int) -> bool:
         cs = [c for c in self.constants[m] if c > 0.0]
         if len(cs) <= 1:
             return True
         ratios = [max(a, b) / min(a, b) for a, b in zip(cs, cs[1:])]
-        return max(ratios) <= factor
+        return max(ratios) <= STABILITY_FACTOR
 
     def to_json(self) -> dict:
         return {
@@ -441,10 +431,10 @@ class DerivativeBoundReport:
         }
 
 
-def _certify_exp_factor(factor, carrier, orders_m, grid_log2, levels):
+def _certify_exp_factor(factor, carrier, orders_m, grid_log2):
     orders_m = sorted(set(int(m) for m in orders_m))
     m_top = max(orders_m) if orders_m else 0
-    windows = _dyadic_level_points(carrier, grid_log2, levels, factor, m_top)
+    windows = _dyadic_level_points(carrier, grid_log2, 4, factor, m_top)
     constants = {
         m: [float(np.max(mags[m] * dw ** (2 * m))) for _, dw, mags in windows] for m in orders_m
     }
@@ -459,19 +449,19 @@ def certify_W_derivatives(
     W: OuterFunction,
     E: BeurlingCarlesonSet,
     orders_m=(0, 1),
-    levels: int = 4,
 ) -> DerivativeBoundReport:
     """Check |d^m W(e^{it})/dt^m| <= C_m dist(e^{it}, E)^{-2m} off the carrier.
 
-    C_m is fitted per dyadic level as the max of |d^m W| * dist^{2m}; the
-    report flags whether consecutive-level ratios stay within STABILITY_FACTOR.
+    C_m is fitted per dyadic level, on the 4 deepest levels the grid
+    resolves, as the max of |d^m W| * dist^{2m}; the report flags whether
+    consecutive-level ratios stay within STABILITY_FACTOR.
     """
 
     def factor(z, m_max):
         H = _herglotz_log(W.log_modulus, z, m_max)
         return np.exp(H[0]), H[1:]
 
-    return _certify_exp_factor(factor, E, orders_m, W.grid_log2, levels)
+    return _certify_exp_factor(factor, E, orders_m, W.grid_log2)
 
 
 def certify_theta_derivatives(
@@ -479,7 +469,6 @@ def certify_theta_derivatives(
     carrier: BeurlingCarlesonSet,
     orders_m=(0, 1),
     grid_log2: int = 14,
-    levels: int = 4,
 ) -> DerivativeBoundReport:
     """Same protocol as :func:`certify_W_derivatives`, with the singular
     support inside the carrier set."""
@@ -491,7 +480,6 @@ def certify_theta_derivatives(
         carrier,
         orders_m,
         grid_log2,
-        levels,
     )
 
 
@@ -499,9 +487,10 @@ def certify_theta_derivatives(
 # external interfaces
 # ---------------------------------------------------------------------------
 
-def measure_from_json(source) -> SingularMeasure:
-    """Read ``{"atoms": [{"angle":.., "mass":.., "part":"C"|"K"}, ...]}``."""
-    obj = _read_json(source)
+def measure_from_json(path) -> SingularMeasure:
+    """Read ``{"atoms": [{"angle":.., "mass":.., "part":"C"|"K"}, ...]}`` from
+    the JSON file at ``path``."""
+    obj = _read_json(path)
     atoms = tuple(
         Atom(float(a["angle"]), float(a["mass"]), str(a.get("part", "C")))
         for a in obj["atoms"]

@@ -88,10 +88,9 @@ def interior_gap_atom(E: BeurlingCarlesonSet, mass: float = 0.1, part: str = "K"
     return Atom(g.start + 0.5 * (g.end - g.start), mass, part)
 
 
-def point_atom(angle: float = 2.0, mass: float = 0.1) -> tuple[BeurlingCarlesonSet, Atom]:
-    """A one-point carrier F with a C-tagged atom on it."""
-    F = point_carrier(angle)
-    return F, Atom(angle, mass, "C")
+def point_atom() -> tuple[BeurlingCarlesonSet, Atom]:
+    """A one-point carrier F at angle 2 with a C-tagged atom of mass 0.1 on it."""
+    return point_carrier(2.0), Atom(2.0, 0.1, "C")
 
 
 def standard_member(
@@ -99,7 +98,6 @@ def standard_member(
     p: AnalyticSeries,
     grid_log2: int,
     k_max: int = 12,
-    depth: float = 2.0,
     theta: InnerFunction | None = None,
     E: BeurlingCarlesonSet | None = None,
 ) -> KMember:
@@ -110,7 +108,7 @@ def standard_member(
         g_F = build_cutoff(F, k_max=k_max)
         return build_member("K1", p, cutoff=g_F, cutoff_set=F, theta=th, grid_log2=grid_log2)
     E = E if E is not None else two_gap()
-    w = taper_weight(E, grid_log2, depth)
+    w = taper_weight(E, grid_log2)
     W = outer_from_weight(w)
     g = build_cutoff(E, k_max=k_max)
     if family == "K":
@@ -128,20 +126,19 @@ def e_arc_subset(E: BeurlingCarlesonSet, index: int = 0) -> BeurlingCarlesonSet:
     return validate_set([Arc(a + span, a + TWO_PI)])
 
 
-def dbr_symbol(grid_log2: int, atom_mass: float = 0.1, level: float = 0.5):
-    """Extreme symbol on the two-gap set: |b| = level on E, atom at a gap
-    endpoint (a point of E), tagged as the part vanishing on measure-zero
-    carriers."""
+def dbr_symbol(grid_log2: int):
+    """Extreme symbol on the two-gap set: |b| = 0.5 on E, an atom of mass 0.1
+    at a gap endpoint (a point of E), tagged as the part vanishing on
+    measure-zero carriers."""
     E = two_gap()
-    nu = SingularMeasure((endpoint_atom(E, atom_mass, "K"),))
-    theta = InnerFunction((), nu)
-    return build_symbol(theta, const_weight(E, grid_log2, level))
+    theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+    return build_symbol(theta, const_weight(E, grid_log2))
 
 
-def dbr_divisor_pair(grid_log2: int, atom_mass: float = 0.1):
+def dbr_divisor_pair(grid_log2: int):
     """(b, b_n) of the contractive-containment recipe: b_n keeps |b| only on
     one arc of E and drops the singular atom."""
-    b = dbr_symbol(grid_log2, atom_mass)
+    b = dbr_symbol(grid_log2)
     sub = e_arc_subset(b.support, 0)
     b_n = restricted_symbol(b, sub, inner_part=InnerFunction())
     return b, b_n

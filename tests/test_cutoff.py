@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bcct._expderiv import _dyadic_level_points
 from bcct.circle_sets import ANGLE_SLACK, TWO_PI, Arc, dist_to_set, rotate_set, validate_set
 from bcct.cutoff import (
+    TAIL_RADIUS,
     boundary_samples,
     build_cutoff,
     certify_decay,
@@ -166,7 +167,7 @@ class TestTruncation:
         c1 = build_cutoff(E, k_max=8)
         c2 = build_cutoff(E, k_max=16)
         rng = np.random.default_rng(6)
-        z = c1.tail_radius * disk_points(rng, 100)
+        z = TAIL_RADIUS * disk_points(rng, 100)
         change = np.max(np.abs(eval_h(c1, z) - eval_h(c2, z)))
         assert change <= 2.0 * c1.tail_bound
 
@@ -195,7 +196,7 @@ class TestDecayCertificate:
     def test_resolution_guard(self, E):
         c = build_cutoff(E, k_max=4)
         with pytest.raises(ResolutionError):
-            certify_decay(c, E, orders_N=(0,), orders_m=(0,), grid_log2=9, levels=8)
+            certify_decay(c, E, orders_N=(0,), orders_m=(0,), grid_log2=8)
 
     def test_report_json_shape(self, E):
         c = build_cutoff(E, k_max=8)

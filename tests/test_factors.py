@@ -48,10 +48,6 @@ class TestBoundaryWeight:
         with pytest.raises(WeightNotLogIntegrable):
             boundary_weight(E, 0.0, G)
 
-    def test_rejects_deep_floor(self, E):
-        with pytest.raises(WeightNotLogIntegrable):
-            boundary_weight(E, 1e-320, G, floor=-100.0)
-
     def test_log_integral_quadrature(self, E):
         w = boundary_weight(E, 0.25, G)
         frac = np.count_nonzero(w.mask) / (1 << G)
@@ -167,8 +163,8 @@ class TestWDerivatives:
         # the fitted constants drift by about 2 per level, inside the factor
         w = boundary_weight(E, 0.5, 14)
         W = outer_from_weight(w)
-        rep = certify_W_derivatives(W, E, orders_m=(1,), levels=4)
-        assert rep.stable(1, factor=4.0)
+        rep = certify_W_derivatives(W, E, orders_m=(1,))
+        assert rep.stable(1)
 
 
 class TestSingularInner:
@@ -279,8 +275,8 @@ class TestThetaDerivatives:
     def test_single_atom_stability(self):
         F = point_carrier(0.0)
         theta = InnerFunction((), SingularMeasure((Atom(0.0, 0.1),)))
-        rep = certify_theta_derivatives(theta, F, orders_m=(1,), grid_log2=14, levels=4)
-        assert rep.stable(1, factor=4.0)
+        rep = certify_theta_derivatives(theta, F, orders_m=(1,), grid_log2=14)
+        assert rep.stable(1)
 
     def test_atom_outside_carrier_rejected(self):
         F = point_carrier(0.0)
@@ -290,11 +286,13 @@ class TestThetaDerivatives:
 
 
 class TestJsonInterfaces:
-    def test_measure_schema(self):
-        nu = measure_from_json(
+    def test_measure_schema(self, tmp_path):
+        p = tmp_path / "nu.json"
+        p.write_text(
             '{"atoms": [{"angle": 0.5, "mass": 0.1, "part": "C"},'
             ' {"angle": 2.0, "mass": 0.2, "part": "K"}]}'
         )
+        nu = measure_from_json(p)
         assert nu.total_mass == pytest.approx(0.3)
         assert nu.part_mass("K") == pytest.approx(0.2)
 

@@ -277,4 +277,4 @@ class TestMeasureMu:
 
         mu = MeasureMu.build(1.0, w, k_max=1024)
         assert mu.betas[0] == pytest.approx(0.5)
-        assert mu.tail_ratio_spread(64) <= 0.10
+        assert mu.tail_ratio_spread() <= 0.10

@@ -381,13 +381,13 @@ class TestSplit:
 
     def test_smooth_piece_decay(self):
         m = standard_member("K2", monomial(0), 16, k_max=14)
-        res = split_transform(m, fit_window=(64, 1024))
+        res = split_transform(m)
         assert res.u1_decay <= -3.0
 
     def test_u2_functional_constants(self, E):
         w = taper_weight(E, G)
         m = standard_member("K2", monomial(0), G, k_max=12)
-        res = split_transform(m, weight_values=w.values, max_k=32)
+        res = split_transform(m, weight_values=w.values)
         consts = res.u2_functional_constants
         assert len(consts) == 33
         # fitted constants stabilize: later maxima do not outgrow early ones
