@@ -42,7 +42,6 @@ from .transforms import (
     split_transform,
 )
 from .spaces import (
-    DualSequence,
     WeightSequence,
     annihilator_check,
     d_space_gram,

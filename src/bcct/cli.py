@@ -62,53 +62,17 @@ K_MAX_LIMIT = 40
 
 
 @dataclass
-class RunConfig:
-    suites: list[str] = field(default_factory=lambda: list(SUITES))
-    set_json: str | None = None
-    coeffs_csv: str | None = None
-    measure_json: str | None = None
-    grid_log2: int = 14
-    k_max: int = 10
-    tol: float | None = None
-    out_dir: Path = Path("bcct_out")
-    seed: int = 0
-
-    def validate(self) -> _Run:
-        """Check every flag and parse every input file, once; return the run."""
-        for s in self.suites:
-            if s not in SUITES:
-                raise ConfigError(f"unknown suite {s!r}")
-        if self.grid_log2 < 8 or self.grid_log2 > 24:
-            raise ConfigError("grid log2 size must be in [8, 24]")
-        if not 0 <= self.k_max <= K_MAX_LIMIT:
-            raise ConfigError(f"k_max must be in [0, {K_MAX_LIMIT}]")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError("tolerance must be positive and finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        parsed = {}
-        for kind, ref, parse in (
-            ("set", self.set_json, _read_set),
-            ("coefficient", self.coeffs_csv, _read_coeffs_csv),
-            ("measure", self.measure_json, measure_from_json),
-        ):
-            if ref is None:
-                continue
-            if not Path(ref).exists():
-                raise ConfigError(f"referenced file {ref} does not exist")
-            parsed[kind] = _parse_input(kind, parse, ref)
-        E = parsed.get("set") or fixtures.two_gap()
-        nu = parsed.get("measure") or SingularMeasure((fixtures.endpoint_atom(E, 0.1, "K"),))
-        coeffs = parsed.get("coefficient") or AnalyticSeries(2.0 ** (-np.arange(257, dtype=float)))
-        return _Run(self, E, nu, coeffs)
-
-
-@dataclass
 class _Run:
-    """One run: its config, its parsed inputs, and the ingredients several
-    suites share, each built on first use.  Suites must not modify them."""
+    """One run: its checked flags, its parsed inputs, and the ingredients
+    several suites share, each built on first use.  Suites must not modify
+    them."""
 
-    cfg: RunConfig
+    suites: list[str]
+    grid_log2: int
+    k_max: int
+    tol: float | None
+    out_dir: Path
+    seed: int
     E: BeurlingCarlesonSet
     measure: SingularMeasure
     coeffs: AnalyticSeries
@@ -116,7 +80,7 @@ class _Run:
 
     @cached_property
     def weight(self) -> BoundaryWeight:
-        return fixtures.taper_weight(self.E, self.cfg.grid_log2)
+        return fixtures.taper_weight(self.E, self.grid_log2)
 
     @cached_property
     def outer(self) -> OuterFunction:
@@ -124,11 +88,11 @@ class _Run:
 
     @cached_property
     def cutoff(self) -> CutoffFunction:
-        return build_cutoff(self.E, k_max=self.cfg.k_max)
+        return build_cutoff(self.E, k_max=self.k_max)
 
     @cached_property
     def cutoff_samples(self) -> np.ndarray:
-        return cutoff_boundary_samples(self.cutoff, self.cfg.grid_log2)
+        return cutoff_boundary_samples(self.cutoff, self.grid_log2)
 
     def member(self, k: int) -> KMember:
         """The family-K member s = conj(zeta z^k g W), built once per k."""
@@ -177,8 +141,8 @@ def _check(name: str, value, threshold, ok) -> dict:
 # ---------------------------------------------------------------------------
 
 def suite_whitney(run: _Run) -> dict:
-    cfg, E = run.cfg, run.E
-    arcs = assign_lambdas(whitney_decompose(E, cfg.k_max))
+    E = run.E
+    arcs = assign_lambdas(whitney_decompose(E, run.k_max))
     len_resid = max(
         abs(w.length - E.gaps[w.parent].length / (3.0 * 2.0 ** abs(w.rank)))
         for w in arcs
@@ -187,8 +151,8 @@ def suite_whitney(run: _Run) -> dict:
     c = _whitney_mass(np.array([w.length for w in arcs]))
     lam = np.array([w.lam for w in arcs])
     bound = 2.0 * math.sqrt(c.sum()) + c.sum()
-    whitney_to_csv(arcs, cfg.out_dir / "whitney.csv")
-    residuals = whitney_residuals(E, cfg.k_max)
+    whitney_to_csv(arcs, run.out_dir / "whitney.csv")
+    residuals = whitney_residuals(E, run.k_max)
     checks = [
         _check("length_rule", len_resid, 1e-12, len_resid <= 1e-12),
         _check("distance_rule", dist_resid, 1e-12, dist_resid <= 1e-12),
@@ -209,15 +173,15 @@ def disk_points(rng, count: int) -> np.ndarray:
 
 
 def suite_cutoff(run: _Run) -> dict:
-    cfg, E, c = run.cfg, run.E, run.cutoff
-    pts = disk_points(np.random.default_rng(cfg.seed), 10**4)
+    E, c = run.E, run.cutoff
+    pts = disk_points(np.random.default_rng(run.seed), 10**4)
     re_h = float(np.max(np.real(eval_h(c, pts))))
     g_mag = float(np.max(np.abs(eval_g(c, pts))))
     # Shallow-level ratios for higher orders are not monotone under the
     # tail-sum multiplier rule; the CLI certifies the plain modulus decay and
     # reports the rest (deep-level certification needs finer grids).
-    rep = certify_decay(c, E, orders_N=(0,), orders_m=(0,), grid_log2=cfg.grid_log2)
-    _write_json(cfg.out_dir / "cutoff_decay.json", rep.to_json())
+    rep = certify_decay(c, E, orders_N=(0,), orders_m=(0,), grid_log2=run.grid_log2)
+    _write_json(run.out_dir / "cutoff_decay.json", rep.to_json())
     checks = [
         _check("re_h_negative", re_h, 0.0, re_h < 0.0),
         _check("g_bounded", g_mag, 1.0 + 1e-12, g_mag <= 1.0 + 1e-12),
@@ -227,17 +191,17 @@ def suite_cutoff(run: _Run) -> dict:
 
 
 def suite_outer(run: _Run) -> dict:
-    cfg, E, w, W = run.cfg, run.E, run.weight, run.outer
+    E, w, W = run.E, run.weight, run.outer
     w0 = abs(complex(W.eval(0.0))) - math.exp(w.log_integral)
-    n = 1 << cfg.grid_log2
+    n = 1 << run.grid_log2
     neg = float(np.max(np.abs(W.spectrum[n // 2 + 1 :])))
     mod = float(np.max(np.abs(np.abs(W.boundary[w.mask]) - w.values[w.mask])))
     # derivative growth is certified on a weight with a genuine edge value
     # (the tapered weight is C^1 at the edge, so W' stays bounded and the
     # fitted constants scale like dist^2, exactly at the stability factor)
-    w_edge = fixtures.const_weight(E, cfg.grid_log2, 0.5)
+    w_edge = fixtures.const_weight(E, run.grid_log2, 0.5)
     rep = certify_W_derivatives(outer_from_weight(w_edge), E, orders_m=(0, 1))
-    _write_json(cfg.out_dir / "outer_derivatives.json", rep.to_json())
+    _write_json(run.out_dir / "outer_derivatives.json", rep.to_json())
     checks = [
         _check("center_value_identity", abs(w0), 1e-8, abs(w0) <= 1e-8),
         _check("analyticity", neg, 1e-8, neg <= 1e-8),
@@ -248,10 +212,9 @@ def suite_outer(run: _Run) -> dict:
 
 
 def suite_transform(run: _Run) -> dict:
-    cfg = run.cfg
     checks = []
     rows = []
-    hi = min(1024, (1 << cfg.grid_log2) // 4)
+    hi = min(1024, (1 << run.grid_log2) // 4)
     for k in (0, 1, 3):
         member = run.member(k)
         res = smooth_transform(member, fit_window=(64, hi))
@@ -263,7 +226,7 @@ def suite_transform(run: _Run) -> dict:
             checks.append(_check("flip", flip, 1e-2, flip <= 1e-2))
             checks.append(_check("backshift", back, 1e-10, back <= 1e-10))
         checks.append(_check(f"decay_slope_p{k}", res.decay_fit, None, True))
-    with open(cfg.out_dir / "transform_spectrum.csv", "w", newline="") as fh:
+    with open(run.out_dir / "transform_spectrum.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["p", "n", "abs_S_n"])
         for k, res in rows:
@@ -292,11 +255,11 @@ def _read_coeffs_csv(path) -> AnalyticSeries:
 
 
 def suite_weights(run: _Run) -> dict:
-    cfg, coeffs = run.cfg, run.coeffs
+    coeffs = run.coeffs
     seq = rapid_weight(coeffs, 4)
     total = float(np.sum(seq.alpha * np.abs(coeffs.coeffs) ** 2))
     budget = coeffs.norm_h2() ** 2 + 2.0
-    with open(cfg.out_dir / "weights_alpha.csv", "w", newline="") as fh:
+    with open(run.out_dir / "weights_alpha.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["k", "alpha_k"])
         for i, a in enumerate(seq.alpha):
@@ -324,13 +287,12 @@ def suite_annihilator(run: _Run) -> dict:
 
 
 def suite_permanence(run: _Run) -> dict:
-    cfg = run.cfg
     theta = InnerFunction((), run.measure)
-    band = 1 << min(cfg.grid_log2 + 4, 20)
+    band = 1 << min(run.grid_log2 + 4, 20)
     rep = permanence_functional_check(
-        theta, run.E, run.weight, cutoff_kmax=cfg.k_max, orth_band=band
+        theta, run.E, run.weight, cutoff_kmax=run.k_max, orth_band=band
     )
-    tol = cfg.tol if cfg.tol is not None else 1e-4
+    tol = run.tol if run.tol is not None else 1e-4
     checks = [
         _check("orthogonality", rep.orthogonality_residual, tol, rep.orthogonality_residual <= tol),
         _check("u1_stability", rep.u1_stability, 2.0, rep.u1_stability <= 2.0),
@@ -340,7 +302,7 @@ def suite_permanence(run: _Run) -> dict:
 
 
 def suite_dbr_psd(run: _Run) -> dict:
-    b, b_n = fixtures.dbr_divisor_pair(min(run.cfg.grid_log2, 14))
+    b, b_n = fixtures.dbr_divisor_pair(min(run.grid_log2, 14))
     min_eig = kernel_difference_psd(b, b_n)
     swap_failed = False
     try:
@@ -367,19 +329,18 @@ _SUITE_FN = {
 SUITES = tuple(_SUITE_FN)
 
 
-def run_suite(cfg: RunConfig) -> int:
-    """Execute the selected suites, write verdicts, return the exit status."""
-    run = cfg.validate()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def run_suite(run: _Run) -> int:
+    """Execute the run's suites, write verdicts, return the exit status."""
+    run.out_dir.mkdir(parents=True, exist_ok=True)
     ok = True
-    for name in cfg.suites:
+    for name in run.suites:
         try:
             res = _SUITE_FN[name](run)
         except ToolkitError as exc:
             res = {"checks": [_check("execution", str(exc), None, False)]}
         res["suite"] = name
         res["pass"] = all(c["pass"] for c in res["checks"])
-        _write_json(cfg.out_dir / f"{name}.json", res)
+        _write_json(run.out_dir / f"{name}.json", res)
         print(f"[{'pass' if res['pass'] else 'FAIL'}] suite {name}")
         ok = ok and res["pass"]
     return 0 if ok else 1
@@ -389,12 +350,16 @@ def run_suite(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=str, default=None, help="output directory")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=14, help="log2 of the grid size")
     p.add_argument("--kmax", type=int, default=10,
                    help=f"Whitney truncation depth, at most {K_MAX_LIMIT}")
     p.add_argument("--tol", type=float, default=None, help="override check tolerance")
-    p.add_argument("--out", type=str, default=None, help="output directory")
+    _add_out(p)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--set", dest="set_json", type=str, default=None, help="set JSON file")
     p.add_argument("--measure", dest="measure_json", type=str, default=None)
@@ -411,17 +376,33 @@ def _out_dir(args) -> Path:
     return Path("bcct_out")
 
 
-def _config_from(args, suites) -> RunConfig:
-    return RunConfig(
-        suites=list(suites),
-        set_json=args.set_json,
-        coeffs_csv=args.coeffs_csv,
-        measure_json=args.measure_json,
-        grid_log2=args.grid,
-        k_max=args.kmax,
-        tol=args.tol,
-        out_dir=_out_dir(args),
-        seed=args.seed,
+def _run_from(args, suites) -> _Run:
+    """Check every flag and parse every input file, once; return the run."""
+    if args.grid < 8 or args.grid > 24:
+        raise ConfigError("grid log2 size must be in [8, 24]")
+    if not 0 <= args.kmax <= K_MAX_LIMIT:
+        raise ConfigError(f"k_max must be in [0, {K_MAX_LIMIT}]")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError("tolerance must be positive and finite")
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    parsed = {}
+    for kind, ref, parse in (
+        ("set", args.set_json, _read_set),
+        ("coefficient", args.coeffs_csv, _read_coeffs_csv),
+        ("measure", args.measure_json, measure_from_json),
+    ):
+        if ref is None:
+            continue
+        if not Path(ref).exists():
+            raise ConfigError(f"referenced file {ref} does not exist")
+        parsed[kind] = _parse_input(kind, parse, ref)
+    E = parsed.get("set") or fixtures.two_gap()
+    nu = parsed.get("measure") or SingularMeasure((fixtures.endpoint_atom(E, 0.1, "K"),))
+    coeffs = parsed.get("coefficient") or AnalyticSeries(2.0 ** (-np.arange(257, dtype=float)))
+    return _Run(
+        suites=list(suites), grid_log2=args.grid, k_max=args.kmax, tol=args.tol,
+        out_dir=_out_dir(args), seed=args.seed, E=E, measure=nu, coeffs=coeffs,
     )
 
 
@@ -434,15 +415,9 @@ def main(argv=None) -> int:
 
     p_validate = sub.add_parser("validate", help="validate a set JSON file")
     p_validate.add_argument("set_file")
-    _add_common(p_validate)
+    _add_out(p_validate)
 
-    for name, suite in (
-        ("whitney", ["whitney"]),
-        ("cutoff", ["cutoff"]),
-        ("outer", ["outer"]),
-        ("transform", ["transform"]),
-        ("weights", ["weights"]),
-    ):
+    for name in ("whitney", "cutoff", "outer", "transform", "weights"):
         p = sub.add_parser(name, help=f"run the {name} suite")
         _add_common(p)
 
@@ -451,7 +426,7 @@ def main(argv=None) -> int:
     _add_common(p_verify)
 
     p_report = sub.add_parser("report", help="aggregate verdicts in the output directory")
-    _add_common(p_report)
+    _add_out(p_report)
 
     args = parser.parse_args(argv)
 
@@ -470,14 +445,16 @@ def main(argv=None) -> int:
             for f in sorted(out_dir.glob("*.json")):
                 obj = _parse_input("verdict", lambda p: json.loads(p.read_text()), f)
                 if isinstance(obj, dict) and "pass" in obj:
+                    if not isinstance(obj["pass"], bool):
+                        raise ConfigError(f"invalid verdict file {f}: pass is not a boolean")
                     print(f"{f.name}: {'pass' if obj['pass'] else 'FAIL'}")
-                    ok = ok and bool(obj["pass"])
+                    ok = ok and obj["pass"]
             return 0 if ok else 1
         if args.command == "verify":
             chosen = args.suite or ["all"]
             suites = list(SUITES) if "all" in chosen else chosen
-            return run_suite(_config_from(args, suites))
-        return run_suite(_config_from(args, [args.command]))
+            return run_suite(_run_from(args, suites))
+        return run_suite(_run_from(args, [args.command]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -231,36 +231,22 @@ def j_relation_residuals(
     return float(np.max(np.abs(coeffs[: k_max + 1]))), float(np.linalg.norm(coeffs))
 
 
-def j_relation_check(
-    b: SymbolB,
-    lam: complex = 0.3,
-    k_max: int = 32,
-    mode: str = "fejer",
-) -> JRelationReport:
+def j_relation_check(b: SymbolB, lam: complex = 0.3, k_max: int = 32) -> JRelationReport:
     """Verify the defining relation and the orthogonal-complement pairing on
     the kernel tuple (f, g) at ``lam`` (:func:`kernel_tuple`).
 
-    In the default mode the symbol is its own Fejer polynomial approximant
-    with Delta refitted on the grid, so both residuals vanish to rounding;
-    in ``direct`` mode the raw boundary samples of b are used (appropriate
-    for symbols with fast-converging coefficients, e.g. Blaschke products).
-    The polynomial symbol has degree size/8 in the default mode and size/4
-    in ``direct`` mode.
+    The symbol is replaced by its Fejer polynomial approximant of degree
+    size/8, with Delta refitted on the grid, so both residuals vanish to
+    rounding.  For a symbol with fast-converging coefficients, such as a
+    Blaschke product, compose :func:`kernel_tuple` with
+    :func:`j_relation_residuals` on the raw boundary samples instead.
     """
     n = b.size
-    band = n // 2 - 1
-    if mode == "fejer":
-        bc = _fejer_polynomial_symbol(b, n // 8)
-        b_samples = synthesize_analytic(AnalyticSeries(bc), b.grid_log2)
-        delta = np.sqrt(np.maximum(0.0, 1.0 - np.abs(b_samples) ** 2))
-    elif mode == "direct":
-        b_samples = b.boundary
-        delta = b.delta
-        bc = _spectrum(b.boundary)[: n // 4 + 1]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    bc = _fejer_polynomial_symbol(b, n // 8)
+    b_samples = synthesize_analytic(AnalyticSeries(bc), b.grid_log2)
+    delta = np.sqrt(np.maximum(0.0, 1.0 - np.abs(b_samples) ** 2))
     f, g = kernel_tuple(bc, delta, lam, b.grid_log2)
-    ann, direct = j_relation_residuals(b_samples, delta, f, g, k_max, band)
+    ann, direct = j_relation_residuals(b_samples, delta, f, g, k_max, n // 2 - 1)
     return JRelationReport(ann, direct)
 
 

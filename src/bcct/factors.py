@@ -69,14 +69,12 @@ class BoundaryWeight:
 
 
 def boundary_weight(E: BeurlingCarlesonSet, values, grid_log2: int) -> BoundaryWeight:
-    """Build a :class:`BoundaryWeight` from samples or a callable of the angle;
-    raises :class:`WeightNotLogIntegrable` unless they are finite and positive
-    on E."""
+    """Build a :class:`BoundaryWeight` from one value or from samples on the
+    full grid (at :func:`grid_angles`); raises :class:`WeightNotLogIntegrable`
+    unless they are finite and positive on E."""
     n = 1 << grid_log2
     mask = indicator_mask(E, grid_log2)
-    if callable(values):
-        vals = np.asarray(values(grid_angles(grid_log2)), dtype=float)
-    elif np.isscalar(values):
+    if np.isscalar(values):
         vals = np.full(n, float(values))
     else:
         vals = np.asarray(values, dtype=float)

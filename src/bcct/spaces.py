@@ -1,9 +1,10 @@
 """Weight sequences and the weighted coefficient spaces built on them.
 
 X(alpha) is the Hilbert space of power series with norm
-``sqrt(sum alpha_k |f_k|^2)``; the dual sequence is the termwise reciprocal
-and the duality pairing is the plain coefficient pairing, which agrees with
-the boundary L^2 pairing on H^2.  The constructor :func:`rapid_weight`
+``sqrt(sum alpha_k |f_k|^2)``; the functions here take the weights as an
+array.  The dual weight is the reciprocal array ``1.0 / alpha`` and the
+duality pairing is the plain coefficient pairing, which agrees with the
+boundary L^2 pairing on H^2.  The constructor :func:`rapid_weight`
 turns a rapidly decaying coefficient vector into a rapidly increasing
 weight: block k in [K(N), K(N+1)) gets alpha_k = k^N where K(N) is the
 first index whose weighted tail drops below 2^-N, and the growth is capped
@@ -24,7 +25,6 @@ from .transforms import KMember
 
 __all__ = [
     "WeightSequence",
-    "DualSequence",
     "rapid_weight",
     "x_norm",
     "pairing",
@@ -61,20 +61,6 @@ class WeightSequence:
         return len(self.alpha)
 
 
-@dataclass(frozen=True)
-class DualSequence:
-    """Termwise reciprocals of a weight sequence."""
-
-    parent: WeightSequence
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return 1.0 / self.parent.alpha
-
-    def __len__(self) -> int:
-        return len(self.parent)
-
-
 def _certify_flags(alpha: np.ndarray, n_orders: int) -> tuple[bool, int, bool]:
     k = np.arange(len(alpha), dtype=float)
     increasing = bool(np.all(np.diff(alpha) >= -1e-15))
@@ -93,7 +79,7 @@ def _certify_flags(alpha: np.ndarray, n_orders: int) -> tuple[bool, int, bool]:
     return increasing, orders, root_ok
 
 
-def rapid_weight(S: AnalyticSeries | np.ndarray, n_max: int) -> WeightSequence:
+def rapid_weight(S: AnalyticSeries, n_max: int) -> WeightSequence:
     """Weight sequence adapted to the coefficient vector S.
 
     K(N) is the least index with ``sum_{k>=K} k^N |S_k|^2 < 2^-N`` on the
@@ -102,7 +88,7 @@ def rapid_weight(S: AnalyticSeries | np.ndarray, n_max: int) -> WeightSequence:
     Raises :class:`RangeExhausted` when even the full range cannot push the
     order-n_max tail below its threshold.
     """
-    coeffs = S.coeffs if isinstance(S, AnalyticSeries) else np.asarray(S, dtype=complex)
+    coeffs = S.coeffs
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     d = len(coeffs) - 1
@@ -144,9 +130,8 @@ def rapid_weight(S: AnalyticSeries | np.ndarray, n_max: int) -> WeightSequence:
     )
 
 
-def x_norm(f: AnalyticSeries, weights: WeightSequence | DualSequence | np.ndarray) -> float:
+def x_norm(f: AnalyticSeries, alpha: np.ndarray) -> float:
     """sqrt(sum alpha_k |f_k|^2); the vector may not outrun the weights."""
-    alpha = weights.alpha if hasattr(weights, "alpha") else np.asarray(weights, dtype=float)
     if len(f.coeffs) > len(alpha):
         raise LengthMismatch(f"{len(f.coeffs)} coefficients vs {len(alpha)} weights")
     return float(np.sqrt(np.sum(alpha[: len(f.coeffs)] * np.abs(f.coeffs) ** 2)))
@@ -162,14 +147,14 @@ def pairing(f: AnalyticSeries, g: AnalyticSeries) -> complex:
 # Toeplitz truncations
 # ---------------------------------------------------------------------------
 
-def toeplitz_truncation(h: AnalyticSeries, d: int, mode: str) -> np.ndarray:
-    """(d+1)x(d+1) truncation of a Toeplitz operator with analytic symbol h.
-
-    ``co-analytic`` builds h(L) (L the backward shift), an upper triangular
-    Toeplitz matrix; the span of 1..z^d is invariant, so on an increasing
-    weighted space the matrix norm is at most the sup norm of h.
-    ``multiplier`` builds the compression of multiplication by h, lower
-    triangular, bounded the same way on a decreasing weighted space.
+def toeplitz_truncation(h: AnalyticSeries, d: int) -> np.ndarray:
+    """(d+1)x(d+1) truncation of h(L), L the backward shift, for an analytic
+    symbol h: the upper triangular Toeplitz matrix with h_n on the n-th
+    superdiagonal.  The span of 1..z^d is invariant, so on an increasing
+    weighted space the matrix norm is at most the sup norm of h.  Its
+    transpose is the compression of multiplication by h, lower triangular,
+    bounded the same way on a decreasing weighted space such as the dual
+    weights ``1.0 / alpha``.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -177,18 +162,12 @@ def toeplitz_truncation(h: AnalyticSeries, d: int, mode: str) -> np.ndarray:
     M = np.zeros((d + 1, d + 1), dtype=complex)
     for n, cn in enumerate(c):
         idx = np.arange(d + 1 - n)
-        if mode == "co-analytic":
-            M[idx, idx + n] = cn
-        elif mode == "multiplier":
-            M[idx + n, idx] = cn
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        M[idx, idx + n] = cn
     return M
 
 
-def weighted_operator_norm(M: np.ndarray, weights) -> float:
-    """Operator norm of M as a map on the weighted truncated space."""
-    alpha = weights.alpha if hasattr(weights, "alpha") else np.asarray(weights, dtype=float)
+def weighted_operator_norm(M: np.ndarray, alpha: np.ndarray) -> float:
+    """Operator norm of M as a map on the space with weights alpha."""
     d = np.sqrt(alpha[: M.shape[0]])
     return float(np.linalg.norm((M * d[:, None]) / d[None, :], 2))
 
@@ -246,28 +225,6 @@ def moments_beta(C: float, k_max: int) -> np.ndarray:
     return np.exp(np.array(lg))
 
 
-@dataclass(frozen=True)
-class MeasureMu:
-    """Radially weighted area measure plus a boundary weight: the data of
-    (1-|z|^2)^C dA + w dm, with the diagonal moments beta_k precomputed."""
-
-    exponent: float
-    weight: BoundaryWeight
-    betas: np.ndarray
-
-    @classmethod
-    def build(cls, exponent: float, weight: BoundaryWeight, k_max: int = 256) -> "MeasureMu":
-        return cls(exponent, weight, moments_beta(exponent, k_max))
-
-    def tail_ratio_spread(self) -> float:
-        """Relative spread of beta_k k^(C+1), k >= 64, around its fitted
-        constant."""
-        k = np.arange(64, len(self.betas), dtype=float)
-        vals = self.betas[64:] * k ** (self.exponent + 1.0)
-        center = math.exp(float(np.mean(np.log(vals))))
-        return float(np.max(np.abs(vals / center - 1.0)))
-
-
 def moments_beta_quadrature(C: float, k_max: int) -> np.ndarray:
     """256-node Gauss-Legendre cross-check of the moment integrals
     int_0^1 u^k (1-u)^C du."""
@@ -282,17 +239,17 @@ def moments_beta_quadrature(C: float, k_max: int) -> np.ndarray:
 # the diagonal space
 # ---------------------------------------------------------------------------
 
-def d_space_gram(dual: DualSequence | np.ndarray, w: BoundaryWeight, d: int) -> np.ndarray:
+def d_space_gram(alpha_inv: np.ndarray, w: BoundaryWeight, d: int) -> np.ndarray:
     """Gram matrix of the monomial tuples (z^j, z^j) in X(alpha^-1) + L^2(w).
 
         G[j, k] = delta_jk / alpha_j + int_E zeta^j conj(zeta^k) w dm
 
     Hermitian positive definite at any finite degree; its least eigenvalue
     is the finite-scale evidence that the diagonal space embeds injectively.
+    ``alpha_inv`` is the dual weight array 1 / alpha.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    alpha_inv = dual.alpha if hasattr(dual, "alpha") else np.asarray(dual, dtype=float)
     if len(alpha_inv) < d + 1:
         raise LengthMismatch("weight sequence shorter than the requested degree")
     n = 1 << w.grid_log2

@@ -142,6 +142,26 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+IGNORED_FLAGS = {
+    "validate_grid": lambda d: ["validate", str(write_one_gap(d)), "--grid", "99"],
+    "validate_measure": lambda d: ["validate", str(write_one_gap(d)), "--measure", "missing.json"],
+    "report_seed": lambda d: ["report", "--seed", "-1"],
+    "report_set": lambda d: ["report", "--set", "missing.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))
+def test_flag_a_subcommand_does_not_take_exits_2(tmp_path, capsys, case):
+    # validate reads only its set file and --out, report only --out
+    argv = IGNORED_FLAGS[case](tmp_path) + ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
 def test_heavy_atom_fails_permanence(tmp_path, capsys):
     # e^{-800} underflows, so theta's coefficients cannot be formed; the
     # suite must fail, not report a residual of 0.0
@@ -274,6 +294,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ['"false"', "null"])
+    def test_non_boolean_pass_exits_2(self, tmp_path, capsys, flag):
+        # bool("false") is True: only a JSON boolean is a verdict
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "whitney.json").write_text(f'{{"suite": "whitney", "pass": {flag}}}')
+        assert main(["report", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
 
     def test_missing_out_dir_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 2

@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bcct.boundary_calculus import _spectrum
 from bcct.circle_sets import TWO_PI
 from bcct.dbr import (
     build_symbol,
@@ -157,9 +158,12 @@ class TestJRelation:
         b = build_symbol(theta, const_weight(E, G, 1.0))
         # unimodular up to rounding; the square root amplifies eps to ~1e-8
         assert np.max(b.delta) <= 1e-7
-        rep = j_relation_check(b, lam=0.3, k_max=32, mode="direct")
-        assert rep.annihilator_residual <= 1e-8
-        assert rep.direct_residual <= 1e-8
+        # the raw boundary samples of b, its coefficients up to size/4
+        n = b.size
+        f, g = kernel_tuple(_spectrum(b.boundary)[: n // 4 + 1], b.delta, 0.3, b.grid_log2)
+        ann, direct = j_relation_residuals(b.boundary, b.delta, f, g, 32, n // 2 - 1)
+        assert ann <= 1e-8
+        assert direct <= 1e-8
 
     def test_zero_tuple(self):
         b = dbr_symbol(G)

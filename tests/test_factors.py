@@ -53,6 +53,17 @@ class TestBoundaryWeight:
         frac = np.count_nonzero(w.mask) / (1 << G)
         assert w.log_integral == pytest.approx(frac * math.log(0.25), abs=1e-13)
 
+    @pytest.mark.parametrize("grid_log2", [10, 12, 14])
+    def test_taper_weight_closed_form(self, E, grid_log2):
+        # E = [1/8, 1/2] u [19/32, 1] in turns: exp(-2 sin^2(pi u / span)) is
+        # 1 at each arc's ends and exp(-2) at its midpoint; w = 1 off E
+        n = 1 << grid_log2
+        w = taper_weight(E, grid_log2)
+        assert np.all(w.values[~w.mask] == 1.0)
+        assert np.all(w.values[[n // 8, n // 2, 19 * n // 32, 0]] == 1.0)
+        assert np.all(w.values[[5 * n // 16, 51 * n // 64]] == math.exp(-2.0))
+        assert np.all((w.values >= math.exp(-2.0)) & (w.values <= 1.0))
+
 
 class TestOuter:
     def test_nearly_full_circle_constant(self):

@@ -11,7 +11,6 @@ from bcct.fixtures import monomial, standard_member, taper_weight, two_gap
 from bcct.factors import boundary_weight
 from bcct.circle_sets import TWO_PI, Arc, validate_set
 from bcct.spaces import (
-    DualSequence,
     WeightSequence,
     annihilator_check,
     d_space_gram,
@@ -85,7 +84,7 @@ class TestRapidWeight:
 class TestNormsAndPairing:
     def test_monomial_norm(self):
         seq = WeightSequence(np.array([1.0, 4.0, 9.0]))
-        assert x_norm(monomial(2), seq) == pytest.approx(3.0)
+        assert x_norm(monomial(2), seq.alpha) == pytest.approx(3.0)
 
     def test_unit_weights_recover_h2(self):
         rng = np.random.default_rng(0)
@@ -94,12 +93,12 @@ class TestNormsAndPairing:
         assert x_norm(f, np.ones(8)) == pytest.approx(f.norm_h2())
 
     def test_pythagoras_disjoint_support(self):
-        seq = WeightSequence(np.arange(1.0, 9.0))
+        alpha = np.arange(1.0, 9.0)
         f = AnalyticSeries([1.0, 0.0, 2.0, 0.0])
         g = AnalyticSeries([0.0, 3.0, 0.0, 1.0])
         fg = AnalyticSeries(f.coeffs + g.coeffs)
-        assert x_norm(fg, seq) ** 2 == pytest.approx(
-            x_norm(f, seq) ** 2 + x_norm(g, seq) ** 2
+        assert x_norm(fg, alpha) ** 2 == pytest.approx(
+            x_norm(f, alpha) ** 2 + x_norm(g, alpha) ** 2
         )
 
     def test_length_mismatch(self):
@@ -110,21 +109,16 @@ class TestNormsAndPairing:
         assert pairing(monomial(3), monomial(3)) == pytest.approx(1.0)
         assert pairing(monomial(2), monomial(3)) == pytest.approx(0.0)
 
-    def test_dual_termwise_product(self):
-        seq = WeightSequence(np.array([1.0, 2.0, 5.0]))
-        dual = DualSequence(seq)
-        assert np.allclose(seq.alpha * dual.alpha, 1.0)
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
     def test_cauchy_schwarz_duality(self, seed):
         rng = np.random.default_rng(seed)
         n = 12
-        alpha = WeightSequence(np.exp(rng.uniform(-2, 2, n)))
+        alpha = np.exp(rng.uniform(-2, 2, n))
         f = AnalyticSeries(rng.normal(size=n) + 1j * rng.normal(size=n))
         g = AnalyticSeries(rng.normal(size=n) + 1j * rng.normal(size=n))
         lhs = abs(pairing(f, g))
-        rhs = x_norm(f, alpha) * x_norm(g, DualSequence(alpha))
+        rhs = x_norm(f, alpha) * x_norm(g, 1.0 / alpha)
         assert lhs <= rhs * (1 + 1e-12)
 
     def test_pairing_matches_grid_inner_product(self):
@@ -141,27 +135,39 @@ class TestNormsAndPairing:
 class TestToeplitz:
     def test_backward_shift_contraction(self):
         seq = rapid_weight(AnalyticSeries(2.0 ** -np.arange(80, dtype=float)), 4)
-        M = toeplitz_truncation(monomial(1), 64, "co-analytic")
+        M = toeplitz_truncation(monomial(1), 64)
         assert np.allclose(M, np.eye(65, k=1))
-        assert weighted_operator_norm(M, seq) <= 1.0 + 1e-12
+        assert weighted_operator_norm(M, seq.alpha) <= 1.0 + 1e-12
 
     def test_constant_symbol(self):
-        M = toeplitz_truncation(AnalyticSeries([2.5]), 8, "multiplier")
+        M = toeplitz_truncation(AnalyticSeries([2.5]), 8).T
         assert np.allclose(M, 2.5 * np.eye(9))
         assert weighted_operator_norm(M, np.ones(9)) == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("d", [0, 5, 64])
+    def test_compressions_match_coefficient_arithmetic(self, d):
+        # h(L) f has coefficients sum_j h_j f_{k+j}; its transpose, the
+        # multiplier compression, gives the truncated product h f
+        rng = np.random.default_rng(d)
+        h = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        f = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        M = toeplitz_truncation(AnalyticSeries(h), d)
+        shifted = [np.sum(h[: d + 1 - k] * f[k:]) for k in range(d + 1)]
+        assert np.max(np.abs(M @ f - shifted)) <= 1e-13
+        assert np.max(np.abs(M.T @ f - np.convolve(h, f)[: d + 1])) <= 1e-13
 
     def test_random_symbols_bounded_by_sup(self):
         from bcct.boundary_calculus import fejer_means, sup_norm_bound
 
         rng = np.random.default_rng(4)
         seq = rapid_weight(AnalyticSeries(2.0 ** -np.arange(80, dtype=float)), 4)
-        dual = DualSequence(seq)
         for _ in range(3):
             raw = AnalyticSeries(rng.normal(size=65) + 1j * rng.normal(size=65))
             h = fejer_means(raw, 64)
             sup = sup_norm_bound(h, 14)
-            co = weighted_operator_norm(toeplitz_truncation(h, 64, "co-analytic"), seq)
-            mu = weighted_operator_norm(toeplitz_truncation(h, 64, "multiplier"), dual)
+            M = toeplitz_truncation(h, 64)
+            co = weighted_operator_norm(M, seq.alpha)
+            mu = weighted_operator_norm(M.T, 1.0 / seq.alpha)
             assert co <= sup + 1e-8
             assert mu <= sup + 1e-8
 
@@ -242,7 +248,7 @@ class TestGram:
         E = two_gap()
         w = taper_weight(E, 12)
         seq = rapid_weight(AnalyticSeries(2.0 ** -np.arange(40, dtype=float)), 4)
-        Gm = d_space_gram(DualSequence(seq), w, 16)
+        Gm = d_space_gram(1.0 / seq.alpha, w, 16)
         eigs = np.linalg.eigvalsh(Gm)
         assert eigs.min() > 0.0
 
@@ -268,13 +274,3 @@ class TestGram:
         expect = np.concatenate([f, np.zeros(d + 1 - len(f))])
         assert np.max(np.abs(sol - expect)) <= 1e-8
 
-
-class TestMeasureMu:
-    def test_build_and_spread(self):
-        E = two_gap()
-        w = taper_weight(E, 10)
-        from bcct.spaces import MeasureMu
-
-        mu = MeasureMu.build(1.0, w, k_max=1024)
-        assert mu.betas[0] == pytest.approx(0.5)
-        assert mu.tail_ratio_spread() <= 0.10
