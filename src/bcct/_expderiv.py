@@ -173,9 +173,11 @@ def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, fa
 
     Level l holds the grid angles at distance in [2^-l, 2^(1-l)) from E, for
     the ``levels`` deepest levels l <= grid_log2 - 3, so each window is at
-    least 8 cells wide.  ``factor(z, m_max)`` returns ``exp(L(z))`` and
-    ``[L'(z), ..., L^(m_max)(z)]``; each level yields ``(2^-l, distances,
-    [|G|, |G'|, ..., |G^(m_max)|])`` for G(t) = exp(L(e^{it})).
+    least 8 cells wide.  ``factor(z, nodes, m_max)`` gets the points of every
+    window at once, with their grid indices ``nodes`` (z = exp(i t_k) for k in
+    nodes), and returns ``exp(L(z))`` and ``[L'(z), ..., L^(m_max)(z)]``; each
+    level yields ``(2^-l, distances, [|G|, |G'|, ..., |G^(m_max)|])`` for
+    G(t) = exp(L(e^{it})).
     """
     l_max = grid_log2 - 3
     l_min = l_max - levels + 1
@@ -183,14 +185,17 @@ def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, fa
         raise ResolutionError("grid too coarse for the requested number of levels")
     t = grid_angles(grid_log2)
     dist = distances_to_set(t, E)
-    out = []
+    windows = []
     for l in range(l_min, l_max + 1):
         d = 2.0 ** (-l)
-        sel = (dist >= d) & (dist < 2.0 * d)
-        if np.count_nonzero(sel) < 8:
+        nodes = np.flatnonzero((dist >= d) & (dist < 2.0 * d))
+        if len(nodes) < 8:
             raise ResolutionError(f"level 2^-{l}: fewer than 8 grid points at that distance")
-        z = np.exp(1j * t[sel])
-        value, z_derivs = factor(z, m_max)
-        gm = exp_t_derivatives(z, value, z_derivs, m_max)
-        out.append((d, dist[sel], [np.abs(g) for g in gm]))
-    return out
+        windows.append((d, nodes))
+    nodes = np.concatenate([k for _, k in windows])
+    z = np.exp(1j * t[nodes])
+    value, z_derivs = factor(z, nodes, m_max)
+    mags = [np.abs(g) for g in exp_t_derivatives(z, value, z_derivs, m_max)]
+    cuts = np.cumsum([len(k) for _, k in windows])[:-1]
+    per_window = zip(*(np.split(m, cuts) for m in mags))
+    return [(d, dist[k], list(ms)) for (d, k), ms in zip(windows, per_window)]

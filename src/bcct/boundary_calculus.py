@@ -22,7 +22,11 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
   It serves the transforms' Cauchy integrals and, in
   :func:`bcct.factors.herglotz_exp`, the discrete Herglotz integral
   (1/n) sum_m u_m (zeta_m + z)/(zeta_m - z), which is twice the Cauchy sum
-  of u minus its mean.
+  of u minus its mean;
+* :func:`herglotz_at_nodes` -- that Herglotz integral and its z-derivatives
+  at grid nodes where u = 0, as a circular correlation of u with a cot-type
+  kernel: the offsets below n/64 summed directly, the rest by one FFT pair
+  per order.  It serves W's derivative-growth certificate.
 
 Alongside them: the conjugate function, Fejer means, Horner evaluation
 inside the disk, FFT convolution and correlation, and the grid mask of a
@@ -41,6 +45,10 @@ import numpy.fft
 
 from .circle_sets import TWO_PI, BeurlingCarlesonSet, wrap_angle
 from .errors import BandTooLarge, OutsideDomain
+
+# Node x offset entries per block of herglotz_at_nodes' direct near sums, so
+# a block's window and product stay in a core's cache on every grid.
+_NEAR_BLOCK = 1 << 15
 
 
 def grid_angles(log2_size: int) -> np.ndarray:
@@ -144,6 +152,62 @@ def conjugate_function(u: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         c[-1] = 0.0  # Nyquist
     return np.fft.irfft(c, n)
+
+
+def herglotz_at_nodes(u: np.ndarray, nodes: np.ndarray, m_max: int) -> list[np.ndarray]:
+    """[H, H', ..., H^(m_max)] at the grid nodes zeta_k, k in ``nodes``, of
+    the discrete Herglotz integral H(z) = (1/n) sum_m u_m (zeta_m + z)/(zeta_m - z)
+    of real grid values u.  Every node needs u_k = 0 (H has a pole where
+    u_k != 0); :class:`OutsideDomain` is raised otherwise.
+
+    With w = exp(2 pi i/n) and zeta_m = zeta_k w^d, the pole sum is a
+    circular correlation of u with a fixed cot-type kernel:
+
+        H^(j)(zeta_k) = (2 j!/n) zeta_k^(-j) sum_{d != 0} u_{k+d} K_j(d),
+        K_j(d) = w^d / (w^d - 1)^(j+1),
+
+    minus mean(u) at j = 0.  There K_0(d) = 1/2 - (i/2) cot(pi d/n), whose
+    1/2 sums to exactly that mean since u_k = 0, so the j = 0 kernel is the
+    discrete conjugate function's -(i/2) cot(pi d/n) and no mean is taken;
+    K_j = K_{j-1} / (w^d - 1) with 1/(w^d - 1) = -1/2 - (i/2) cot(pi d/n).
+    No node enters a difference zeta_m - z, so the kernel is exact to
+    rounding even next to the poles.
+
+    The offsets |d| < n/64 are summed directly at each node.  The rest is one
+    FFT pair per order (the kernel's spectrum is real, as K_j(-d) =
+    conj K_j(d)); its kernel entries stay below (2 sin(pi/64))^-(j+1), about
+    10^(j+1), on every grid, so the transform's rounding stays small next to
+    the near terms.
+    """
+    u = np.asarray(u, dtype=float)
+    nodes = np.asarray(nodes, dtype=np.intp)
+    n = len(u)
+    if np.any(u[nodes] != 0.0):
+        raise OutsideDomain("H has a pole at a grid node where u is nonzero")
+    reach = max(1, n // 64)  # a fixed rule: see the far kernel bound above
+    offsets = np.arange(1 - reach, reach)
+    # signed offsets -n/2 <= d < n/2 keep pi d/n where tan is accurate
+    d = (np.arange(1, n) + n // 2) % n - n // 2
+    kernel = np.zeros(n, dtype=complex)
+    kernel[1:] = -0.5j / np.tan(np.pi * d / n)
+    ratio = kernel - 0.5
+    ratio[0] = 0.0
+    spectrum = np.fft.fft(u)
+    near, sums = [], []
+    for j in range(m_max + 1):
+        if j:  # K_1 = K_0 ratio takes K_0 with its 1/2
+            kernel = (kernel + 0.5 if j == 1 else kernel) * ratio
+        near.append(kernel[offsets])
+        far = kernel[: n // 2 + 1].copy()
+        far[:reach] = 0.0
+        sums.append(np.fft.ifft(spectrum * (n * np.fft.irfft(far, n)))[nodes])
+    rows = max(1, _NEAR_BLOCK // len(offsets))
+    for i in range(0, len(nodes), rows):
+        window = u[(nodes[i : i + rows, None] + offsets) % n]
+        for s, k in zip(sums, near):
+            s[i : i + rows] += np.sum(window * k, axis=1)
+    turn = np.exp(-1j * TWO_PI * nodes / n)  # 1 / zeta_k
+    return [(2.0 * math.factorial(j) / n) * turn**j * s for j, s in enumerate(sums)]
 
 
 def fejer_means(series: AnalyticSeries, degree: int) -> AnalyticSeries:

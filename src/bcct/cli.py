@@ -127,7 +127,6 @@ def _round17(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_round17(obj), indent=2, sort_keys=True) + "\n")
 
 
@@ -331,7 +330,7 @@ SUITES = tuple(_SUITE_FN)
 
 def run_suite(run: _Run) -> int:
     """Execute the run's suites, write verdicts, return the exit status."""
-    run.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(run.out_dir)
     ok = True
     for name in run.suites:
         try:
@@ -374,6 +373,16 @@ def _out_dir(args) -> Path:
     if env:
         return Path(env)
     return Path("bcct_out")
+
+
+def _make_out_dir(path: Path) -> Path:
+    """Create the output directory; a path that cannot be one (an existing
+    file, a file on the way) is a configuration error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {path} as the output directory: {exc}") from exc
+    return path
 
 
 def _run_from(args, suites) -> _Run:
@@ -434,22 +443,26 @@ def main(argv=None) -> int:
         if args.command == "validate":
             E = _parse_input("set", _read_set, args.set_file)
             out = {"measure": E.measure, "entropy": E.entropy, "gaps": len(E.gaps)}
-            _write_json(_out_dir(args) / "validate.json", out)
+            _write_json(_make_out_dir(_out_dir(args)) / "validate.json", out)
             print(json.dumps(_round17(out), sort_keys=True))
             return 0
         if args.command == "report":
             out_dir = _out_dir(args)
             if not out_dir.is_dir():
                 raise ConfigError(f"output directory {out_dir} does not exist")
-            ok = True
+            verdicts = {}
             for f in sorted(out_dir.glob("*.json")):
                 obj = _parse_input("verdict", lambda p: json.loads(p.read_text()), f)
                 if isinstance(obj, dict) and "pass" in obj:
                     if not isinstance(obj["pass"], bool):
                         raise ConfigError(f"invalid verdict file {f}: pass is not a boolean")
-                    print(f"{f.name}: {'pass' if obj['pass'] else 'FAIL'}")
-                    ok = ok and obj["pass"]
-            return 0 if ok else 1
+                    verdicts[f.name] = obj["pass"]
+            # an empty or mistyped --out must not read as "every suite passed"
+            if not verdicts:
+                raise ConfigError(f"output directory {out_dir} holds no verdict file")
+            for name, passed in verdicts.items():
+                print(f"{name}: {'pass' if passed else 'FAIL'}")
+            return 0 if all(verdicts.values()) else 1
         if args.command == "verify":
             chosen = args.suite or ["all"]
             suites = list(SUITES) if "all" in chosen else chosen

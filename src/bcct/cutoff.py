@@ -217,7 +217,7 @@ def certify_decay(
     if min(orders_N, default=0) < 0 or min(orders_m, default=0) < 0:
         raise ValueError("orders must be nonnegative")
     windows = _dyadic_level_points(
-        E, grid_log2, 6, lambda z, m: _g_and_h_derivs(c, z, m), max(orders_m)
+        E, grid_log2, 6, lambda z, nodes, m: _g_and_h_derivs(c, z, m), max(orders_m)
     )
 
     entries = {}

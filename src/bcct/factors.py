@@ -30,6 +30,7 @@ from .boundary_calculus import (
     _spectrum,
     conjugate_function,
     grid_angles,
+    herglotz_at_nodes,
     indicator_mask,
 )
 from .circle_sets import (
@@ -137,7 +138,8 @@ def _herglotz_log(log_modulus: np.ndarray, z, m_max: int = 0) -> list[np.ndarray
         H(z) = (1/n) sum_m u_m (zeta_m + z)/(zeta_m - z)
              = sum_m (2 zeta_m u_m / n) / (zeta_m - z) - (1/n) sum_m u_m,
 
-    with poles at the grid points where u = log_modulus is nonzero."""
+    with poles at the grid points where u = log_modulus is nonzero, at any
+    points z; grid nodes off the carrier take :func:`herglotz_at_nodes`."""
     n = len(log_modulus)
     nz = np.nonzero(log_modulus)[0]
     zeta = np.exp(1j * TWO_PI * nz / n)
@@ -452,11 +454,14 @@ def certify_W_derivatives(
 
     C_m is fitted per dyadic level, on the 4 deepest levels the grid
     resolves, as the max of |d^m W| * dist^{2m}; the report flags whether
-    consecutive-level ratios stay within STABILITY_FACTOR.
+    consecutive-level ratios stay within STABILITY_FACTOR.  The windows'
+    points are grid nodes off the carrier, where log W and its z-derivatives
+    come from :func:`herglotz_at_nodes`, a cot-kernel correlation, rather
+    than the pole sum of :func:`_herglotz_log`.
     """
 
-    def factor(z, m_max):
-        H = _herglotz_log(W.log_modulus, z, m_max)
+    def factor(z, nodes, m_max):
+        H = herglotz_at_nodes(W.log_modulus, nodes, m_max)
         return np.exp(H[0]), H[1:]
 
     return _certify_exp_factor(factor, E, orders_m, W.grid_log2)
@@ -474,7 +479,7 @@ def certify_theta_derivatives(
         if dist_to_set(atom.angle, carrier) > 1e-12:
             raise ValueError("singular support must lie inside the carrier")
     return _certify_exp_factor(
-        lambda z, m_max: (theta.eval(z), theta.log_z_derivs(z, m_max)),
+        lambda z, nodes, m_max: (theta.eval(z), theta.log_z_derivs(z, m_max)),
         carrier,
         orders_m,
         grid_log2,

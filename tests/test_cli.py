@@ -162,6 +162,22 @@ def test_flag_a_subcommand_does_not_take_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    lambda d: ["verify", "--suite", "whitney"],
+    lambda d: ["validate", str(write_one_gap(d))],
+], ids=["verify", "validate"])
+def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, command):
+    # mkdir raised FileExistsError here: a traceback and exit 1
+    target = tmp_path / "afile"
+    target.write_text("keep me")
+    assert main(command(tmp_path) + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert target.read_text() == "keep me"
+
+
 def test_heavy_atom_fails_permanence(tmp_path, capsys):
     # e^{-800} underflows, so theta's coefficients cannot be formed; the
     # suite must fail, not report a residual of 0.0
@@ -310,6 +326,20 @@ class TestReport:
     def test_missing_out_dir_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("files", [{}, {"cutoff_decay.json": '{"levels": []}'}],
+                             ids=["empty", "no_verdict"])
+    def test_out_dir_without_verdicts_exits_2(self, tmp_path, capsys, files):
+        # a mistyped but existing --out must not read as "every suite passed"
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, text in files.items():
+            (out / name).write_text(text)
+        assert main(["report", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
 
 
 class TestSubcommands:

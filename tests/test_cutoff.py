@@ -211,24 +211,29 @@ class TestDyadicWindows:
     @pytest.mark.parametrize("grid_log2", [10, 12])
     def test_windows_match_scalar_distances(self, make_set, grid_log2):
         # oracle: level d holds exactly the grid angles whose scalar distance
-        # to E lies in [d, 2d), with those distances
+        # to E lies in [d, 2d), with those distances; the factor sees every
+        # window's points at once, with their grid indices
         E = make_set()
         n = 1 << grid_log2
         dist = [dist_to_set(TWO_PI * k / n, E) for k in range(n)]
         seen = []
 
-        def factor(z, m_max):
-            seen.append(z)
+        def factor(z, nodes, m_max):
+            seen.append((z, nodes))
             return np.ones_like(z), []
 
         windows = _dyadic_level_points(E, grid_log2, 3, factor, 0)
         assert [w[0] for w in windows] == [2.0**-l for l in range(grid_log2 - 5, grid_log2 - 2)]
-        for (d, dsel, _), z in zip(windows, seen):
+        [(z, nodes)] = seen
+        assert np.array_equal(z, np.exp(1j * TWO_PI * nodes / n))
+        start = 0
+        for d, dsel, _ in windows:
             expect = [k for k in range(n) if d <= dist[k] < 2.0 * d]
-            k = np.rint(np.mod(np.angle(z), TWO_PI) * n / TWO_PI).astype(int) % n
-            assert sorted(k) == expect
-            assert np.max(np.abs(z - np.exp(1j * TWO_PI * k / n))) <= 1e-15
+            k = nodes[start : start + len(expect)]
+            assert list(k) == expect
             assert list(dsel) == [dist[j] for j in k]
+            start += len(expect)
+        assert start == len(nodes)
 
 
 class TestDerivativeEngine:

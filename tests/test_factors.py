@@ -13,10 +13,10 @@ import pytest
 
 from bcct import _expderiv
 from bcct._expderiv import _BLOCK_ENTRIES, _SPLIT_ENTRIES, _block_buffers, _pole_rows, pole_sum
-from bcct.boundary_calculus import grid_angles
-from bcct.circle_sets import TWO_PI, Arc, point_carrier, validate_set
+from bcct.boundary_calculus import grid_angles, herglotz_at_nodes
+from bcct.circle_sets import TWO_PI, Arc, distances_to_set, point_carrier, validate_set
 from bcct.cutoff import _g_and_h_derivs, build_cutoff
-from bcct.errors import ResolutionError, WeightNotLogIntegrable
+from bcct.errors import OutsideDomain, ResolutionError, WeightNotLogIntegrable
 from bcct.factors import (
     Atom,
     InnerFunction,
@@ -32,7 +32,7 @@ from bcct.factors import (
     measure_from_json,
     outer_from_weight,
 )
-from bcct.fixtures import taper_weight, two_gap
+from bcct.fixtures import const_weight, taper_weight, two_gap
 from bcct.transforms import interior_lattice
 
 G = 13
@@ -152,6 +152,73 @@ class TestHerglotzExp:
         by_poles = np.exp(_herglotz_log(u, z_edge)[0])
         assert herglotz_exp(u, z_edge) == by_poles
         assert herglotz_exp(u, np.array([0.5, z_edge]))[1] == by_poles
+
+
+def _certificate_nodes(grid_log2: int, windows: int = 4) -> np.ndarray:
+    """Grid indices of the deepest dyadic windows off two_gap() that
+    certify_W_derivatives evaluates (four of them), at distance
+    [2^-l, 2^(1-l)) from E."""
+    dist = distances_to_set(grid_angles(grid_log2), two_gap())
+    d_min = 2.0 ** (3 - grid_log2)
+    return np.flatnonzero((dist >= d_min) & (dist < 2.0**windows * d_min))
+
+
+_WEIGHTS = {
+    "const": lambda g: const_weight(two_gap(), g, 0.5),
+    "taper": lambda g: taper_weight(two_gap(), g),
+}
+
+
+class TestHerglotzAtNodes:
+    """The cot-kernel correlation against the pole sum of _herglotz_log and
+    against exact nodes in mpmath."""
+
+    @staticmethod
+    def _against_pole_sum(u, nodes, m_max):
+        z = np.exp(1j * grid_angles(int(math.log2(len(u))))[nodes])
+        pairs = zip(herglotz_at_nodes(u, nodes, m_max), _herglotz_log(u, z, m_max))
+        for j, (ours, ref) in enumerate(pairs):
+            assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-11, j
+
+    @pytest.mark.parametrize("weight", sorted(_WEIGHTS))
+    @pytest.mark.parametrize("grid_log2", [10, 12, 14, 16])
+    def test_matches_pole_sum(self, weight, grid_log2):
+        u = outer_from_weight(_WEIGHTS[weight](grid_log2)).log_modulus
+        # the certificate's windows and every 97th node off the carrier
+        nodes = np.union1d(_certificate_nodes(grid_log2), np.flatnonzero(u == 0.0)[::97])
+        self._against_pole_sum(u, nodes, 3)
+
+    def test_third_derivative_on_2p18(self):
+        # with only the offsets |d| < 16 summed directly (not n/64), the
+        # deepest window misses 1e-11 here by a factor of 200
+        u = outer_from_weight(taper_weight(two_gap(), 18)).log_modulus
+        self._against_pole_sum(u, _certificate_nodes(18, windows=1), 3)
+
+    @pytest.mark.parametrize("weight", sorted(_WEIGHTS))
+    def test_exact_nodes_mpmath(self, weight):
+        u = outer_from_weight(_WEIGHTS[weight](10)).log_modulus
+        n = len(u)
+        window = _certificate_nodes(10)
+        nodes = np.array([window[0], window[len(window) // 2], window[-1], 64, 560])  # and two gap middles
+        ours = herglotz_at_nodes(u, nodes, 3)
+        with mpmath.workdps(30):
+            zeta = [mpmath.expjpi(mpmath.mpf(2 * m) / n) for m in range(n)]
+            terms = [(zeta[m], mpmath.mpf(u[m])) for m in np.flatnonzero(u)]
+            mean = mpmath.fsum(um for _, um in terms) / n
+            for i, k in enumerate(nodes):
+                for j in range(4):
+                    ref = 2 * math.factorial(j) * mpmath.fsum(
+                        um * zm / (zm - zeta[k]) ** (j + 1) for zm, um in terms
+                    ) / n - (mean if j == 0 else 0)
+                    ref = complex(ref)
+                    assert abs(ours[j][i] - ref) <= 1e-13 * abs(ref), (k, j)
+
+    def test_refuses_a_node_on_the_carrier(self):
+        u = outer_from_weight(const_weight(two_gap(), 10, 0.5)).log_modulus
+        on = np.flatnonzero(u)[:1]
+        off = np.flatnonzero(u == 0.0)[:3]
+        with pytest.raises(OutsideDomain):
+            herglotz_at_nodes(u, np.concatenate([off, on]), 1)
 
 
 class TestWDerivatives:
