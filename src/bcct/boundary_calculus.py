@@ -29,8 +29,10 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
   per order.  It serves W's derivative-growth certificate.
 
 Alongside them: the conjugate function, Fejer means, Horner evaluation
-inside the disk, FFT convolution and correlation, and the grid mask of a
-set.  The package's grids have 2**log2_size points.
+inside the disk, FFT convolution and correlation (their transform length
+is :func:`_fast_length`, the least 11-smooth length that avoids
+wrap-around), and the grid mask of a set.  The package's grids have
+2**log2_size points.
 """
 
 from __future__ import annotations
@@ -110,28 +112,44 @@ def analytic_coefficients(samples: np.ndarray, band: int | None = None) -> Analy
     return AnalyticSeries(_spectrum(samples)[: band + 1])
 
 
+def _fast_length(n: int) -> int:
+    """The least m >= n of the form 2^a 3^b 5^c 7^d 11^e, an FFT length on
+    which pocketfft runs at full speed; never above the next power of two.
+
+    Each odd part q = 3^b 5^c 7^d 11^e up to that power of two is listed
+    once and doubled the least number of times that reaches n.
+    """
+    cap = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        more = []
+        for q in odd:
+            while q <= cap:
+                more.append(q)
+                q *= p
+        odd = more
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
+
+
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two coefficient vectors, by FFT.
 
-    The transform length is the smallest power of two >= len(a) + len(b);
-    entries from len(a) + len(b) - 1 on are rounding noise around zero.
+    The transform length is :func:`_fast_length` of len(a) + len(b), so no
+    product wraps around; entries from len(a) + len(b) - 1 on are rounding
+    noise around zero.
     """
-    n = 1
-    while n < len(a) + len(b):
-        n <<= 1
+    n = _fast_length(len(a) + len(b))
     return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))
 
 
 def _fft_correlate(a: np.ndarray, b: np.ndarray, lags: int) -> np.ndarray:
     """Cross-correlation sum_m conj(a_m) b_{m+l} for l = 0..lags-1, by FFT.
 
-    Terms with m + l >= len(b) are absent.  The transform length is the
-    smallest power of two >= max(len(b), len(a) + lags - 1), so no product
+    Terms with m + l >= len(b) are absent.  The transform length is
+    :func:`_fast_length` of max(len(b), len(a) + lags - 1), so no product
     wraps around into a kept lag.
     """
-    n = 1
-    while n < max(len(b), len(a) + lags - 1):
-        n <<= 1
+    n = _fast_length(max(len(b), len(a) + lags - 1))
     return np.fft.ifft(np.conj(np.fft.fft(a, n)) * np.fft.fft(b, n))[:lags]
 
 

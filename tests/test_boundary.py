@@ -13,6 +13,9 @@ import bcct
 from bcct.boundary_calculus import (
     AnalyticSeries,
     _cauchy_sum,
+    _fast_length,
+    _fft_convolve,
+    _fft_correlate,
     _spectrum,
     analytic_coefficients,
     conjugate_function,
@@ -83,6 +86,74 @@ class TestFourier:
         c = re + 1j * im
         exact = math.sqrt(math.fsum(x.real**2 + x.imag**2 for x in c))
         assert AnalyticSeries(c).norm_h2() == pytest.approx(exact, rel=1e-15)
+
+
+def _is_11_smooth(m):
+    for p in (2, 3, 5, 7, 11):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def _random_complex(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+class TestFftLengths:
+    def test_least_11_smooth_length(self):
+        # brute force: count up from n to the first 2^a 3^b 5^c 7^d 11^e
+        for n in range(1, 4097):
+            m = n
+            while not _is_11_smooth(m):
+                m += 1
+            assert _fast_length(n) == m, n
+            assert m <= 1 << (n - 1).bit_length(), n
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (270337, 271040),  # verify-default's autocorrelation, 2^6 5 7 11^2
+            (163841, 164025),  # K1 at band 2^17, 3^8 5^2
+            (294913, 295245),  # permanence on the carrier, 3^10 5
+            (98305, 98415),  # permanence off the carrier, 3^9 5
+            (1179649, 1180980),  # K2 at band 2^20, 2^2 3^10 5
+        ],
+    )
+    def test_workload_lengths(self, n, m):
+        assert _fast_length(n) == m
+        assert m < 1 << (n - 1).bit_length()  # below the power of two
+
+    @pytest.mark.parametrize("la, lb", [(13, 84), (1, 1), (5, 6), (40, 61)])
+    def test_convolve_matches_numpy(self, la, lb):
+        # the summed lengths 97, 2, 11 and 101 are prime; 97 and 101 are
+        # not 11-smooth, so their transforms are 98 and 105 points long
+        rng = np.random.default_rng(la * lb)
+        a, b = _random_complex(rng, la), _random_complex(rng, lb)
+        got = _fft_convolve(a, b)
+        ref = np.convolve(a, b)
+        assert len(got) == _fast_length(la + lb)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got[: len(ref)] - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(got[len(ref) :]), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "la, lb, lags",
+        [
+            (13, 84, 5),  # transform length len(b) = 84 = 2^2 3 7
+            (40, 50, 20),  # len(a) + lags - 1 = 59 > len(b): terms past b absent
+            (97, 97, 97),  # 193 -> 196 points; the last lag keeps one term
+            (7, 3, 4),  # a longer than b, 10 points
+        ],
+    )
+    def test_correlate_matches_direct_sum(self, la, lb, lags):
+        rng = np.random.default_rng(la + lb + lags)
+        a, b = _random_complex(rng, la), _random_complex(rng, lb)
+        got = _fft_correlate(a, b, lags)
+        assert got.shape == (lags,)
+        ref = np.array(
+            [sum(np.conj(a[m]) * b[m + l] for m in range(la) if m + l < lb) for l in range(lags)]
+        )
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestProjection:

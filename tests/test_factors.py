@@ -13,7 +13,7 @@ import pytest
 
 from bcct import _expderiv
 from bcct._expderiv import _BLOCK_ENTRIES, _SPLIT_ENTRIES, _block_buffers, _pole_rows, pole_sum
-from bcct.boundary_calculus import grid_angles, herglotz_at_nodes
+from bcct.boundary_calculus import _fast_length, grid_angles, herglotz_at_nodes
 from bcct.circle_sets import TWO_PI, Arc, distances_to_set, point_carrier, validate_set
 from bcct.cutoff import _g_and_h_derivs, build_cutoff
 from bcct.errors import OutsideDomain, ResolutionError, WeightNotLogIntegrable
@@ -335,6 +335,17 @@ class TestInnerFunction:
         co = InnerFunction(zeros, SingularMeasure(atoms)).coefficients(band)
         assert np.max(np.abs(co - direct)) <= 1e-13
         assert co.flags.owndata  # not a view that keeps the FFT buffer alive
+
+    def test_two_factor_coefficients_at_a_non_smooth_length(self):
+        # the product's transform has 2 (band + 1) = 2 * 4099 entries to hold,
+        # 4099 prime, so it runs at the next 11-smooth length, not at 2^13
+        band = 4098
+        atom, zero = Atom(0.9, 0.12), 0.3 - 0.1j
+        fac = _atomic_inner_coefficients(0.12, band) * np.exp(-0.9j * np.arange(band + 1))
+        direct = np.convolve(fac, _blaschke_factor_coefficients(zero, band))[: band + 1]
+        co = InnerFunction((zero,), SingularMeasure((atom,))).coefficients(band)
+        assert _fast_length(2 * (band + 1)) not in (2 * (band + 1), 1 << 14)
+        assert np.max(np.abs(co - direct)) <= 1e-13
 
     def test_coefficients_of_one_factor_and_of_none(self):
         atom = Atom(0.7, 0.3)
