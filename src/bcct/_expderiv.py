@@ -3,7 +3,9 @@
 All smooth factors in this package (the cut-off g, outer functions, singular
 inner functions, Blaschke products) are exponentials of functions whose z
 derivatives are pole sums F(z) = sum_j w_j / (p_j - z), evaluated by
-:func:`pole_sum`.  With z = e^{it} and psi(t) = L(e^{it}),
+:func:`pole_sum` (outer functions at grid nodes by
+:func:`bcct.boundary_calculus.herglotz_at_nodes` instead).  With z = e^{it}
+and psi(t) = L(e^{it}),
 
     psi^(n)(t) = i^n * sum_k S(n,k) z^k L^(k)(z)
 

@@ -25,6 +25,7 @@ from . import fixtures
 from .boundary_calculus import AnalyticSeries
 from .circle_sets import (
     BeurlingCarlesonSet,
+    _rank_length,
     _whitney_mass,
     assign_lambdas,
     dist_arc_to_set,
@@ -142,10 +143,7 @@ def _check(name: str, value, threshold, ok) -> dict:
 def suite_whitney(run: _Run) -> dict:
     E = run.E
     arcs = assign_lambdas(whitney_decompose(E, run.k_max))
-    len_resid = max(
-        abs(w.length - E.gaps[w.parent].length / (3.0 * 2.0 ** abs(w.rank)))
-        for w in arcs
-    )
+    len_resid = max(abs(w.length - _rank_length(E.gaps[w.parent].length, w.rank)) for w in arcs)
     dist_resid = max(abs(dist_arc_to_set(w.arc, E) - w.length) for w in arcs)
     c = _whitney_mass(np.array([w.length for w in arcs]))
     lam = np.array([w.lam for w in arcs])
@@ -357,7 +355,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=14, help="log2 of the grid size")
     p.add_argument("--kmax", type=int, default=10,
                    help=f"Whitney truncation depth, at most {K_MAX_LIMIT}")
-    p.add_argument("--tol", type=float, default=None, help="override check tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help="the permanence suite's orthogonality threshold (default 1e-4)")
     _add_out(p)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--set", dest="set_json", type=str, default=None, help="set JSON file")

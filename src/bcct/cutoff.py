@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._expderiv import _dyadic_level_points, exp_t_derivatives, pole_sum
+from ._expderiv import _dyadic_level_points, pole_sum
 from .boundary_calculus import grid_angles
 from .circle_sets import (
     ANGLE_SLACK,
@@ -153,12 +153,6 @@ def _g_and_h_derivs(c: CutoffFunction, z: np.ndarray, m_max: int):
     """g(z) and [h'(z), ..., h^(m_max)(z)] from one pole sum."""
     h = pole_sum(c.poles, -c.weights, z, m_max)
     return np.exp(h[0]), h[1:]
-
-
-def g_t_derivatives(c: CutoffFunction, angles: np.ndarray, m_max: int) -> list[np.ndarray]:
-    """[G, G', ..., G^(m_max)] at boundary angles, via the Bell recurrence."""
-    z = np.exp(1j * np.asarray(angles, dtype=float))
-    return exp_t_derivatives(z, *_g_and_h_derivs(c, z, m_max), m_max)
 
 
 @dataclass(frozen=True)

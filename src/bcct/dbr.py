@@ -84,8 +84,8 @@ class SymbolB:
         """Interior evaluation theta(z) * exp(Herglotz of log|u|).
 
         The Herglotz factor comes from :func:`herglotz_exp`: one FFT and the
-        spectral Cauchy sum at |z| <= 1 - 1e-6, the pole sum nearer the
-        circle."""
+        spectral Cauchy sum, at |z| <= 1 - 1e-6; nearer the circle it raises
+        :class:`OutsideDomain`."""
         return self.inner.eval(z) * herglotz_exp(self.log_modulus, z)
 
 

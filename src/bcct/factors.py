@@ -9,9 +9,10 @@ values come from the discrete Herglotz integral
 
 Singular inner functions use the same kernel with negative atomic masses,
     S_nu(z) = exp( - sum_a mass_a * (zeta_a + z)/(zeta_a - z) ),
-and Blaschke products multiply in the usual normalized factors.  All three
-factors expose closed-form z-derivatives of their logarithms, which powers
-the derivative-growth certificates near the carrier.
+and Blaschke products multiply in the usual normalized factors.  Closed-form
+z-derivatives of log(theta) (pole sums) and of log(W) at grid nodes off the
+carrier (:func:`herglotz_at_nodes`) power the derivative-growth
+certificates near the carrier.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .boundary_calculus import (
     herglotz_at_nodes,
     indicator_mask,
 )
-from .circle_sets import (
-    TWO_PI,
-    BeurlingCarlesonSet,
-    _read_json,
-    dist_to_set,
-)
+from .circle_sets import BeurlingCarlesonSet, _read_json, dist_to_set
 from .errors import ResolutionError, WeightNotLogIntegrable
 
 # Largest ratio of fitted constants on consecutive dyadic levels that the
@@ -114,13 +110,10 @@ class OuterFunction:
 
     def eval(self, z) -> complex | np.ndarray:
         """Interior values exp(H(z)) of the discrete Herglotz integral of
-        log|W|, by :func:`herglotz_exp`: the spectral Cauchy sum at
-        |z| <= 1 - 1e-6, the pole sum nearer the circle.  At z = 0 it is the
-        exact quadrature identity W(0) = exp(mean of log|W|)."""
+        log|W|, by :func:`herglotz_exp`, at |z| <= 1 - 1e-6; nearer the
+        circle it raises :class:`OutsideDomain`.  At z = 0 it is the exact
+        quadrature identity W(0) = exp(mean of log|W|)."""
         return herglotz_exp(self.log_modulus, z)
-
-    def log_z_derivs(self, z: np.ndarray, m_max: int) -> list[np.ndarray]:
-        return _herglotz_log(self.log_modulus, z, m_max)[1:]
 
 
 def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
@@ -132,43 +125,18 @@ def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
     return OuterFunction(weight=w, boundary=boundary, log_modulus=u)
 
 
-def _herglotz_log(log_modulus: np.ndarray, z, m_max: int = 0) -> list[np.ndarray]:
-    """[H, H', ..., H^(m_max)] of the discrete Herglotz integral
-
-        H(z) = (1/n) sum_m u_m (zeta_m + z)/(zeta_m - z)
-             = sum_m (2 zeta_m u_m / n) / (zeta_m - z) - (1/n) sum_m u_m,
-
-    with poles at the grid points where u = log_modulus is nonzero, at any
-    points z; grid nodes off the carrier take :func:`herglotz_at_nodes`."""
-    n = len(log_modulus)
-    nz = np.nonzero(log_modulus)[0]
-    zeta = np.exp(1j * TWO_PI * nz / n)
-    u = log_modulus[nz]
-    out = pole_sum(zeta, 2.0 * zeta * u / n, z, m_max)
-    out[0] -= np.sum(u) / n
-    return out
-
-
 def herglotz_exp(log_modulus: np.ndarray, z) -> complex | np.ndarray:
     """exp of the discrete Herglotz integral H of a real grid function u.
 
     Since (zeta_m + z)/(zeta_m - z) = 2/(1 - z conj(zeta_m)) - 1, H is twice
-    the trapezoid Cauchy sum of u minus its mean c_0, so at |z| <= 1 - 1e-6
-    H(z) = 2 * _cauchy_sum(c, z) - c_0 with c = fft(u)/n: one FFT and a
-    Horner sum, exact to rounding.  Points nearer the circle lie outside
-    the domain of ``_cauchy_sum`` and take the pole sum of
-    :func:`_herglotz_log`.
+    the trapezoid Cauchy sum of u minus its mean c_0, so H(z) =
+    2 * _cauchy_sum(c, z) - c_0 with c = fft(u)/n: one FFT and a Horner sum,
+    exact to rounding.  The domain is that of ``_cauchy_sum``,
+    |z| <= 1 - 1e-6; a point nearer the circle raises :class:`OutsideDomain`.
+    Grid nodes off the carrier take :func:`herglotz_at_nodes`.
     """
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    inside = np.abs(flat) <= 1.0 - 1e-6
-    H = np.empty(flat.shape, dtype=complex)
-    if inside.any():
-        c = _spectrum(log_modulus)
-        H[inside] = 2.0 * _cauchy_sum(c, flat[inside]) - c[0]
-    if not inside.all():
-        H[~inside] = _herglotz_log(log_modulus, flat[~inside])[0]
-    out = np.exp(H).reshape(z.shape)
+    c = _spectrum(log_modulus)
+    out = np.exp(2.0 * _cauchy_sum(c, z) - c[0])
     return out if out.shape else complex(out)
 
 
@@ -213,19 +181,6 @@ class SingularMeasure:
             for a in self.atoms:
                 if a.part == "C" and dist_to_set(a.angle, self.carrier_C) > 1e-12:
                     raise ValueError("a C-tagged atom lies outside carrier_C")
-
-    @property
-    def total_mass(self) -> float:
-        return sum(a.mass for a in self.atoms)
-
-    def part_mass(self, tag: str) -> float:
-        return sum(a.mass for a in self.atoms if a.part == tag)
-
-    def restricted(self, tag: str) -> "SingularMeasure":
-        return SingularMeasure(
-            tuple(a for a in self.atoms if a.part == tag),
-            self.carrier_C if tag == "C" else None,
-        )
 
 
 def inner_singular_eval(nu: SingularMeasure, z) -> complex | np.ndarray:
@@ -455,9 +410,10 @@ def certify_W_derivatives(
     C_m is fitted per dyadic level, on the 4 deepest levels the grid
     resolves, as the max of |d^m W| * dist^{2m}; the report flags whether
     consecutive-level ratios stay within STABILITY_FACTOR.  The windows'
-    points are grid nodes off the carrier, where log W and its z-derivatives
-    come from :func:`herglotz_at_nodes`, a cot-kernel correlation, rather
-    than the pole sum of :func:`_herglotz_log`.
+    points are grid nodes off the carrier, on the circle and so outside the
+    domain |z| <= 1 - 1e-6 of :func:`herglotz_exp` (which raises
+    :class:`OutsideDomain` there); log W and its z-derivatives come from
+    :func:`herglotz_at_nodes`, a cot-kernel correlation.
     """
 
     def factor(z, nodes, m_max):

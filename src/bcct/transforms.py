@@ -240,16 +240,6 @@ def backshift_identity(member: KMember, k: int) -> float:
     return float(np.max(np.abs(left - right)))
 
 
-def apply_backshift_poly(series: AnalyticSeries, p: AnalyticSeries) -> AnalyticSeries:
-    """p(L) applied to a coefficient vector (L = backward shift)."""
-    c = series.coeffs
-    out = np.zeros_like(c)
-    for j, pj in enumerate(p.coeffs):
-        if j < len(c):
-            out[: len(c) - j] += pj * c[j:]
-    return AnalyticSeries(out)
-
-
 def _q_coefficients(member: KMember, band: int) -> np.ndarray:
     """Coefficients 0..q_band of the member's analytic part q, with
     q_band = min(band, size/2 - 1)."""

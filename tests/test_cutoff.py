@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcct.cutoff
-from bcct._expderiv import _dyadic_level_points
+from bcct._expderiv import _dyadic_level_points, exp_t_derivatives
 from bcct.circle_sets import ANGLE_SLACK, TWO_PI, Arc, dist_to_set, rotate_set, validate_set
 from bcct.cutoff import (
     TAIL_RADIUS,
@@ -17,7 +17,6 @@ from bcct.cutoff import (
     certify_decay,
     eval_g,
     eval_h,
-    g_t_derivatives,
 )
 from bcct.errors import ResolutionError
 from bcct.fixtures import geometric_gaps, two_gap
@@ -274,7 +273,8 @@ class TestDerivativeEngine:
     def test_against_finite_differences(self, cut):
         # central differences of the boundary restriction converge at O(h^2)
         t0 = two_gap().gaps[0].mid_angle  # deep inside a gap, g smooth there
-        g0, g1, g2 = g_t_derivatives(cut, np.array([t0]), 2)
+        z0 = np.exp(1j * np.array([t0]))
+        g0, g1, g2 = exp_t_derivatives(z0, *_g_and_h_derivs(cut, z0, 2), 2)
         h = 1e-5
         ts = t0 + h * np.arange(-1, 2)
         vals = eval_g(cut, np.exp(1j * ts))
