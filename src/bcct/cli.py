@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,6 +25,7 @@ from .boundary_calculus import AnalyticSeries
 from .circle_sets import (
     BeurlingCarlesonSet,
     _rank_length,
+    _read_json,
     _whitney_mass,
     assign_lambdas,
     dist_arc_to_set,
@@ -71,7 +71,6 @@ class _Run:
     suites: list[str]
     grid_log2: int
     k_max: int
-    tol: float | None
     out_dir: Path
     seed: int
     E: BeurlingCarlesonSet
@@ -289,9 +288,8 @@ def suite_permanence(run: _Run) -> dict:
     rep = permanence_functional_check(
         theta, run.E, run.weight, cutoff_kmax=run.k_max, orth_band=band
     )
-    tol = run.tol if run.tol is not None else 1e-4
     checks = [
-        _check("orthogonality", rep.orthogonality_residual, tol, rep.orthogonality_residual <= tol),
+        _check("orthogonality", rep.orthogonality_residual, 1e-4, rep.orthogonality_residual <= 1e-4),
         _check("u1_stability", rep.u1_stability, 2.0, rep.u1_stability <= 2.0),
         _check("u2_stability", rep.u2_stability, 2.0, rep.u2_stability <= 2.0),
     ]
@@ -348,30 +346,7 @@ def run_suite(run: _Run) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=str, default=None, help="output directory")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=14, help="log2 of the grid size")
-    p.add_argument("--kmax", type=int, default=10,
-                   help=f"Whitney truncation depth, at most {K_MAX_LIMIT}")
-    p.add_argument("--tol", type=float, default=None,
-                   help="the permanence suite's orthogonality threshold (default 1e-4)")
-    _add_out(p)
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--set", dest="set_json", type=str, default=None, help="set JSON file")
-    p.add_argument("--measure", dest="measure_json", type=str, default=None)
-    p.add_argument("--coeffs", dest="coeffs_csv", type=str, default=None,
-                   help="coefficient CSV for the weights suite")
-
-
-def _out_dir(args) -> Path:
-    env = os.environ.get("BCCT_OUT")
-    if args.out is not None:
-        return Path(args.out)
-    if env:
-        return Path(env)
-    return Path("bcct_out")
+    p.add_argument("--out", type=Path, default=Path("bcct_out"), help="output directory")
 
 
 def _make_out_dir(path: Path) -> Path:
@@ -390,8 +365,6 @@ def _run_from(args, suites) -> _Run:
         raise ConfigError("grid log2 size must be in [8, 24]")
     if not 0 <= args.kmax <= K_MAX_LIMIT:
         raise ConfigError(f"k_max must be in [0, {K_MAX_LIMIT}]")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError("tolerance must be positive and finite")
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
     parsed = {}
@@ -409,8 +382,8 @@ def _run_from(args, suites) -> _Run:
     nu = parsed.get("measure") or SingularMeasure((fixtures.endpoint_atom(E, 0.1, "K"),))
     coeffs = parsed.get("coefficient") or AnalyticSeries(2.0 ** (-np.arange(257, dtype=float)))
     return _Run(
-        suites=list(suites), grid_log2=args.grid, k_max=args.kmax, tol=args.tol,
-        out_dir=_out_dir(args), seed=args.seed, E=E, measure=nu, coeffs=coeffs,
+        suites=list(suites), grid_log2=args.grid, k_max=args.kmax,
+        out_dir=args.out, seed=args.seed, E=E, measure=nu, coeffs=coeffs,
     )
 
 
@@ -425,13 +398,17 @@ def main(argv=None) -> int:
     p_validate.add_argument("set_file")
     _add_out(p_validate)
 
-    for name in ("whitney", "cutoff", "outer", "transform", "weights"):
-        p = sub.add_parser(name, help=f"run the {name} suite")
-        _add_common(p)
-
     p_verify = sub.add_parser("verify", help="run selected suites")
     p_verify.add_argument("--suite", action="append", default=None, choices=SUITES + ("all",))
-    _add_common(p_verify)
+    p_verify.add_argument("--grid", type=int, default=14, help="log2 of the grid size")
+    p_verify.add_argument("--kmax", type=int, default=10,
+                          help=f"Whitney truncation depth, at most {K_MAX_LIMIT}")
+    _add_out(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="random seed")
+    p_verify.add_argument("--set", dest="set_json", type=str, default=None, help="set JSON file")
+    p_verify.add_argument("--measure", dest="measure_json", type=str, default=None)
+    p_verify.add_argument("--coeffs", dest="coeffs_csv", type=str, default=None,
+                          help="coefficient CSV for the weights suite")
 
     p_report = sub.add_parser("report", help="aggregate verdicts in the output directory")
     _add_out(p_report)
@@ -442,16 +419,16 @@ def main(argv=None) -> int:
         if args.command == "validate":
             E = _parse_input("set", _read_set, args.set_file)
             out = {"measure": E.measure, "entropy": E.entropy, "gaps": len(E.gaps)}
-            _write_json(_make_out_dir(_out_dir(args)) / "validate.json", out)
+            _write_json(_make_out_dir(args.out) / "validate.json", out)
             print(json.dumps(_round17(out), sort_keys=True))
             return 0
         if args.command == "report":
-            out_dir = _out_dir(args)
+            out_dir = args.out
             if not out_dir.is_dir():
                 raise ConfigError(f"output directory {out_dir} does not exist")
             verdicts = {}
             for f in sorted(out_dir.glob("*.json")):
-                obj = _parse_input("verdict", lambda p: json.loads(p.read_text()), f)
+                obj = _parse_input("verdict", _read_json, f)
                 if isinstance(obj, dict) and "pass" in obj:
                     if not isinstance(obj["pass"], bool):
                         raise ConfigError(f"invalid verdict file {f}: pass is not a boolean")
@@ -462,11 +439,9 @@ def main(argv=None) -> int:
             for name, passed in verdicts.items():
                 print(f"{name}: {'pass' if passed else 'FAIL'}")
             return 0 if all(verdicts.values()) else 1
-        if args.command == "verify":
-            chosen = args.suite or ["all"]
-            suites = list(SUITES) if "all" in chosen else chosen
-            return run_suite(_run_from(args, suites))
-        return run_suite(_run_from(args, [args.command]))
+        chosen = args.suite or ["all"]
+        suites = list(SUITES) if "all" in chosen else chosen
+        return run_suite(_run_from(args, suites))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ from .boundary_calculus import (
 )
 from .circle_sets import BeurlingCarlesonSet
 from .cutoff import boundary_samples as cutoff_boundary_samples, build_cutoff
-from .errors import NotADivisor, RangeExhausted
+from .errors import NotADivisor, OutsideDomain, RangeExhausted
 from .factors import (
     BoundaryWeight,
     InnerFunction,
@@ -139,11 +139,13 @@ def restricted_symbol(
 def kernel_eval(b, lam, z) -> complex | np.ndarray:
     """k_b(lam, z) for the callable b, such as ``SymbolB.eval`` (b = 0 gives
     the Szego kernel); Hermitian in its arguments, nonnegative on the
-    diagonal."""
+    diagonal.  The domain is the open disk intersected with b's own domain;
+    a point outside the open disk raises :class:`OutsideDomain`, and so does
+    one outside the domain of ``SymbolB.eval``, |z| <= 1 - 1e-6."""
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(lam) >= 1.0) or np.any(np.abs(z) >= 1.0):
-        raise ValueError("kernel arguments must lie in the open disk")
+        raise OutsideDomain("kernel arguments must lie in the open disk")
     blam = np.asarray(b(lam), dtype=complex)
     bz = np.asarray(b(z), dtype=complex)
     out = (1.0 - np.conj(blam) * bz) / (1.0 - np.conj(lam) * z)

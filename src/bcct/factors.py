@@ -25,7 +25,6 @@ import numpy as np
 
 from ._expderiv import _dyadic_level_points, pole_sum
 from .boundary_calculus import (
-    AnalyticSeries,
     _cauchy_sum,
     _fft_convolve,
     _spectrum,
@@ -102,12 +101,6 @@ class OuterFunction:
         use and read-only."""
         return _spectrum(self.boundary)
 
-    @cached_property
-    def series(self) -> AnalyticSeries:
-        """Analytic projection of the boundary samples on the indices
-        0..size/2-1, a read-only view of :attr:`spectrum`."""
-        return AnalyticSeries(self.spectrum[: len(self.spectrum) // 2])
-
     def eval(self, z) -> complex | np.ndarray:
         """Interior values exp(H(z)) of the discrete Herglotz integral of
         log|W|, by :func:`herglotz_exp`, at |z| <= 1 - 1e-6; nearer the
@@ -118,7 +111,7 @@ class OuterFunction:
 
 def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
     """Boundary samples exp(u + i*conj(u)) with u = log(w) on the carrier.
-    Their analytic projection, ``series``, is computed on first use."""
+    Their grid Fourier coefficients, ``spectrum``, are computed on first use."""
     with np.errstate(divide="ignore"):
         u = np.where(w.mask, np.log(np.maximum(w.values, 1e-320)), 0.0)
     boundary = np.exp(u + 1j * conjugate_function(u))

@@ -56,6 +56,13 @@ class TestVerify:
         assert {"decay_slope_p0", "decay_slope_p1", "decay_slope_p3"} <= names
         assert (out / "transform_spectrum.csv").exists()
 
+    def test_cutoff_suite_writes_six_decay_levels(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["verify", "--suite", "cutoff", "--grid", "13", "--kmax", "8", "--out", str(out)])
+        assert rc == 0
+        decay = json.loads((out / "cutoff_decay.json").read_text())
+        assert len(decay["levels"]) == 6
+
     def test_unknown_suite_exits_2(self, tmp_path):
         rc = main(["verify", "--suite", "whitney", "--set", "missing_file.json",
                    "--out", str(tmp_path / "out")])
@@ -114,12 +121,14 @@ MALFORMED_INPUTS = {
         "verify", "--suite", "permanence",
         "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": Infinity, "mass": 0.1}]}')],
     "non_numeric_coeffs_row": lambda d: [
-        "weights", "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,abc\n")],
-    "empty_coeffs": lambda d: ["weights", "--coeffs", _input_file(d, "e.csv", "k,value\n")],
-    "nan_coeff": lambda d: ["weights", "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,nan\n")],
-    "kmax_too_large": lambda d: ["whitney", "--kmax", "2000"],
-    "tol_nan": lambda d: ["verify", "--suite", "permanence", "--tol", "nan"],
-    "tol_inf": lambda d: ["verify", "--suite", "permanence", "--tol", "inf"],
+        "verify", "--suite", "weights",
+        "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,abc\n")],
+    "empty_coeffs": lambda d: [
+        "verify", "--suite", "weights", "--coeffs", _input_file(d, "e.csv", "k,value\n")],
+    "nan_coeff": lambda d: [
+        "verify", "--suite", "weights",
+        "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,nan\n")],
+    "kmax_too_large": lambda d: ["verify", "--suite", "whitney", "--kmax", "2000"],
     "negative_seed": lambda d: ["verify", "--suite", "whitney", "--seed", "-1"],
     "overlapping_set_gaps": lambda d: [
         "verify", "--suite", "whitney", "--set", _input_file(d, "o.json", json.dumps(
@@ -180,7 +189,8 @@ def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, command):
 
 def test_heavy_atom_fails_permanence(tmp_path, capsys):
     # e^{-800} underflows, so theta's coefficients cannot be formed; the
-    # suite must fail, not report a residual of 0.0
+    # suite must fail, not report a residual of 0.0, and report must read
+    # the failed verdict
     m = _input_file(tmp_path, "m.json", '{"atoms": [{"angle": 1.0, "mass": 800}]}')
     out = tmp_path / "out"
     argv = ["verify", "--suite", "permanence", "--grid", "10", "--measure", m, "--out", str(out)]
@@ -190,6 +200,8 @@ def test_heavy_atom_fails_permanence(tmp_path, capsys):
     assert [c["name"] for c in verdict["checks"]] == ["execution"]
     assert "800" in verdict["checks"][0]["value"]
     assert capsys.readouterr().err == ""
+    assert main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "permanence.json: FAIL\n"
 
 
 @pytest.mark.parametrize("kmax", ["10", "40"])
@@ -265,15 +277,6 @@ def test_headerless_coeffs_keep_first_value(tmp_path, first):
     assert list(_read_coeffs_csv(p).coeffs) == [0.5, 0.25, 0.125, 0.0625]
 
 
-class TestEnvironment:
-    def test_out_env_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("BCCT_OUT", str(target))
-        rc = main(["verify", "--suite", "whitney"])
-        assert rc == 0
-        assert (target / "whitney.json").exists()
-
-
 class TestReport:
     def test_aggregates_verdicts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -281,26 +284,6 @@ class TestReport:
         rc = main(["report", "--out", str(out)])
         assert rc == 0
         assert "whitney.json: pass" in capsys.readouterr().out
-
-    def test_tol_sets_orthogonality_threshold_and_report_fails(self, tmp_path, capsys):
-        # The permanence residual at grid 10 is about 5e-4: --tol 1e-300
-        # fails the orthogonality check and --tol 1.0 passes it.
-        checks = {}
-        for tol in ("1e-300", "1.0"):
-            out = tmp_path / tol
-            argv = ["verify", "--suite", "permanence", "--grid", "10", "--tol", tol,
-                    "--out", str(out)]
-            rc = main(argv)
-            verdict = json.loads((out / "permanence.json").read_text())
-            checks[tol] = {c["name"]: c for c in verdict["checks"]}
-            assert rc == (1 if tol == "1e-300" else 0)
-        assert checks["1e-300"]["orthogonality"]["threshold"] == 1e-300
-        assert checks["1e-300"]["orthogonality"]["pass"] is False
-        assert checks["1.0"]["orthogonality"]["threshold"] == 1.0
-        assert checks["1.0"]["orthogonality"]["pass"] is True
-        capsys.readouterr()
-        assert main(["report", "--out", str(tmp_path / "1e-300")]) == 1
-        assert capsys.readouterr().out == "permanence.json: FAIL\n"
 
     def test_truncated_verdict_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -345,24 +328,16 @@ class TestReport:
 class TestSubcommands:
     def test_weights_subcommand(self, tmp_path):
         out = tmp_path / "out"
-        rc = main(["weights", "--out", str(out)])
+        rc = main(["verify", "--suite", "weights", "--out", str(out)])
         assert rc == 0
         lines = (out / "weights_alpha.csv").read_text().strip().splitlines()
         assert lines[0] == "k,alpha_k"
 
     def test_weights_from_csv(self, tmp_path):
-        csv_in = tmp_path / "coeffs.csv"
-        csv_in.write_text("k,value\n" + "\n".join(
+        csv_in = _input_file(tmp_path, "coeffs.csv", "k,value\n" + "\n".join(
             f"{k},{2.0 ** -k:.17g}" for k in range(64)))
         out = tmp_path / "out"
-        rc = main(["weights", "--coeffs", str(csv_in), "--out", str(out)])
+        rc = main(["verify", "--suite", "weights", "--coeffs", csv_in, "--out", str(out)])
         assert rc == 0
         cert = json.loads((out / "weights.json").read_text())
         assert cert["pass"]
-
-    def test_cutoff_subcommand(self, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["cutoff", "--grid", "13", "--kmax", "8", "--out", str(out)])
-        assert rc == 0
-        decay = json.loads((out / "cutoff_decay.json").read_text())
-        assert len(decay["levels"]) == 6

@@ -14,7 +14,7 @@ from bcct.dbr import (
     permanence_functional_check,
     restricted_symbol,
 )
-from bcct.errors import NotADivisor
+from bcct.errors import NotADivisor, OutsideDomain
 from bcct.factors import InnerFunction, SingularMeasure
 from bcct.fixtures import (
     const_weight,
@@ -90,7 +90,7 @@ class TestKernelDifference:
 
     def test_points_outside_open_disk_rejected(self):
         b = dbr_symbol(G)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutsideDomain):
             kernel_eval(b.eval, np.array([0.5, 1.0 + 0j]), 0.5)
 
     def test_least_eigenvalue_mpmath_oracle(self):
