@@ -171,7 +171,7 @@ def dist_arc_to_set(arc: Arc, E: BeurlingCarlesonSet) -> float:
     distance function is piecewise linear there and attains its minimum at an
     endpoint of the arc.
     """
-    return min(dist_to_set(arc.start, E), dist_to_set(arc.end, E))
+    return float(distances_to_set(np.array([arc.start, arc.end]), E).min())
 
 
 # ---------------------------------------------------------------------------

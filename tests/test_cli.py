@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import pytest
@@ -202,6 +203,21 @@ def test_heavy_atom_fails_permanence(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert main(["report", "--out", str(out)]) == 1
     assert capsys.readouterr().out == "permanence.json: FAIL\n"
+
+
+def test_atom_just_below_underflow_runs_permanence(tmp_path, capsys):
+    # e^{-705} is a normal double, so theta's coefficients exist: the suite
+    # records its own checks, not an execution failure, and warns nothing
+    m = _input_file(tmp_path, "m.json", '{"atoms": [{"angle": 1.0, "mass": 705}]}')
+    out = tmp_path / "out"
+    argv = ["verify", "--suite", "permanence", "--grid", "10", "--measure", m, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    verdict = json.loads((out / "permanence.json").read_text())
+    assert [c["name"] for c in verdict["checks"]] == ["orthogonality", "u1_stability", "u2_stability"]
+    assert all(math.isfinite(c["value"]) for c in verdict["checks"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("kmax", ["10", "40"])

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -19,6 +20,7 @@ from bcct.cutoff import _g_and_h_derivs, build_cutoff
 from bcct.dbr import build_symbol, kernel_eval
 from bcct.errors import OutsideDomain, ResolutionError, WeightNotLogIntegrable
 from bcct.factors import (
+    _LAGUERRE_CHUNK,
     Atom,
     InnerFunction,
     _atomic_inner_coefficients,
@@ -690,33 +692,83 @@ def test_pole_sum_in_a_forked_child():
 # oracle: the forward Laguerre recurrence against mpmath
 # ---------------------------------------------------------------------------
 
-def _scalar_laguerre_coefficients(mass, band):
-    # the recurrence as a plain float64 loop, one step per iteration
-    x = 2.0 * mass
-    Ls = np.empty(band + 1)
-    Ls[0] = 1.0
-    if band >= 1:
-        Ls[1] = 1.0 - x
-    for n in range(1, band):
-        Ls[n + 1] = ((2 * n + 1 - x) * Ls[n] - n * Ls[n - 1]) / (n + 1)
-    out = np.empty(band + 1)
-    out[0] = 1.0
-    out[1:] = Ls[1:] - Ls[:-1]
-    return math.exp(-mass) * out
+@functools.lru_cache(maxsize=None)
+def _mpmath_laguerre_coefficients(mass, band, dps):
+    # e^{-mass} D_n from D_{n+1} = (n D_n - x L_n)/(n + 1), L_{n+1} = L_n + D_{n+1}
+    with mpmath.workdps(dps):
+        x = 2 * mpmath.mpf(mass)
+        scale = mpmath.exp(-mpmath.mpf(mass))
+        L, D = mpmath.mpf(1), mpmath.mpf(1)
+        out = [scale]
+        for n in range(band):
+            D = (n * D - x * L) / (n + 1)
+            L += D
+            out.append(scale * D)
+        return np.array([float(v) for v in out])
+
+
+def _scalar_chunked_coefficients(mass, band):
+    # the chunked recurrence one Python float at a time: each chunk's two
+    # fundamental solutions, the walk over the chunk ends and the combination,
+    # in the same IEEE operations as the vectorized code
+    scale, x = math.exp(-mass), 2.0 * mass
+    out = [scale]
+    l, d = scale * (1.0 - x), scale * -x
+    for start in range(1, band + 1, _LAGUERRE_CHUNK):
+        ends, sols = [], []
+        for L, D in ((1.0, 0.0), (0.0, 1.0)):
+            n, sol = float(start), []
+            for _ in range(min(_LAGUERRE_CHUNK, band)):
+                sol.append(D)
+                D = (D * n - x * L) / (n + 1.0)
+                L += D
+                n += 1.0
+            ends.append((L, D))
+            sols.append(sol)
+        out += [a * l + b * d for a, b in zip(*sols)]
+        (l_a, d_a), (l_b, d_b) = ends
+        l, d = l * l_a + d * l_b, l * d_a + d * d_b
+    return np.array(out[: band + 1])
 
 
 @pytest.mark.parametrize("band", [0, 1, 2, 3, 4095, 4096, 4097, 4098, 8194])
 def test_atomic_coefficients_bit_identical_to_scalar_loop(band):
+    # the vectorized chunks, block buffer and walk against their scalar definition
     for mass in (0.05, 0.1, 5.0):
         assert np.array_equal(
-            _atomic_inner_coefficients(mass, band), _scalar_laguerre_coefficients(mass, band)
+            _atomic_inner_coefficients(mass, band), _scalar_chunked_coefficients(mass, band)
         )
 
 
-@pytest.mark.parametrize("mass", [705.0, 710.0, 800.0])
+@pytest.mark.parametrize("band", [0, 1, 2, 3, 255, 256, 257, 4095, 4096, 4097, 4098, 8194])
+def test_atomic_coefficients_match_mpmath_recurrence(band):
+    for mass in (0.05, 0.1, 5.0):
+        ref = _mpmath_laguerre_coefficients(mass, 8194, 40)[: band + 1]
+        assert np.max(np.abs(_atomic_inner_coefficients(mass, band) - ref)) <= 1e-15
+
+
+def test_atomic_coefficients_prefix_stable():
+    # chunk starts do not depend on the band, so a shorter band is a bitwise prefix
+    for mass in (0.1, 5.0, 705.0):
+        co = _atomic_inner_coefficients(mass, 20000)
+        for band in (0, 1, 2, 31, 32, 33, 255, 256, 257, 512, 513, 8193, 19999):
+            assert np.array_equal(_atomic_inner_coefficients(mass, band), co[: band + 1])
+
+
+@pytest.mark.parametrize("mass", [705.0, 708.3])
+def test_heavy_atom_matches_mpmath(mass):
+    # L_n(2 mass) comes near its bound e^{mass} around n = mass / 2; the
+    # coefficients stay finite and accurate up to the underflow of e^{-mass}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        co = _atomic_inner_coefficients(mass, 1 << 14)
+    ref = _mpmath_laguerre_coefficients(mass, 1 << 14, 60)
+    assert np.max(np.abs(co - ref)) <= 2e-15
+
+
+@pytest.mark.parametrize("mass", [710.0, 800.0])
 def test_heavy_atom_raises_instead_of_overflowing(mass):
-    # e^{-mass} underflows above mass 708.4; below it L_n(2 mass) overflows
-    # at this band.  Either way no inf/NaN coefficient and no numpy warning.
+    # e^{-mass} underflows above mass 708.4: no inf/NaN coefficient and no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResolutionError, match=str(mass)):
@@ -724,11 +776,11 @@ def test_heavy_atom_raises_instead_of_overflowing(mass):
 
 
 # Indices up to 2^20, with both sides of the first two chunk edges of the
-# recurrence (steps n = 1..4096 fill L_2..L_4097).
-LAGUERRE_INDICES = (0, 1, 2, 3, 4097, 4098, 8193, 8194, 65536, 262144, 524289, 1000003, 1 << 20)
+# recurrence (chunk j holds n = 1 + 256 j .. 256 (j + 1)).
+LAGUERRE_INDICES = (0, 1, 2, 3, 256, 257, 512, 513, 65536, 262144, 524289, 1000003, 1 << 20)
 
 
-@pytest.mark.parametrize("mass", [0.1, 5.0])
+@pytest.mark.parametrize("mass", [0.1, 1.0, 5.0])
 def test_atomic_coefficients_match_mpmath_laguerre(mass):
     # coefficient n of exp(-mass (1+z)/(1-z)) is e^{-mass} (L_n(2 mass) - L_{n-1}(2 mass))
     co = _atomic_inner_coefficients(mass, 1 << 20)
@@ -739,4 +791,4 @@ def test_atomic_coefficients_match_mpmath_laguerre(mass):
             ref = mpmath.exp(-m)
             if n > 0:
                 ref *= mpmath.laguerre(n, 0, x) - mpmath.laguerre(n - 1, 0, x)
-            assert abs(co[n] - float(ref)) <= 1e-12, n
+            assert abs(co[n] - float(ref)) <= 1e-15, n
