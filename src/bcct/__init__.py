@@ -33,6 +33,7 @@ from .factors import (
 )
 from .transforms import (
     KMember,
+    MemberIngredients,
     TransformResult,
     backshift_identity,
     build_member,
@@ -59,6 +60,7 @@ from .dbr import (
     kernel_difference_psd,
     kernel_eval,
     permanence_functional_check,
+    permanence_report,
     restricted_symbol,
 )
 

@@ -36,11 +36,9 @@ from .circle_sets import (
     whitney_to_csv,
 )
 from .cutoff import CutoffFunction, build_cutoff, certify_decay, eval_g, eval_h
-from .cutoff import boundary_samples as cutoff_boundary_samples
-from .dbr import kernel_difference_psd, permanence_functional_check
+from .dbr import kernel_difference_psd, permanence_report
 from .errors import ConfigError, NotADivisor, ToolkitError
 from .factors import (
-    BoundaryWeight,
     InnerFunction,
     OuterFunction,
     SingularMeasure,
@@ -51,8 +49,8 @@ from .factors import (
 from .spaces import annihilator_check, rapid_weight
 from .transforms import (
     KMember,
+    MemberIngredients,
     backshift_identity,
-    build_member,
     flip_check,
     smooth_transform,
 )
@@ -79,28 +77,21 @@ class _Run:
     _members: dict[int, KMember] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def weight(self) -> BoundaryWeight:
-        return fixtures.taper_weight(self.E, self.grid_log2)
-
-    @cached_property
     def outer(self) -> OuterFunction:
-        return outer_from_weight(self.weight)
+        return outer_from_weight(fixtures.taper_weight(self.E, self.grid_log2))
 
     @cached_property
     def cutoff(self) -> CutoffFunction:
         return build_cutoff(self.E, k_max=self.k_max)
 
     @cached_property
-    def cutoff_samples(self) -> np.ndarray:
-        return cutoff_boundary_samples(self.cutoff, self.grid_log2)
+    def ingredients(self) -> MemberIngredients:
+        return MemberIngredients(self.E, self.outer, self.cutoff)
 
     def member(self, k: int) -> KMember:
         """The family-K member s = conj(zeta z^k g W), built once per k."""
         if k not in self._members:
-            self._members[k] = build_member(
-                "K", fixtures.monomial(k), cutoff=self.cutoff, cutoff_set=self.E,
-                outer=self.outer, cutoff_samples=self.cutoff_samples,
-            )
+            self._members[k] = self.ingredients.member(fixtures.monomial(k), None)
         return self._members[k]
 
 
@@ -187,7 +178,7 @@ def suite_cutoff(run: _Run) -> dict:
 
 
 def suite_outer(run: _Run) -> dict:
-    E, w, W = run.E, run.weight, run.outer
+    E, w, W = run.E, run.outer.weight, run.outer
     w0 = abs(complex(W.eval(0.0))) - math.exp(w.log_integral)
     n = 1 << run.grid_log2
     neg = float(np.max(np.abs(W.spectrum[n // 2 + 1 :])))
@@ -234,7 +225,7 @@ def suite_transform(run: _Run) -> dict:
 def _read_coeffs_csv(path) -> AnalyticSeries:
     """Coefficient CSV: either one value per line or rows (k, value), the
     value last.  A first line whose last field is not a number is a header;
-    every other value must be a finite number."""
+    the other values and the sum of their squares must be finite numbers."""
     rows = [r for r in Path(path).read_text().strip().splitlines() if r]
     vals = []
     for i, r in enumerate(rows):
@@ -245,8 +236,9 @@ def _read_coeffs_csv(path) -> AnalyticSeries:
                 raise
     if not vals:
         raise ValueError("no coefficient values")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("coefficient values must be finite")
+    # Python floats overflow to inf silently, where numpy would warn.
+    if not math.isfinite(sum(v * v for v in vals)):
+        raise ValueError("coefficient values and the sum of their squares must be finite")
     return AnalyticSeries(np.asarray(vals, dtype=complex))
 
 
@@ -285,9 +277,7 @@ def suite_annihilator(run: _Run) -> dict:
 def suite_permanence(run: _Run) -> dict:
     theta = InnerFunction((), run.measure)
     band = 1 << min(run.grid_log2 + 4, 20)
-    rep = permanence_functional_check(
-        theta, run.E, run.weight, cutoff_kmax=run.k_max, orth_band=band
-    )
+    rep = permanence_report(theta, run.ingredients, None, band)
     checks = [
         _check("orthogonality", rep.orthogonality_residual, 1e-4, rep.orthogonality_residual <= 1e-4),
         _check("u1_stability", rep.u1_stability, 2.0, rep.u1_stability <= 2.0),

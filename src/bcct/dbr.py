@@ -34,7 +34,7 @@ from .boundary_calculus import (
     synthesize_analytic,
 )
 from .circle_sets import BeurlingCarlesonSet
-from .cutoff import boundary_samples as cutoff_boundary_samples, build_cutoff
+from .cutoff import build_cutoff
 from .errors import NotADivisor, OutsideDomain, RangeExhausted
 from .factors import (
     BoundaryWeight,
@@ -45,8 +45,8 @@ from .factors import (
 )
 from .spaces import WeightSequence, rapid_weight
 from .transforms import (
+    MemberIngredients,
     _max_orthogonality,
-    build_member,
     interior_lattice,
     split_transform,
 )
@@ -298,7 +298,15 @@ def permanence_functional_check(
     cutoff_kmax: int = 12,
     orth_band: int = 1 << 19,
 ) -> PermanenceReport:
-    """Finite-scale permanence evidence for the pair (theta, E, w).
+    """:func:`permanence_report` over E, W of w and g_E at depth ``cutoff_kmax``."""
+    ingredients = MemberIngredients(E, outer_from_weight(w), build_cutoff(E, k_max=cutoff_kmax))
+    return permanence_report(theta, ingredients, alpha, orth_band)
+
+
+def permanence_report(
+    theta: InnerFunction, ingredients: MemberIngredients, alpha: WeightSequence | None, orth_band: int
+) -> PermanenceReport:
+    """Finite-scale permanence evidence for theta over (E, W, g_E).
 
     Builds the degree-0..3 members s = theta conj(zeta p g_E W), computes
     the model-space membership residual for k <= 32, splits the base
@@ -310,25 +318,11 @@ def permanence_functional_check(
     constants stabilize; an atom inside a gap degrades the u1 family, which
     is reported, not thresholded.
 
-    When no weight sequence is supplied one is constructed from the first
+    When ``alpha`` is None a weight sequence is constructed from the first
     4096 coefficients of u1, reducing the polynomial order from 4 until the
     construction fits that range.
     """
-    W = outer_from_weight(w)
-    g_E = build_cutoff(E, k_max=cutoff_kmax)
-    g_samples = cutoff_boundary_samples(g_E, w.grid_log2)
-    members = [
-        build_member(
-            "K2",
-            monomial(j),
-            cutoff=g_E,
-            cutoff_set=E,
-            outer=W,
-            theta=theta,
-            cutoff_samples=g_samples,
-        )
-        for j in range(4)
-    ]
+    members = [ingredients.member(monomial(j), theta) for j in range(4)]
     # theta's coefficients are computed once for all four members.
     if theta.is_trivial:
         # Model space of theta = 1 is trivial; all functionals vanish.
@@ -338,7 +332,7 @@ def permanence_functional_check(
     resid = _max_orthogonality(members, 32, orth_band)
 
     top = max(PERMANENCE_DEGREES)
-    split = split_transform(members[0], weight_values=w.values)
+    split = split_transform(members[0], weight_values=ingredients.outer.weight.values)
     u1 = split.u1.coeffs
 
     orders = 0

@@ -15,7 +15,7 @@ from .circle_sets import TWO_PI, Arc, BeurlingCarlesonSet, point_carrier, valida
 from .cutoff import build_cutoff
 from .dbr import build_symbol, restricted_symbol
 from .factors import Atom, BoundaryWeight, InnerFunction, SingularMeasure, boundary_weight, outer_from_weight
-from .transforms import KMember, build_member
+from .transforms import KMember, MemberIngredients, build_member
 
 
 def two_gap() -> BeurlingCarlesonSet:
@@ -103,16 +103,12 @@ def standard_member(
         g_F = build_cutoff(F, k_max=k_max)
         return build_member("K1", p, cutoff=g_F, cutoff_set=F, theta=th, grid_log2=grid_log2)
     E = E if E is not None else two_gap()
-    w = taper_weight(E, grid_log2)
-    W = outer_from_weight(w)
-    g = build_cutoff(E, k_max=k_max)
+    W = outer_from_weight(taper_weight(E, grid_log2))
+    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=k_max))
     if family == "K":
-        return build_member("K", p, cutoff=g, cutoff_set=E, outer=W)
-    th = theta
-    if th is None:
-        atom = endpoint_atom(E)
-        th = InnerFunction((), SingularMeasure((atom,)))
-    return build_member("K2", p, cutoff=g, cutoff_set=E, outer=W, theta=th)
+        return ingredients.member(p, None)
+    th = theta if theta is not None else InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+    return ingredients.member(p, th)
 
 
 def e_arc_subset(E: BeurlingCarlesonSet, index: int = 0) -> BeurlingCarlesonSet:

@@ -158,6 +158,27 @@ def build_member(
     )
 
 
+@dataclass(frozen=True)
+class MemberIngredients:
+    """What the family-K and K2 members over E share: E, the outer factor W of
+    a weight on E and the cut-off g of E, with g's samples on W's grid."""
+
+    E: BeurlingCarlesonSet
+    outer: OuterFunction
+    cutoff: CutoffFunction
+
+    @cached_property
+    def cutoff_samples(self) -> np.ndarray:
+        return cutoff_boundary_samples(self.cutoff, self.outer.grid_log2)
+
+    def member(self, p: AnalyticSeries, theta: InnerFunction | None) -> KMember:
+        """The family-K member s = conj(zeta p g W) for theta None, else K2's theta s."""
+        return build_member(
+            "K" if theta is None else "K2", p, cutoff=self.cutoff, cutoff_set=self.E,
+            outer=self.outer, theta=theta, cutoff_samples=self.cutoff_samples,
+        )
+
+
 def _decay_slope(coeffs: np.ndarray, window: tuple[int, int]) -> float:
     """Least-squares slope of log|c_n| against log n over the window.
 

@@ -22,7 +22,7 @@ from bcct.circle_sets import (
     whitney_decompose,
 )
 from bcct.cutoff import build_cutoff, certify_decay, eval_g, eval_h
-from bcct.dbr import kernel_difference_psd, permanence_functional_check
+from bcct.dbr import kernel_difference_psd, permanence_report
 from bcct.errors import NotADivisor
 from bcct.factors import InnerFunction, SingularMeasure, outer_from_weight
 from bcct.fixtures import (
@@ -43,11 +43,12 @@ from bcct.spaces import (
     weighted_operator_norm,
 )
 from bcct.transforms import (
+    MemberIngredients,
     backshift_identity,
-    build_member,
     flip_check,
     model_space_orthogonality,
     smooth_transform,
+    split_transform,
 )
 
 
@@ -146,19 +147,14 @@ def test_criterion_2_supplement_deep_grid_certificate():
 def test_criterion_3_smooth_transform():
     start = time.monotonic()
     E = two_gap()
-    w = taper_weight(E, 21)
-    W = outer_from_weight(w)
-    g = build_cutoff(E, k_max=16)
-    from bcct.cutoff import boundary_samples as cutoff_boundary_samples
-
-    g_samples = cutoff_boundary_samples(g, 21)
+    W = outer_from_weight(taper_weight(E, 21))
+    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=16))
     slopes = {}
     flips = {}
     norms = {}
     mean_residual = 0.0
     for k in (0, 1, 3):
-        member = build_member("K", monomial(k), cutoff=g, cutoff_set=E, outer=W,
-                              cutoff_samples=g_samples)
+        member = ingredients.member(monomial(k), None)
         res = smooth_transform(member, fit_window=(64, 1024))
         slopes[k] = res.decay_fit
         norms[k] = res.series.norm_h2()
@@ -307,22 +303,16 @@ def test_criterion_10_kernel_psd():
 def test_criterion_11_split_functional_stability():
     start = time.monotonic()
     E = two_gap()
-    w = taper_weight(E, 16)
+    W = outer_from_weight(taper_weight(E, 16))
+    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=12))
     on = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
     off = InnerFunction((), SingularMeasure((interior_gap_atom(E, 0.1, "K"),)))
-    rep_on = permanence_functional_check(on, E, w, cutoff_kmax=12, orth_band=1 << 18)
+    rep_on = permanence_report(on, ingredients, None, 1 << 18)
 
     # reuse the compliant weight sequence for the off-carrier run
-    from bcct.transforms import split_transform
-    from bcct.cutoff import build_cutoff
-
-    W = outer_from_weight(w)
-    gE = build_cutoff(E, k_max=12)
-    m_on = build_member("K2", monomial(0), cutoff=gE, cutoff_set=E, outer=W, theta=on)
+    m_on = ingredients.member(monomial(0), on)
     alpha = rapid_weight(AnalyticSeries(split_transform(m_on).u1.coeffs[:4096]), 4)
-    rep_off = permanence_functional_check(
-        off, E, w, alpha=alpha, cutoff_kmax=12, orth_band=1 << 16
-    )
+    rep_off = permanence_report(off, ingredients, alpha, 1 << 16)
     elapsed = time.monotonic() - start
     ok = rep_on.stable_within(2.0) and rep_off.u1_stability > 2.0
     verdict(11, ok, "split functionals: on-carrier stability "

@@ -1,11 +1,18 @@
+import inspect
 import json
 import math
+import sys
 import warnings
 from collections import Counter
 
 import pytest
 
 import bcct.cli
+import bcct.cutoff
+import bcct.factors
+import bcct.fixtures
+import bcct.transforms
+from bcct.circle_sets import wrap_angle
 from bcct.cli import SUITES, _read_coeffs_csv, main
 
 
@@ -79,17 +86,38 @@ class TestVerify:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_each_member_built_once(self, tmp_path, monkeypatch):
-        # the transform and annihilator suites share the member for p = 1
+        # the transform and annihilator suites share the family-K member for
+        # p = 1; the permanence suite builds its four K2 members
         built = Counter()
-        real = bcct.cli.build_member
+        real = bcct.transforms.build_member
 
         def counting(family, p, **kwargs):
-            built[p.degree] += 1
+            built[family, p.degree] += 1
             return real(family, p, **kwargs)
 
-        monkeypatch.setattr(bcct.cli, "build_member", counting)
+        monkeypatch.setattr(bcct.transforms, "build_member", counting)
         assert main(["verify", "--suite", "all", "--out", str(tmp_path / "out")]) == 0
-        assert built == {0: 1, 1: 1, 3: 1}
+        assert built == {("K", 0): 1, ("K", 1): 1, ("K", 3): 1,
+                         ("K2", 0): 1, ("K2", 1): 1, ("K2", 2): 1, ("K2", 3): 1}
+
+    def test_run_builds_each_ingredient_once(self, tmp_path, monkeypatch):
+        # the suites share one cut-off, its grid samples and the taper
+        # weight's outer factor (the outer and dbr-psd suites build outer
+        # factors of other weights)
+        tapers = _spy(monkeypatch, bcct.fixtures.taper_weight)
+        cutoffs = _spy(monkeypatch, bcct.cutoff.build_cutoff)
+        samples = _spy(monkeypatch, bcct.cutoff.boundary_samples)
+        outers = _spy(monkeypatch, bcct.factors.outer_from_weight)
+        assert main(["verify", "--suite", "all", "--out", str(tmp_path / "out")]) == 0
+        assert len(tapers) == 1
+        assert len(cutoffs) == 1
+        assert len(samples) == 1
+        assert sum(args["w"] is tapers[0][1] for args, _ in outers) == 1
+
+    def test_cutoff_suite_builds_no_weight(self, tmp_path, monkeypatch):
+        tapers = _spy(monkeypatch, bcct.fixtures.taper_weight)
+        assert main(["verify", "--suite", "cutoff", "--out", str(tmp_path / "out")]) == 0
+        assert tapers == []
 
     def test_suites_alone_match_all(self, tmp_path):
         # the suites of one run share their ingredients; a suite that modified
@@ -101,6 +129,26 @@ class TestVerify:
             main(["verify", "--suite", suite, "--grid", "12", "--out", str(alone)])
             for f in alone.iterdir():
                 assert f.read_bytes() == (together / f.name).read_bytes(), f.name
+
+
+def _spy(monkeypatch, fn):
+    """Route fn through a recorder wherever a bcct module holds it (the
+    modules import it by name); return the list of its calls, each as
+    (arguments by name, result)."""
+    calls = []
+    signature = inspect.signature(fn)
+
+    def spy(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((signature.bind(*args, **kwargs).arguments, result))
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name == "bcct" or name.startswith("bcct."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
 
 
 def _input_file(tmp_path, name, text):
@@ -129,6 +177,10 @@ MALFORMED_INPUTS = {
     "nan_coeff": lambda d: [
         "verify", "--suite", "weights",
         "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,nan\n")],
+    # each value is finite, but the sum of their squares overflows
+    "overflowing_coeffs_square": lambda d: [
+        "verify", "--suite", "weights",
+        "--coeffs", _input_file(d, "c.csv", "1e170\n1e170\n1e170\n")],
     "kmax_too_large": lambda d: ["verify", "--suite", "whitney", "--kmax", "2000"],
     "negative_seed": lambda d: ["verify", "--suite", "whitney", "--seed", "-1"],
     "overlapping_set_gaps": lambda d: [
@@ -217,6 +269,23 @@ def test_atom_just_below_underflow_runs_permanence(tmp_path, capsys):
     verdict = json.loads((out / "permanence.json").read_text())
     assert [c["name"] for c in verdict["checks"]] == ["orthogonality", "u1_stability", "u2_stability"]
     assert all(math.isfinite(c["value"]) for c in verdict["checks"])
+    assert capsys.readouterr().err == ""
+
+
+def test_large_atom_angle_is_reduced_mod_2pi(tmp_path, capsys):
+    # exp(-1j * angle * k) overflowed at 1e308, and past about 1e16 the grid
+    # angle t is lost in t - angle; the loader stores the angle mod 2 pi
+    verdicts = []
+    for i, angle in enumerate((1e308, wrap_angle(1e308))):
+        m = _input_file(tmp_path, f"m{i}.json", json.dumps({"atoms": [{"angle": angle, "mass": 0.1}]}))
+        out = tmp_path / f"out{i}"
+        argv = ["verify", "--suite", "permanence", "--grid", "10", "--measure", m, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(argv)
+        verdicts.append((out / "permanence.json").read_bytes())
+    assert verdicts[0] == verdicts[1]
+    assert b"execution" not in verdicts[0]
     assert capsys.readouterr().err == ""
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import mpmath
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ from bcct.dbr import (
     kernel_difference_psd,
     kernel_eval,
     kernel_tuple,
+    PermanenceReport,
     permanence_functional_check,
+    permanence_report,
     restricted_symbol,
 )
 from bcct.errors import NotADivisor, OutsideDomain
-from bcct.factors import InnerFunction, SingularMeasure
+from bcct.factors import InnerFunction, SingularMeasure, outer_from_weight
 from bcct.fixtures import (
     const_weight,
     dbr_divisor_pair,
@@ -27,7 +31,7 @@ from bcct.fixtures import (
     taper_weight,
     two_gap,
 )
-from bcct.transforms import interior_lattice
+from bcct.transforms import MemberIngredients, interior_lattice
 
 G = 13
 
@@ -202,21 +206,15 @@ class TestPermanence:
 
     def test_theta_coefficients_once_for_all_members(self, monkeypatch):
         from bcct.cutoff import build_cutoff
-        from bcct.factors import outer_from_weight
         from bcct.fixtures import monomial
-        from bcct.transforms import build_member, model_space_orthogonality
+        from bcct.transforms import model_space_orthogonality
 
         E = two_gap()
-        w = taper_weight(E, 12)
+        W = outer_from_weight(taper_weight(E, 12))
+        ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=8))
         theta = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
-        W = outer_from_weight(w)
-        gE = build_cutoff(E, k_max=8)
         separate = max(
-            model_space_orthogonality(
-                build_member("K2", monomial(j), cutoff=gE, cutoff_set=E, outer=W, theta=theta),
-                max_k=32,
-                band=4096,
-            )
+            model_space_orthogonality(ingredients.member(monomial(j), theta), max_k=32, band=4096)
             for j in range(4)
         )
         calls = []
@@ -227,34 +225,44 @@ class TestPermanence:
             return coefficients(th, band)
 
         monkeypatch.setattr(InnerFunction, "coefficients", counted)
-        rep = permanence_functional_check(theta, E, w, cutoff_kmax=8, orth_band=4096)
+        rep = permanence_report(theta, ingredients, None, 4096)
         assert len(calls) == 1
         assert rep.orthogonality_residual == pytest.approx(separate, rel=1e-12)
+
+    def test_check_is_the_report_on_its_ingredients(self):
+        # the (theta, E, w) form builds w's outer factor and the cut-off of E
+        # at cutoff_kmax, and hands them to permanence_report
+        from bcct.cutoff import build_cutoff
+
+        E = two_gap()
+        w = taper_weight(E, 12)
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
+        got = permanence_functional_check(theta, E, w, cutoff_kmax=8, orth_band=4096)
+        ingredients = MemberIngredients(E, outer_from_weight(w), build_cutoff(E, k_max=8))
+        want = permanence_report(theta, ingredients, None, 4096)
+        for f in fields(PermanenceReport):
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
 
     def test_atom_off_carrier_degrades(self):
         # build the compliant weight sequence from the ON-carrier member,
         # then watch the off-carrier u1 constants drift against it
         from bcct.boundary_calculus import AnalyticSeries
         from bcct.cutoff import build_cutoff
-        from bcct.factors import outer_from_weight
         from bcct.fixtures import monomial
         from bcct.spaces import rapid_weight
-        from bcct.transforms import build_member, split_transform
+        from bcct.transforms import split_transform
 
         E = two_gap()
-        w = taper_weight(E, 16)
+        W = outer_from_weight(taper_weight(E, 16))
+        ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=12))
         on = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
         off = InnerFunction((), SingularMeasure((interior_gap_atom(E, 0.1, "K"),)))
-        base = permanence_functional_check(on, E, w, cutoff_kmax=12, orth_band=1 << 16)
+        base = permanence_report(on, ingredients, None, 1 << 16)
         assert base.stable_within(2.0)
 
-        W = outer_from_weight(w)
-        gE = build_cutoff(E, k_max=12)
-        m_on = build_member("K2", monomial(0), cutoff=gE, cutoff_set=E, outer=W, theta=on)
+        m_on = ingredients.member(monomial(0), on)
         alpha_ref = rapid_weight(AnalyticSeries(split_transform(m_on).u1.coeffs[:4096]), 4)
-        rep_shared = permanence_functional_check(
-            off, E, w, alpha=alpha_ref, cutoff_kmax=12, orth_band=1 << 16
-        )
+        rep_shared = permanence_report(off, ingredients, alpha_ref, 1 << 16)
         assert rep_shared.u1_stability > base.u1_stability
         assert rep_shared.u1_stability > 2.0
         assert rep_shared.u2_stability <= 2.0

@@ -28,6 +28,7 @@ from bcct.fixtures import (
 )
 from bcct.spaces import annihilator_check
 from bcct.transforms import (
+    MemberIngredients,
     backshift_identity,
     build_member,
     flip_check,
@@ -100,6 +101,21 @@ class TestBuildMember:
             m = build_member(family, monomial(0), cutoff=g, cutoff_set=E, outer=W, theta=th)
             assert m.e_mask is W.weight.mask
             assert not m.e_mask.flags.writeable
+
+    def test_ingredients_build_the_same_members(self, E):
+        # MemberIngredients hands build_member g's samples, formed once;
+        # build_member alone forms the same ones
+        W = outer_from_weight(taper_weight(E, G))
+        g = build_cutoff(E, k_max=6)
+        ingredients = MemberIngredients(E, W, g)
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+        for family, th in (("K", None), ("K2", theta)):
+            got = ingredients.member(monomial(1), th)
+            want = build_member(family, monomial(1), cutoff=g, cutoff_set=E, outer=W, theta=th)
+            assert got.family == family
+            assert np.array_equal(got.samples, want.samples)
+            assert np.array_equal(got.q_samples, want.q_samples)
+        assert ingredients.cutoff_samples is ingredients.cutoff_samples
 
     def test_degenerate_full_circle_excluded(self):
         with pytest.raises(ValueError):
@@ -276,12 +292,9 @@ def _permanence_members(grid_log2):
     # the four K2 members of the permanence check, p = z^0..z^3, on one theta
     E = two_gap()
     W = outer_from_weight(taper_weight(E, grid_log2))
-    g = build_cutoff(E, k_max=8)
+    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=8))
     theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
-    return [
-        build_member("K2", monomial(j), cutoff=g, cutoff_set=E, outer=W, theta=theta)
-        for j in range(4)
-    ]
+    return [ingredients.member(monomial(j), theta) for j in range(4)]
 
 
 def _lag_sum_residual(members, max_k, band):
