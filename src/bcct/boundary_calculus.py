@@ -147,9 +147,12 @@ def _fft_correlate(a: np.ndarray, b: np.ndarray, lags: int) -> np.ndarray:
 
     Terms with m + l >= len(b) are absent.  The transform length is
     :func:`_fast_length` of max(len(b), len(a) + lags - 1), so no product
-    wraps around into a kept lag.
+    wraps around into a kept lag.  Two real inputs give the real correlation,
+    from their real FFTs (rfft, irfft) of that length.
     """
     n = _fast_length(max(len(b), len(a) + lags - 1))
+    if np.isrealobj(a) and np.isrealobj(b):
+        return np.fft.irfft(np.conj(np.fft.rfft(a, n)) * np.fft.rfft(b, n), n)[:lags]
     return np.fft.ifft(np.conj(np.fft.fft(a, n)) * np.fft.fft(b, n))[:lags]
 
 

@@ -30,9 +30,16 @@ ANGLE_SLACK = 1e-14
 
 
 def wrap_angle(t: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    t = math.fmod(t, TWO_PI)
-    return t + TWO_PI if t < 0.0 else t
+    """Reduce an angle to [0, 2*pi).
+
+    fmod is exact.  Adding 2 pi to a negative remainder rounds to 2 pi
+    itself when the remainder is below half an ulp of 2 pi; that angle is
+    returned as 0.  A zero of either sign gives +0.0.
+    """
+    t = math.fmod(t, TWO_PI) + 0.0  # -0.0 + 0.0 is +0.0
+    if t < 0.0:
+        t += TWO_PI
+    return t if t < TWO_PI else 0.0
 
 
 @dataclass(frozen=True)

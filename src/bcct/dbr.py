@@ -322,8 +322,8 @@ def permanence_report(
     4096 coefficients of u1, reducing the polynomial order from 4 until the
     construction fits that range.
     """
-    members = [ingredients.member(monomial(j), theta) for j in range(4)]
-    # theta's coefficients are computed once for all four members.
+    # theta's samples and coefficients are computed once for all four members.
+    members = ingredients.members([monomial(j) for j in range(4)], theta)
     if theta.is_trivial:
         # Model space of theta = 1 is trivial; all functionals vanish.
         resid = _max_orthogonality(members, 32, min(orth_band, 4096))

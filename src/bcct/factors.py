@@ -356,6 +356,19 @@ class InnerFunction:
             coeffs[0] = 1.0
         return coeffs
 
+    def coefficient_frame(self, band: int) -> tuple[float, np.ndarray]:
+        """(phi, a) with Taylor coefficients theta_m = e^{-i phi m} a_m, m = 0..band.
+
+        A single atom at angle phi gives its real Laguerre sequence a_m =
+        e^{-mass} D_m (:func:`_atomic_inner_coefficients`), so no rotation
+        is computed; every other theta gives phi = 0 and a =
+        :meth:`coefficients`.
+        """
+        atoms = self.singular.atoms
+        if len(atoms) == 1 and not self.blaschke_zeros:
+            return atoms[0].angle, _atomic_inner_coefficients(atoms[0].mass, band)
+        return 0.0, self.coefficients(band)
+
     def _factor_coefficients(self, band: int):
         """Coefficients 0..band of each factor in turn: the atoms, each
         rotated to its angle, then the Blaschke factors."""

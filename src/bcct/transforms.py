@@ -105,13 +105,14 @@ def build_member(
     theta: InnerFunction | None = None,
     grid_log2: int | None = None,
     cutoff_samples: np.ndarray | None = None,
+    theta_samples: np.ndarray | None = None,
 ) -> KMember:
     """Assemble the boundary samples of one family member.
 
     The cut-off must belong to the same set as the outer weight (families K,
     K2); family K1 instead needs a measure-zero carrier and no outer factor.
-    Precomputed boundary samples of the cut-off may be passed when several
-    members share one grid.
+    Precomputed boundary samples of the cut-off and of theta may be passed
+    when several members share one grid.
     """
     if family not in ("K", "K1", "K2"):
         raise IngredientMismatch(f"unknown family {family!r}")
@@ -146,7 +147,9 @@ def build_member(
         q = q * outer.boundary
     s = np.conj(q)
     if theta is not None:
-        s = theta.boundary_samples(grid_log2) * s
+        if theta_samples is None:
+            theta_samples = theta.boundary_samples(grid_log2)
+        s = theta_samples * s
 
     return KMember(
         family=family,
@@ -173,10 +176,20 @@ class MemberIngredients:
 
     def member(self, p: AnalyticSeries, theta: InnerFunction | None) -> KMember:
         """The family-K member s = conj(zeta p g W) for theta None, else K2's theta s."""
-        return build_member(
-            "K" if theta is None else "K2", p, cutoff=self.cutoff, cutoff_set=self.E,
-            outer=self.outer, theta=theta, cutoff_samples=self.cutoff_samples,
-        )
+        return self.members([p], theta)[0]
+
+    def members(self, ps, theta: InnerFunction | None) -> list[KMember]:
+        """:meth:`member` for each p in ``ps``, on one sampling of theta."""
+        grid_log2 = self.outer.grid_log2
+        theta_samples = None if theta is None else theta.boundary_samples(grid_log2)
+        return [
+            build_member(
+                "K" if theta is None else "K2", p, cutoff=self.cutoff, cutoff_set=self.E,
+                outer=self.outer, theta=theta, cutoff_samples=self.cutoff_samples,
+                theta_samples=theta_samples,
+            )
+            for p in ps
+        ]
 
 
 def _decay_slope(coeffs: np.ndarray, window: tuple[int, int]) -> float:
@@ -285,6 +298,24 @@ def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticS
     return AnalyticSeries(_fft_correlate(q_hat, th, band + 1))
 
 
+def _window_dots(x: np.ndarray, u: np.ndarray, rows: int) -> np.ndarray:
+    """sum_j u_j x_{i+j} for i = 0..rows-1.
+
+    A real x is dotted with the real and imaginary parts of u by einsum, so
+    no window of it is cast to complex; a complex x takes numpy's matmul of
+    the strided windows.  Neither calls BLAS, whose dots sum in an order
+    that follows its thread count: the residual's last digits stay the same
+    on any number of CPUs.
+    """
+    windows = sliding_window_view(x, len(u))[:rows]
+    if np.iscomplexobj(x):
+        return windows @ u
+    out = np.empty(rows, dtype=complex)
+    out.real = np.einsum("ij,j->i", windows, np.ascontiguousarray(u.real))
+    out.imag = np.einsum("ij,j->i", windows, np.ascontiguousarray(u.imag))
+    return out
+
+
 def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
     """max over the members and k = 0..max_k of | <theta z^k, C_s> |.
 
@@ -293,16 +324,21 @@ def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
 
         r_k = conj(<theta z^k, C_s>) = sum_{m=0}^{band-k} conj(theta_m) c_{m+k}.
 
-    Substituting c_n = sum_j conj(q_j) theta_{n+j} splits it, with
-    K = min(max_k, band) and M0 = band - K, into
+    It is computed in theta's own frame (:meth:`InnerFunction.coefficient_frame`):
+    theta_m = w^m a_m with w = e^{-i phi}, a real for a single atom at angle
+    phi, and phi = 0, a = theta for every other theta.  Substituting
+    c_n = sum_j conj(q_j) theta_{n+j} splits it, with K = min(max_k, band),
+    M0 = band - K and u_j = conj(q_j) w^j, into
 
-        r_k = sum_j conj(q_j) B_{k+j} + sum_{m=M0+1}^{band-k} conj(theta_m) c_{m+k},
+        r_k = w^k [ sum_j u_j A_{k+j} + sum_{m=M0+1}^{band-k} conj(a_m) c~_{m+k} ],
+        A_l = sum_{m=0}^{M0} conj(a_m) a_{m+l},    c~_n = sum_j u_j a_{n+j} = w^{-n} c_n.
 
-    where B_l = sum_{m=0}^{M0} conj(theta_m) theta_{m+l} is theta's
-    truncated autocorrelation.  B is one FFT correlation shared by all
-    members; each member then costs K + 1 dot products against B and K
-    against theta (its c_{M0+1}..c_band), all of length q_band + 1, plus a
-    K-term tail.  NaN anywhere propagates to the result.
+    The factor w^k drops out of |r_k|, so only the q_band + 1 powers w^j are
+    formed.  A, the truncated autocorrelation of a, is one FFT correlation
+    shared by all members, a real one for a single atom; each member then
+    costs K + 1 dot products against A and K against a (its c~_{M0+1}..
+    c~_band), all of length q_band + 1, plus a K-term tail.  NaN anywhere
+    propagates to the result.
     """
     first = members[0]
     for m in members:
@@ -313,20 +349,18 @@ def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
         # C_s = conj(q_0), so r_0 = conj(q_0) and every other r_k is 0.
         return float(np.max(np.abs([q[0] for q in q_hats])))
     q_len = len(q_hats[0])
-    th = first.theta.coefficients(band + q_len)
+    phi, a = first.theta.coefficient_frame(band + q_len)
     K = min(max_k, band)
     m0 = band - K
-    B = _fft_correlate(th[: m0 + 1], th, q_len + K)
-    heads = sliding_window_view(B, q_len)  # row k: B_k..B_{k+q_band}
-    # row i: theta_s..theta_{s+q_band} for s = m0+1+i, i < K
-    shifted = sliding_window_view(th[m0 + 1 :], q_len)[:K]
+    A = _fft_correlate(a[: m0 + 1], a, q_len + K)
+    w_j = np.exp(-1j * phi * np.arange(q_len))
     resid = []
     for q in q_hats:
-        qc = np.conj(q)
-        r = heads @ qc
-        c_tail = shifted @ qc  # c_{m0+1}..c_band
+        u = np.conj(q) * w_j
+        r = _window_dots(A, u, K + 1)
+        c_tail = _window_dots(a[m0 + 1 :], u, K)  # c~_{m0+1}..c~_band
         for k in range(K):
-            r[k] += np.vdot(th[m0 + 1 : band + 1 - k], c_tail[k:])
+            r[k] += np.vdot(a[m0 + 1 : band + 1 - k], c_tail[k:])
         resid.append(np.abs(r))
     return float(np.max(resid))
 

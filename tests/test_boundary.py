@@ -155,6 +155,31 @@ class TestFftLengths:
         )
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("la, lb, lags", [(13, 84, 5), (40, 50, 20), (97, 97, 97), (7, 3, 4)])
+    def test_real_correlate_matches_direct_sum_and_complex_path(self, la, lb, lags):
+        # the lengths of test_correlate_matches_direct_sum, on real data
+        rng = np.random.default_rng(la + lb + lags)
+        a, b = rng.standard_normal(la), rng.standard_normal(lb)
+        got = _fft_correlate(a, b, lags)
+        assert got.dtype == np.float64 and got.shape == (lags,)
+        ref = np.array(
+            [math.fsum(a[m] * b[m + l] for m in range(la) if m + l < lb) for l in range(lags)]
+        )
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+        via_complex = _fft_correlate(a.astype(complex), b.astype(complex), lags)
+        assert np.max(np.abs(got - via_complex)) <= 1e-14 * scale
+
+    def test_real_correlate_at_an_odd_length(self):
+        # len(b) = 75 = 3 5^2 is its own transform length, an odd one, which
+        # irfft must be given: by default it would return 74 points
+        rng = np.random.default_rng(75)
+        a, b = rng.standard_normal(20), rng.standard_normal(75)
+        assert _fast_length(75) == 75
+        got = _fft_correlate(a, b, 56)
+        ref = np.array([np.dot(a, b[l : l + 20]) for l in range(56)])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+
 
 class TestProjection:
     def test_negative_mode_killed(self):

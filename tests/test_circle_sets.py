@@ -17,6 +17,7 @@ from bcct.circle_sets import (
     rotate_set,
     validate_set,
     whitney_decompose,
+    wrap_angle,
     whitney_to_csv,
     _tail_lambda,
 )
@@ -239,3 +240,21 @@ class TestResiduals:
         arcs = whitney_decompose(E, 4)
         tiled = sum(w.length for w in arcs)
         assert tiled + 2 * r == pytest.approx(0.3, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "t, want",
+    [
+        (-1e-17, 0.0),  # t + 2 pi rounds to 2 pi itself
+        (-0.0, 0.0),
+        (-TWO_PI, 0.0),
+        (TWO_PI, 0.0),
+        (1e308, math.fmod(1e308, TWO_PI)),
+        (-1.0, TWO_PI - 1.0),
+        (7.0, 7.0 - TWO_PI),
+    ],
+)
+def test_wrap_angle_lands_in_the_half_open_period(t, want):
+    got = wrap_angle(t)
+    assert 0.0 <= got < TWO_PI
+    assert got == want and math.copysign(1.0, got) == 1.0

@@ -218,16 +218,34 @@ class TestPermanence:
             for j in range(4)
         )
         calls = []
-        coefficients = InnerFunction.coefficients
+        frame = InnerFunction.coefficient_frame
 
         def counted(th, band):
             calls.append(band)
-            return coefficients(th, band)
+            return frame(th, band)
 
-        monkeypatch.setattr(InnerFunction, "coefficients", counted)
+        monkeypatch.setattr(InnerFunction, "coefficient_frame", counted)
         rep = permanence_report(theta, ingredients, None, 4096)
         assert len(calls) == 1
         assert rep.orthogonality_residual == pytest.approx(separate, rel=1e-12)
+
+    def test_theta_sampled_once_per_report(self, monkeypatch):
+        from bcct.cutoff import build_cutoff
+
+        E = two_gap()
+        W = outer_from_weight(taper_weight(E, 12))
+        ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=8))
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
+        calls = []
+        sample = InnerFunction.boundary_samples
+
+        def counted(th, grid_log2):
+            calls.append(grid_log2)
+            return sample(th, grid_log2)
+
+        monkeypatch.setattr(InnerFunction, "boundary_samples", counted)
+        permanence_report(theta, ingredients, None, 4096)
+        assert calls == [12]
 
     def test_check_is_the_report_on_its_ingredients(self):
         # the (theta, E, w) form builds w's outer factor and the cut-off of E

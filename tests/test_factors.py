@@ -385,6 +385,32 @@ class TestInnerFunction:
         assert np.array_equal(co, fac)
         assert np.array_equal(InnerFunction().coefficients(4), np.eye(1, 5).ravel())
 
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            InnerFunction((), SingularMeasure((Atom(2.5, 0.3),))),
+            InnerFunction((), SingularMeasure((Atom(0.0, 0.1),))),
+            InnerFunction((), SingularMeasure((Atom(0.7, 0.3), Atom(2.0, 0.1)))),
+            InnerFunction((0.5,), SingularMeasure((Atom(0.7, 0.3),))),
+            InnerFunction((0.5,)),
+            InnerFunction(),
+        ],
+        ids=["atom", "atom_at_0", "two_atoms", "atom_and_zero", "blaschke", "trivial"],
+    )
+    def test_coefficient_frame(self, theta):
+        # theta_m = e^{-i phi m} a_m: a single atom keeps its real Laguerre
+        # sequence, every other theta its own coefficients at phi = 0
+        band = 300
+        phi, a = theta.coefficient_frame(band)
+        co = theta.coefficients(band)
+        single = len(theta.singular.atoms) == 1 and not theta.blaschke_zeros
+        assert np.isrealobj(a) == single
+        if single:
+            assert phi == theta.singular.atoms[0].angle
+        else:
+            assert phi == 0.0
+        assert np.array_equal(a * np.exp(-1j * phi * np.arange(band + 1)), co)
+
 
 class TestThetaDerivatives:
     def test_trivial_inner(self, E):

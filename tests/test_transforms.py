@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bcct
 import bcct.transforms
 from bcct.boundary_calculus import (
     AnalyticSeries,
@@ -116,6 +121,29 @@ class TestBuildMember:
             assert np.array_equal(got.samples, want.samples)
             assert np.array_equal(got.q_samples, want.q_samples)
         assert ingredients.cutoff_samples is ingredients.cutoff_samples
+
+    def test_members_sample_theta_once(self, E, monkeypatch):
+        # members() hands build_member theta's samples, formed once for all
+        # of them; each member is bitwise the one build_member forms alone
+        W = outer_from_weight(taper_weight(E, G))
+        g = build_cutoff(E, k_max=6)
+        ingredients = MemberIngredients(E, W, g)
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+        ps = [monomial(j) for j in range(4)]
+        want = [build_member("K2", p, cutoff=g, cutoff_set=E, outer=W, theta=theta) for p in ps]
+        calls = []
+        sample = InnerFunction.boundary_samples
+
+        def counted(th, grid_log2):
+            calls.append(grid_log2)
+            return sample(th, grid_log2)
+
+        monkeypatch.setattr(InnerFunction, "boundary_samples", counted)
+        got = ingredients.members(ps, theta)
+        assert calls == [G]
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(a.q_samples, b.q_samples)
 
     def test_degenerate_full_circle_excluded(self):
         with pytest.raises(ValueError):
@@ -264,13 +292,13 @@ class TestModelSpace:
     def test_theta_coefficients_computed_once(self, monkeypatch):
         m = standard_member("K2", monomial(0), 12, k_max=8)
         bands = []
-        coefficients = InnerFunction.coefficients
+        frame = InnerFunction.coefficient_frame
 
         def counted(theta, band):
             bands.append(band)
-            return coefficients(theta, band)
+            return frame(theta, band)
 
-        monkeypatch.setattr(InnerFunction, "coefficients", counted)
+        monkeypatch.setattr(InnerFunction, "coefficient_frame", counted)
         model_space_orthogonality(m, max_k=32, band=4096)
         assert len(bands) == 1
 
@@ -327,6 +355,17 @@ ORTHOGONALITY_CASES = {
         [standard_member("K1", monomial(1), 12, k_max=8, theta=InnerFunction((0.5,)))], 4096),
     "trivial": lambda: (
         [standard_member("K1", monomial(0), 12, k_max=8, theta=InnerFunction())], 1024),
+    # the phi = 0 complex frame on mixed factors
+    "two_atoms": lambda: (
+        [standard_member("K2", monomial(0), 12, k_max=8, theta=InnerFunction(
+            (), SingularMeasure((Atom(0.0, 0.1), Atom(2.5, 0.3)))))], 4096),
+    "atom_and_blaschke": lambda: (
+        [standard_member("K2", monomial(1), 12, k_max=8, theta=InnerFunction(
+            (0.3 - 0.4j,), SingularMeasure((Atom(0.0, 0.1),))))], 4096),
+    # one atom off the axis: the real frame with w = e^{-2.5 i}
+    "atom_at_angle": lambda: (
+        [standard_member("K2", monomial(0), 12, k_max=8, theta=InnerFunction(
+            (), SingularMeasure((Atom(2.5, 0.3),))))], 4096),
 }
 
 
@@ -371,16 +410,36 @@ class TestAutocorrelationResidual:
         # theta's autocorrelation over m <= band - 32, lags 0..q_band + 32
         assert calls == [(4096 - 32 + 1, 4096 + 2047 + 2, 2047 + 33)]
 
+    def test_residual_does_not_follow_blas_threads(self):
+        # q_band + 1 = 2^15 terms per window dot: a BLAS dot this long sums in
+        # an order that follows OpenBLAS's thread count; verdicts must not
+        # depend on the CPUs, so the residual's last digits must not either.
+        code = (
+            "from bcct.fixtures import standard_member, monomial; "
+            "from bcct.transforms import model_space_orthogonality as f; "
+            "m = standard_member('K2', monomial(0), 16, k_max=8); "
+            "print(repr(f(m, max_k=32, band=1 << 16)))"
+        )
+        residuals = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(bcct.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            residuals.add(proc.stdout)
+        assert len(residuals) == 1
+
     def test_nan_theta_coefficients_propagate(self, monkeypatch):
         m = standard_member("K2", monomial(0), 12, k_max=8)
-        coefficients = InnerFunction.coefficients
+        frame = InnerFunction.coefficient_frame
 
         def with_nan(theta, band):
-            c = coefficients(theta, band).copy()
-            c[5] = np.nan
-            return c
+            phi, a = frame(theta, band)
+            a = a.copy()
+            a[5] = np.nan
+            return phi, a
 
-        monkeypatch.setattr(InnerFunction, "coefficients", with_nan)
+        monkeypatch.setattr(InnerFunction, "coefficient_frame", with_nan)
         assert math.isnan(model_space_orthogonality(m, max_k=32, band=4096))
 
 
