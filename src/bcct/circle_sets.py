@@ -316,9 +316,15 @@ def _read_json(path):
 
 def gaps_from_json(path) -> list[Arc]:
     """Read ``{"gaps": [{"start": rad, "end": rad}, ...]}`` from the JSON file
-    at ``path``."""
+    at ``path``, each gap moved by a multiple of 2 pi so that it starts in
+    [0, 2 pi); a gap that already does is kept as written."""
     obj = _read_json(path)
-    return [Arc(float(g["start"]), float(g["end"])) for g in obj["gaps"]]
+    return [_wrapped_arc(float(g["start"]), float(g["end"])) for g in obj["gaps"]]
+
+
+def _wrapped_arc(s: float, e: float) -> Arc:
+    start = wrap_angle(s)
+    return Arc(start, e if start == s else start + (e - s))
 
 
 def whitney_to_csv(arcs: Iterable[WhitneyArc], path) -> None:

@@ -103,7 +103,7 @@ def _parse_input(kind: str, parse, source):
     """parse(source), with any malformed-input error raised as ConfigError."""
     try:
         return parse(source)
-    except (OSError, ValueError, KeyError, TypeError, ToolkitError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, ToolkitError) as exc:
         raise ConfigError(f"invalid {kind} file {source}: {exc}") from exc
 
 

@@ -1,9 +1,14 @@
 import inspect
 import json
 import math
+import os
+import re
+import subprocess
 import sys
-import warnings
 from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -15,67 +20,367 @@ import bcct.transforms
 from bcct.circle_sets import wrap_angle
 from bcct.cli import SUITES, _read_coeffs_csv, main
 
+# ---------------------------------------------------------------------------
+# The command-line contract, one row per case: exit 2 on any malformed input,
+# and never a traceback.  Every row runs through main() in process and through
+# `python -m bcct.cli` in a fresh interpreter under PYTHONWARNINGS=error.
+# ---------------------------------------------------------------------------
 
-def write_one_gap(tmp_path):
-    p = tmp_path / "one_gap.json"
-    p.write_text(json.dumps({"gaps": [{"start": 0.0, "end": math.pi}]}))
-    return p
+# stderr rules, each a regular expression that must match all of stderr
+EMPTY = ""
+CONFIG_ERROR = r"config error: .+"
 
 
+def usage_error(reason: str) -> str:
+    """argparse's usage line, then its error line naming the reason."""
+    return rf"usage: bcct .+\nbcct: error: {reason}.*"
+
+
+@dataclass(frozen=True)
+class Row:
+    """One case, run in an empty directory.  The ``files`` (name -> text; a
+    name ending in "/" is an empty directory) are written, the ``before``
+    commands run and must exit 0 or 1 with empty stderr, then ``argv`` must
+    exit with ``status``, with a stderr that ``stderr`` matches, no traceback,
+    and, on exit 2, an empty stdout.  ``check(d, out)`` then gets the
+    directory and the stdout.  Commands are split on whitespace."""
+
+    id: str
+    argv: str
+    status: int
+    stderr: str = EMPTY
+    files: dict[str, str] = field(default_factory=dict)
+    before: tuple[str, ...] = ()
+    check: Callable[[Path, str], None] | None = None
+
+
+def _json(d: Path, name: str):
+    return json.loads((d / name).read_text())
+
+
+def _execution_in(d: Path, suites, message: str) -> None:
+    """Each of the suites writes exactly one check: the failed execution."""
+    for suite in suites:
+        assert _json(d, f"out/{suite}.json")["checks"] == [{
+            "name": "execution", "pass": False, "threshold": None, "value": message,
+        }], suite
+
+
+def _every_verdict_written(d: Path) -> None:
+    for suite in SUITES:
+        assert (d / f"out/{suite}.json").exists(), suite
+
+
+def _stdout_is(text: str):
+    def check(d, out):
+        assert out == text
+    return check
+
+
+def _valid_set(d, out):
+    assert json.loads(out)["measure"] == pytest.approx(0.5)
+    assert (d / "out/validate.json").exists()
+
+
+def _whitney_on_one_gap(d, out):
+    assert _json(d, "out/whitney.json")["pass"] is True
+    csv_lines = (d / "out/whitney.csv").read_text().strip().splitlines()
+    assert csv_lines[0] == "parent,rank,start,end,length,lambda"
+
+
+def _slope_report(d, out):
+    names = {c["name"] for c in _json(d, "out/transform.json")["checks"]}
+    assert {"decay_slope_p0", "decay_slope_p1", "decay_slope_p3"} <= names
+    assert (d / "out/transform_spectrum.csv").exists()
+
+
+def _six_decay_levels(d, out):
+    assert len(_json(d, "out/cutoff_decay.json")["levels"]) == 6
+
+
+def _keeps_the_file(d, out):
+    assert (d / "afile").read_text() == "keep me"
+
+
+def _heavy_atom_fails(d, out):
+    # e^{-800} underflows, so theta's coefficients cannot be formed; the
+    # suite must fail, not report a residual of 0.0
+    verdict = _json(d, "out/permanence.json")
+    assert verdict["pass"] is False
+    assert [c["name"] for c in verdict["checks"]] == ["execution"]
+    assert "800" in verdict["checks"][0]["value"]
+
+
+def _runs_permanence_checks(d, out):
+    # e^{-705} is a normal double: the suite records its own checks
+    checks = _json(d, "out/permanence.json")["checks"]
+    assert [c["name"] for c in checks] == ["orthogonality", "u1_stability", "u2_stability"]
+    assert all(math.isfinite(c["value"]) for c in checks)
+
+
+def _far_matches_near(d, out):
+    # the same points, written far from [0, 2 pi) and as their residues
+    near = {f.name: f.read_bytes() for f in (d / "near").iterdir()}
+    assert near == {f.name: f.read_bytes() for f in (d / "far").iterdir()}
+    assert not any(b"execution" in text for text in near.values())
+
+
+def _finite_whitney_mass(d, out):
+    # Ranks up to 40 of a 1e-300 gap are subnormal: 1/|B| would overflow and
+    # make the mass and its bound both infinite, which would pass.
+    (mass,) = [c for c in _json(d, "out/whitney.json")["checks"] if c["name"] == "lambda_mass"]
+    assert math.isfinite(mass["value"]) and math.isfinite(mass["threshold"])
+    assert 0.0 < mass["value"] <= mass["threshold"] < 1e-148
+
+
+def _tiny_gap_fails_each_cutoff_suite(d, out):
+    _every_verdict_written(d)
+    assert _json(d, "out/whitney.json")["pass"] is True
+    _execution_in(d, ("cutoff", "transform", "annihilator", "permanence"),
+                  POLE_ON_CIRCLE.format(kmax=40))
+
+
+def _below_resolution_fails_each_suite(d, out):
+    _every_verdict_written(d)
+    _execution_in(d, ("whitney", "cutoff", "transform", "annihilator", "permanence"),
+                  "gap 0: the rank -10 Whitney arc is below double-precision resolution")
+
+
+ONE_GAP = {"one_gap.json": json.dumps({"gaps": [{"start": 0.0, "end": math.pi}]})}
+OVERLAPPING_GAPS = json.dumps({"gaps": [{"start": 0.0, "end": 1.0}, {"start": 0.5, "end": 1.5}]})
+# every Whitney pole of a 1e-300 gap has radius 1 + |B| == 1.0: it lies on
+# the circle, so build_cutoff refuses it before any pole sum overflows
+TINY_GAP = {"s.json": '{"gaps": [{"start": 0.0, "end": 1e-300}]}'}
+POLE_ON_CIRCLE = "gap 0: the rank -{kmax} Whitney pole rounds onto the unit circle"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+PASSING_VERDICT = {"out/whitney.json": '{"suite": "whitney", "pass": true}'}
+PERMANENCE = "verify --suite permanence --grid 10 --measure m.json --out out"
+
+
+def _atom(angle, mass) -> str:
+    return json.dumps({"atoms": [{"angle": angle, "mass": mass}]})
+
+
+def _gap(start, end) -> str:
+    return json.dumps({"gaps": [{"start": start, "end": end}]})
+
+
+CONTRACT = [
+    # validate
+    Row("validate_valid_set", "validate one_gap.json --out out", 0, files=ONE_GAP,
+        check=_valid_set),
+    Row("validate_malformed_json", "validate bad.json --out out", 2, CONFIG_ERROR,
+        files={"bad.json": "{not json"}),
+    Row("validate_overlapping_gaps", "validate o.json --out out", 2, CONFIG_ERROR,
+        files={"o.json": OVERLAPPING_GAPS}),
+    # one suite on one input
+    Row("whitney_suite_on_one_gap", "verify --suite whitney --set one_gap.json --out out", 0,
+        files=ONE_GAP, check=_whitney_on_one_gap),
+    Row("transform_suite_emits_slope_report",
+        "verify --suite transform --grid 13 --kmax 8 --out out", 0, check=_slope_report),
+    Row("cutoff_suite_writes_six_decay_levels",
+        "verify --suite cutoff --grid 13 --kmax 8 --out out", 0, check=_six_decay_levels),
+    # malformed input files and flags out of range
+    Row("missing_set_file", "verify --suite whitney --set missing_file.json --out out", 2,
+        CONFIG_ERROR),
+    Row("truncated_set_json", "verify --suite whitney --set s.json --out out", 2, CONFIG_ERROR,
+        files={"s.json": '{"gaps": [{"start": 0.0,'}),
+    Row("overlapping_set_gaps", "verify --suite whitney --set o.json --out out", 2, CONFIG_ERROR,
+        files={"o.json": OVERLAPPING_GAPS}),
+    # end > start, but the normalized length (end - start) / 2pi underflows to 0
+    Row("zero_length_gap", "verify --suite whitney --set z.json --out out", 2, CONFIG_ERROR,
+        files={"z.json": _gap(0.0, 5e-324)}),
+    Row("zero_length_gap_validate", "validate z.json --out out", 2, CONFIG_ERROR,
+        files={"z.json": _gap(0.0, 5e-324)}),
+    Row("negative_atom_mass", PERMANENCE, 2, CONFIG_ERROR, files={"m.json": _atom(0.0, -1)}),
+    Row("nan_atom_mass", PERMANENCE, 2, CONFIG_ERROR,
+        files={"m.json": '{"atoms": [{"angle": 0.0, "mass": NaN}]}'}),
+    Row("infinite_atom_angle", PERMANENCE, 2, CONFIG_ERROR,
+        files={"m.json": '{"atoms": [{"angle": Infinity, "mass": 0.1}]}'}),
+    Row("non_numeric_coeffs_row", "verify --suite weights --coeffs c.csv --out out", 2,
+        CONFIG_ERROR, files={"c.csv": "k,value\n0,1\n1,abc\n"}),
+    Row("empty_coeffs", "verify --suite weights --coeffs c.csv --out out", 2, CONFIG_ERROR,
+        files={"c.csv": "k,value\n"}),
+    Row("nan_coeff", "verify --suite weights --coeffs c.csv --out out", 2, CONFIG_ERROR,
+        files={"c.csv": "k,value\n0,1\n1,nan\n"}),
+    # each value is finite, but the sum of their squares overflows
+    Row("overflowing_coeffs_square", "verify --suite weights --coeffs c.csv --out out", 2,
+        CONFIG_ERROR, files={"c.csv": "1e170\n1e170\n1e170\n"}),
+    Row("kmax_too_large", "verify --suite whitney --kmax 2000 --out out", 2, CONFIG_ERROR),
+    Row("negative_seed", "verify --suite whitney --seed -1 --out out", 2, CONFIG_ERROR),
+    # JSON nested past the parser's recursion limit, in each file a run reads
+    Row("nested_json_validate", "validate deep.json --out out", 2, CONFIG_ERROR,
+        files={"deep.json": DEEP_JSON}),
+    Row("nested_json_set", "verify --suite whitney --set deep.json --out out", 2, CONFIG_ERROR,
+        files={"deep.json": DEEP_JSON}),
+    Row("nested_json_measure", "verify --suite permanence --measure deep.json --out out", 2,
+        CONFIG_ERROR, files={"deep.json": DEEP_JSON}),
+    Row("nested_json_verdict", "report --out out", 2, CONFIG_ERROR,
+        files={"out/whitney.json": DEEP_JSON}),
+    # validate reads only its set file and --out, report only --out; verify is
+    # the one way to run a suite, and no flag moves a threshold
+    Row("validate_grid", "validate one_gap.json --grid 99 --out out", 2,
+        usage_error("unrecognized arguments"), files=ONE_GAP),
+    Row("validate_measure", "validate one_gap.json --measure missing.json --out out", 2,
+        usage_error("unrecognized arguments"), files=ONE_GAP),
+    Row("report_seed", "report --seed -1 --out out", 2, usage_error("unrecognized arguments"),
+        files=PASSING_VERDICT),
+    Row("report_set", "report --set missing.json --out out", 2,
+        usage_error("unrecognized arguments"), files=PASSING_VERDICT),
+    Row("unknown_subcommand", "whitney --out out", 2,
+        usage_error("argument command: invalid choice")),
+    Row("removed_tol_flag", "verify --suite whitney --tol 1e-3 --out out", 2,
+        usage_error("unrecognized arguments")),
+    # --out must name a directory, and the file it names stays as it was
+    Row("out_is_a_file_verify", "verify --suite whitney --out afile", 2, CONFIG_ERROR,
+        files={"afile": "keep me"}, check=_keeps_the_file),
+    Row("out_is_a_file_validate", "validate one_gap.json --out afile", 2, CONFIG_ERROR,
+        files={"afile": "keep me", **ONE_GAP}, check=_keeps_the_file),
+    # inputs at the edge of double precision
+    Row("heavy_atom_fails_permanence", PERMANENCE, 1, files={"m.json": _atom(1.0, 800)},
+        check=_heavy_atom_fails),
+    Row("heavy_atom_report_reads_fail", "report --out out", 1, files={"m.json": _atom(1.0, 800)},
+        before=(PERMANENCE,), check=_stdout_is("permanence.json: FAIL\n")),
+    Row("atom_just_below_underflow", PERMANENCE, 1, files={"m.json": _atom(1.0, 705)},
+        check=_runs_permanence_checks),
+    # exp(-1j * angle * k) overflowed at 1e308, and past about 1e16 the grid
+    # angle t is lost in t - angle; the loader stores the angle mod 2 pi
+    Row("large_atom_angle_reduced_mod_2pi",
+        "verify --suite permanence --grid 10 --measure far.json --out far", 1,
+        files={"far.json": _atom(1e308, 0.1), "near.json": _atom(wrap_angle(1e308), 0.1)},
+        before=("verify --suite permanence --grid 10 --measure near.json --out near",),
+        check=_far_matches_near),
+    # a set file's gaps are moved by multiples of 2 pi to start in [0, 2 pi)
+    Row("large_gap_angle_reduced_mod_2pi", "verify --suite all --set far.json --out far", 0,
+        files={"far.json": _gap(1e9, 1e9 + 1.0),
+               "near.json": _gap(wrap_angle(1e9), wrap_angle(1e9) + 1.0)},
+        before=("verify --suite all --set near.json --out near",), check=_far_matches_near),
+    Row("tiny_gap_cutoff_kmax10", "verify --suite cutoff --set s.json --kmax 10 --out out", 1,
+        files=TINY_GAP,
+        check=lambda d, out: _execution_in(d, ("cutoff",), POLE_ON_CIRCLE.format(kmax=10))),
+    Row("tiny_gap_cutoff_kmax40", "verify --suite cutoff --set s.json --kmax 40 --out out", 1,
+        files=TINY_GAP,
+        check=lambda d, out: _execution_in(d, ("cutoff",), POLE_ON_CIRCLE.format(kmax=40))),
+    # poles on the circle would overflow the pole sums (1 / 0) and put NaN
+    # into g; each suite that builds the cut-off fails cleanly instead
+    Row("tiny_gap_each_cutoff_suite", "verify --suite all --set s.json --kmax 40 --out out", 1,
+        files=TINY_GAP, check=_tiny_gap_fails_each_cutoff_suite),
+    Row("tiny_gap_whitney_mass_finite", "verify --suite whitney --set s.json --kmax 40 --out out",
+        0, files=TINY_GAP, check=_finite_whitney_mass),
+    # a one-ulp gap is a valid set, but its Whitney arcs of rank 10 collapse
+    # to a point; every suite still writes its verdict
+    Row("gap_below_whitney_resolution", "verify --suite all --set s.json --out out", 1,
+        files={"s.json": _gap(1.0, 1.0000000000000002)}, check=_below_resolution_fails_each_suite),
+    # report
+    Row("report_aggregates_verdicts", "report --out out", 0,
+        before=("verify --suite whitney --out out",),
+        check=_stdout_is("whitney.json: pass\n")),
+    Row("report_missing_out_dir", "report --out missing", 2, CONFIG_ERROR),
+    Row("report_truncated_verdict", "report --out out", 2, CONFIG_ERROR,
+        files={"out/whitney.json": '{"suite": "whitney", "pass":'}),
+    # bool("false") is True: only a JSON boolean is a verdict
+    Row("report_string_pass", "report --out out", 2, CONFIG_ERROR,
+        files={"out/whitney.json": '{"suite": "whitney", "pass": "false"}'}),
+    Row("report_null_pass", "report --out out", 2, CONFIG_ERROR,
+        files={"out/whitney.json": '{"suite": "whitney", "pass": null}'}),
+    # a mistyped but existing --out must not read as "every suite passed"
+    Row("report_empty_out_dir", "report --out out", 2, CONFIG_ERROR, files={"out/": ""}),
+    Row("report_out_dir_without_verdict", "report --out out", 2, CONFIG_ERROR,
+        files={"out/cutoff_decay.json": '{"levels": []}'}),
+]
+
+
+def _run_row(row: Row, d: Path, run) -> None:
+    """Run a row in directory d; run(argv) returns (status, stdout, stderr)."""
+    for name, text in row.files.items():
+        path = d / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if name.endswith("/"):
+            path.mkdir()
+        else:
+            path.write_text(text)
+    for command in row.before:
+        status, _, err = run(command.split())
+        assert status in (0, 1) and err == "", (command, status, err)
+    status, out, err = run(row.argv.split())
+    assert "Traceback" not in err
+    assert re.fullmatch(row.stderr, err, re.S), err
+    assert status == row.status
+    if status == 2:
+        assert out == ""
+    if row.check is not None:
+        row.check(d, out)
+
+
+def _run_in_process(row: Row, tmp_path, monkeypatch, capsys) -> None:
+    # pytest's filterwarnings = error fails the row on any warning
+    def run(argv):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        return (status, *capsys.readouterr())
+
+    monkeypatch.chdir(tmp_path)
+    _run_row(row, tmp_path, run)
+
+
+@pytest.mark.parametrize("row", CONTRACT, ids=lambda row: row.id)
+def test_contract_in_process(row, tmp_path, monkeypatch, capsys):
+    _run_in_process(row, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("row", CONTRACT, ids=lambda row: row.id)
+def test_contract_in_fresh_interpreter(row, tmp_path):
+    env = dict(os.environ, PYTHONWARNINGS="error",
+               PYTHONPATH=str(Path(bcct.cli.__file__).parents[1]))
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-m", "bcct.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    _run_row(row, tmp_path, run)
+
+
+ROW = {row.id: row for row in CONTRACT}
+
+
+# The validate and report rows also run in process under the test names they
+# have long had, so a record of past runs still finds each of them.
 class TestValidate:
-    def test_valid_set(self, tmp_path, capsys):
-        p = write_one_gap(tmp_path)
-        rc = main(["validate", str(p), "--out", str(tmp_path / "out")])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["measure"] == pytest.approx(0.5)
-        assert (tmp_path / "out" / "validate.json").exists()
+    def test_valid_set(self, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW["validate_valid_set"], tmp_path, monkeypatch, capsys)
 
-    def test_malformed_json_exits_2(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        assert main(["validate", str(p), "--out", str(tmp_path / "out")]) == 2
+    def test_malformed_json_exits_2(self, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW["validate_malformed_json"], tmp_path, monkeypatch, capsys)
 
-    def test_overlapping_gaps_exit_2(self, tmp_path):
-        p = tmp_path / "overlap.json"
-        p.write_text(json.dumps({"gaps": [
-            {"start": 0.0, "end": 1.0}, {"start": 0.5, "end": 1.5}]}))
-        assert main(["validate", str(p), "--out", str(tmp_path / "out")]) == 2
+    def test_overlapping_gaps_exit_2(self, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW["validate_overlapping_gaps"], tmp_path, monkeypatch, capsys)
+
+
+class TestReport:
+    def test_aggregates_verdicts(self, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW["report_aggregates_verdicts"], tmp_path, monkeypatch, capsys)
+
+    def test_missing_out_dir_exits_2(self, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW["report_missing_out_dir"], tmp_path, monkeypatch, capsys)
+
+    def test_truncated_verdict_exits_2(self, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW["report_truncated_verdict"], tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("row_id", ["report_string_pass", "report_null_pass"],
+                             ids=['"false"', "null"])
+    def test_non_boolean_pass_exits_2(self, row_id, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW[row_id], tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("row_id", ["report_empty_out_dir", "report_out_dir_without_verdict"],
+                             ids=["empty", "no_verdict"])
+    def test_out_dir_without_verdicts_exits_2(self, row_id, tmp_path, monkeypatch, capsys):
+        _run_in_process(ROW[row_id], tmp_path, monkeypatch, capsys)
 
 
 class TestVerify:
-    def test_whitney_suite_on_one_gap(self, tmp_path):
-        p = write_one_gap(tmp_path)
-        out = tmp_path / "out"
-        rc = main(["verify", "--suite", "whitney", "--set", str(p), "--out", str(out)])
-        assert rc == 0
-        verdict = json.loads((out / "whitney.json").read_text())
-        assert verdict["pass"]
-        csv_lines = (out / "whitney.csv").read_text().strip().splitlines()
-        assert csv_lines[0] == "parent,rank,start,end,length,lambda"
-
-    def test_transform_suite_emits_slope_report(self, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["verify", "--suite", "transform", "--grid", "13", "--kmax", "8",
-                   "--out", str(out)])
-        assert rc == 0
-        verdict = json.loads((out / "transform.json").read_text())
-        names = {c["name"] for c in verdict["checks"]}
-        assert {"decay_slope_p0", "decay_slope_p1", "decay_slope_p3"} <= names
-        assert (out / "transform_spectrum.csv").exists()
-
-    def test_cutoff_suite_writes_six_decay_levels(self, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["verify", "--suite", "cutoff", "--grid", "13", "--kmax", "8", "--out", str(out)])
-        assert rc == 0
-        decay = json.loads((out / "cutoff_decay.json").read_text())
-        assert len(decay["levels"]) == 6
-
-    def test_unknown_suite_exits_2(self, tmp_path):
-        rc = main(["verify", "--suite", "whitney", "--set", "missing_file.json",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
-
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -157,257 +462,11 @@ def _input_file(tmp_path, name, text):
     return str(p)
 
 
-MALFORMED_INPUTS = {
-    "truncated_set_json": lambda d: [
-        "verify", "--suite", "whitney", "--set", _input_file(d, "s.json", '{"gaps": [{"start": 0.0,')],
-    "negative_atom_mass": lambda d: [
-        "verify", "--suite", "permanence",
-        "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": 0.0, "mass": -1}]}')],
-    "nan_atom_mass": lambda d: [
-        "verify", "--suite", "permanence",
-        "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": 0.0, "mass": NaN}]}')],
-    "infinite_atom_angle": lambda d: [
-        "verify", "--suite", "permanence",
-        "--measure", _input_file(d, "m.json", '{"atoms": [{"angle": Infinity, "mass": 0.1}]}')],
-    "non_numeric_coeffs_row": lambda d: [
-        "verify", "--suite", "weights",
-        "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,abc\n")],
-    "empty_coeffs": lambda d: [
-        "verify", "--suite", "weights", "--coeffs", _input_file(d, "e.csv", "k,value\n")],
-    "nan_coeff": lambda d: [
-        "verify", "--suite", "weights",
-        "--coeffs", _input_file(d, "c.csv", "k,value\n0,1\n1,nan\n")],
-    # each value is finite, but the sum of their squares overflows
-    "overflowing_coeffs_square": lambda d: [
-        "verify", "--suite", "weights",
-        "--coeffs", _input_file(d, "c.csv", "1e170\n1e170\n1e170\n")],
-    "kmax_too_large": lambda d: ["verify", "--suite", "whitney", "--kmax", "2000"],
-    "negative_seed": lambda d: ["verify", "--suite", "whitney", "--seed", "-1"],
-    "overlapping_set_gaps": lambda d: [
-        "verify", "--suite", "whitney", "--set", _input_file(d, "o.json", json.dumps(
-            {"gaps": [{"start": 0.0, "end": 1.0}, {"start": 0.5, "end": 1.5}]}))],
-    # end > start, but the normalized length (end - start) / 2pi underflows to 0
-    "zero_length_gap": lambda d: [
-        "verify", "--suite", "whitney",
-        "--set", _input_file(d, "z.json", '{"gaps": [{"start": 0.0, "end": 5e-324}]}')],
-    "zero_length_gap_validate": lambda d: [
-        "validate", _input_file(d, "z.json", '{"gaps": [{"start": 0.0, "end": 5e-324}]}')],
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exits_2(tmp_path, capsys, case):
-    argv = MALFORMED_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "out")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "Traceback" not in err
-
-
-IGNORED_FLAGS = {
-    "validate_grid": lambda d: ["validate", str(write_one_gap(d)), "--grid", "99"],
-    "validate_measure": lambda d: ["validate", str(write_one_gap(d)), "--measure", "missing.json"],
-    "report_seed": lambda d: ["report", "--seed", "-1"],
-    "report_set": lambda d: ["report", "--set", "missing.json"],
-}
-
-
-@pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))
-def test_flag_a_subcommand_does_not_take_exits_2(tmp_path, capsys, case):
-    # validate reads only its set file and --out, report only --out
-    argv = IGNORED_FLAGS[case](tmp_path) + ["--out", str(tmp_path / "out")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "unrecognized arguments" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", [
-    lambda d: ["verify", "--suite", "whitney"],
-    lambda d: ["validate", str(write_one_gap(d))],
-], ids=["verify", "validate"])
-def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, command):
-    # mkdir raised FileExistsError here: a traceback and exit 1
-    target = tmp_path / "afile"
-    target.write_text("keep me")
-    assert main(command(tmp_path) + ["--out", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error:")
-    assert "Traceback" not in captured.err
-    assert target.read_text() == "keep me"
-
-
-def test_heavy_atom_fails_permanence(tmp_path, capsys):
-    # e^{-800} underflows, so theta's coefficients cannot be formed; the
-    # suite must fail, not report a residual of 0.0, and report must read
-    # the failed verdict
-    m = _input_file(tmp_path, "m.json", '{"atoms": [{"angle": 1.0, "mass": 800}]}')
-    out = tmp_path / "out"
-    argv = ["verify", "--suite", "permanence", "--grid", "10", "--measure", m, "--out", str(out)]
-    assert main(argv) == 1
-    verdict = json.loads((out / "permanence.json").read_text())
-    assert verdict["pass"] is False
-    assert [c["name"] for c in verdict["checks"]] == ["execution"]
-    assert "800" in verdict["checks"][0]["value"]
-    assert capsys.readouterr().err == ""
-    assert main(["report", "--out", str(out)]) == 1
-    assert capsys.readouterr().out == "permanence.json: FAIL\n"
-
-
-def test_atom_just_below_underflow_runs_permanence(tmp_path, capsys):
-    # e^{-705} is a normal double, so theta's coefficients exist: the suite
-    # records its own checks, not an execution failure, and warns nothing
-    m = _input_file(tmp_path, "m.json", '{"atoms": [{"angle": 1.0, "mass": 705}]}')
-    out = tmp_path / "out"
-    argv = ["verify", "--suite", "permanence", "--grid", "10", "--measure", m, "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 1
-    verdict = json.loads((out / "permanence.json").read_text())
-    assert [c["name"] for c in verdict["checks"]] == ["orthogonality", "u1_stability", "u2_stability"]
-    assert all(math.isfinite(c["value"]) for c in verdict["checks"])
-    assert capsys.readouterr().err == ""
-
-
-def test_large_atom_angle_is_reduced_mod_2pi(tmp_path, capsys):
-    # exp(-1j * angle * k) overflowed at 1e308, and past about 1e16 the grid
-    # angle t is lost in t - angle; the loader stores the angle mod 2 pi
-    verdicts = []
-    for i, angle in enumerate((1e308, wrap_angle(1e308))):
-        m = _input_file(tmp_path, f"m{i}.json", json.dumps({"atoms": [{"angle": angle, "mass": 0.1}]}))
-        out = tmp_path / f"out{i}"
-        argv = ["verify", "--suite", "permanence", "--grid", "10", "--measure", m, "--out", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            main(argv)
-        verdicts.append((out / "permanence.json").read_bytes())
-    assert verdicts[0] == verdicts[1]
-    assert b"execution" not in verdicts[0]
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("kmax", ["10", "40"])
-def test_tiny_gap_fails_cutoff_without_overflow(tmp_path, capsys, kmax):
-    # Every Whitney pole of a 1e-300 gap has radius 1 + |B| == 1.0: it lies on
-    # the circle, so build_cutoff refuses it before any pole sum overflows.
-    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 0.0, "end": 1e-300}]}')
-    out = tmp_path / "out"
-    argv = ["verify", "--suite", "cutoff", "--set", s, "--kmax", kmax, "--out", str(out)]
-    assert main(argv) == 1
-    verdict = json.loads((out / "cutoff.json").read_text())
-    assert verdict["checks"] == [{
-        "name": "execution", "pass": False, "threshold": None,
-        "value": f"gap 0: the rank -{kmax} Whitney pole rounds onto the unit circle",
-    }]
-    assert capsys.readouterr().err == ""
-
-
-def test_tiny_gap_poles_on_circle_fail_each_cutoff_suite(tmp_path, capsys):
-    # Poles on the circle would overflow the pole sums (1 / 0) and put NaN
-    # into g; each suite that builds the cut-off fails cleanly instead.
-    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 0.0, "end": 1e-300}]}')
-    out = tmp_path / "out"
-    argv = ["verify", "--suite", "all", "--set", s, "--kmax", "40", "--out", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == ""
-    for suite in SUITES:
-        assert (out / f"{suite}.json").exists(), suite
-    assert json.loads((out / "whitney.json").read_text())["pass"] is True
-    for suite in ("cutoff", "transform", "annihilator", "permanence"):
-        verdict = json.loads((out / f"{suite}.json").read_text())
-        assert verdict["checks"] == [{
-            "name": "execution", "pass": False, "threshold": None,
-            "value": "gap 0: the rank -40 Whitney pole rounds onto the unit circle",
-        }], suite
-
-
-def test_tiny_gap_whitney_mass_is_finite(tmp_path, capsys):
-    # Ranks up to 40 of a 1e-300 gap are subnormal: 1/|B| would overflow and
-    # make the mass and its bound both infinite, which would pass.
-    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 0.0, "end": 1e-300}]}')
-    out = tmp_path / "out"
-    argv = ["verify", "--suite", "whitney", "--set", s, "--kmax", "40", "--out", str(out)]
-    assert main(argv) == 0
-    verdict = json.loads((out / "whitney.json").read_text())
-    (mass,) = [c for c in verdict["checks"] if c["name"] == "lambda_mass"]
-    assert math.isfinite(mass["value"]) and math.isfinite(mass["threshold"])
-    assert 0.0 < mass["value"] <= mass["threshold"] < 1e-148
-    assert capsys.readouterr().err == ""
-
-
-def test_gap_below_whitney_resolution_fails_each_suite(tmp_path, capsys):
-    # A one-ulp gap is a valid set, but its Whitney arcs of rank 10 collapse
-    # to a point; every suite still writes its verdict.
-    s = _input_file(tmp_path, "s.json", '{"gaps": [{"start": 1.0, "end": 1.0000000000000002}]}')
-    out = tmp_path / "out"
-    assert main(["verify", "--suite", "all", "--set", s, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ""
-    for suite in SUITES:
-        assert (out / f"{suite}.json").exists(), suite
-    for suite in ("whitney", "cutoff", "transform", "annihilator", "permanence"):
-        verdict = json.loads((out / f"{suite}.json").read_text())
-        assert verdict["checks"] == [{
-            "name": "execution", "pass": False, "threshold": None,
-            "value": "gap 0: the rank -10 Whitney arc is below double-precision resolution",
-        }], suite
-
-
 @pytest.mark.parametrize("first", [".5", "+0.5", " 0.5"])
 def test_headerless_coeffs_keep_first_value(tmp_path, first):
     # a first line that parses as a number is data, whatever its first character
     p = _input_file(tmp_path, "c.csv", f"{first}\n0.25\n0.125\n0.0625\n")
     assert list(_read_coeffs_csv(p).coeffs) == [0.5, 0.25, 0.125, 0.0625]
-
-
-class TestReport:
-    def test_aggregates_verdicts(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["verify", "--suite", "whitney", "--out", str(out)])
-        rc = main(["report", "--out", str(out)])
-        assert rc == 0
-        assert "whitney.json: pass" in capsys.readouterr().out
-
-    def test_truncated_verdict_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "whitney.json").write_text('{"suite": "whitney", "pass":')
-        assert main(["report", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("flag", ['"false"', "null"])
-    def test_non_boolean_pass_exits_2(self, tmp_path, capsys, flag):
-        # bool("false") is True: only a JSON boolean is a verdict
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "whitney.json").write_text(f'{{"suite": "whitney", "pass": {flag}}}')
-        assert main(["report", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error:")
-        assert "Traceback" not in captured.err
-
-    def test_missing_out_dir_exits_2(self, tmp_path, capsys):
-        assert main(["report", "--out", str(tmp_path / "missing")]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
-
-    @pytest.mark.parametrize("files", [{}, {"cutoff_decay.json": '{"levels": []}'}],
-                             ids=["empty", "no_verdict"])
-    def test_out_dir_without_verdicts_exits_2(self, tmp_path, capsys, files):
-        # a mistyped but existing --out must not read as "every suite passed"
-        out = tmp_path / "out"
-        out.mkdir()
-        for name, text in files.items():
-            (out / name).write_text(text)
-        assert main(["report", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("config error:")
-        assert "Traceback" not in captured.err
 
 
 class TestSubcommands:
