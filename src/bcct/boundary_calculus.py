@@ -8,7 +8,11 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
       c_r = (1/n) * sum_m v_m * exp(-i r t_m),
 
   exact for trigonometric polynomials below the Nyquist band; this module
-  alone calls numpy.fft;
+  alone calls numpy.fft.  The 1/n scaling happens inside the forward
+  transform (``norm="forward"``, which leaves the inverse unscaled), so no
+  extra pass over the grid rescales a result; on the package's power-of-two
+  grids that scaling is exact, and the values are those of fft(v)/n and
+  ifft(c)*n bit for bit;
 * :func:`analytic_coefficients` -- the analytic (Riesz) projection, the
   Taylor coefficients c_0..c_band read off the spectrum;
 * :func:`synthesize_analytic` -- its inverse, the grid samples of an
@@ -31,8 +35,8 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
 Alongside them: the conjugate function, Fejer means, Horner evaluation
 inside the disk, FFT convolution and correlation (their transform length
 is :func:`_fast_length`, the least 11-smooth length that avoids
-wrap-around), and the grid mask of a set.  The package's grids have
-2**log2_size points.
+wrap-around), the grid angles t_m and points zeta_m, and the grid mask of
+a set.  The package's grids have 2**log2_size points.
 """
 
 from __future__ import annotations
@@ -54,8 +58,20 @@ _NEAR_BLOCK = 1 << 15
 
 
 def grid_angles(log2_size: int) -> np.ndarray:
+    """t_m = 2 pi m / n, formed in one array (the values of TWO_PI * arange / n)."""
     n = 1 << log2_size
-    return TWO_PI * np.arange(n) / n
+    t = np.arange(n, dtype=float)
+    t *= TWO_PI
+    t /= n
+    return t
+
+
+def grid_points(log2_size: int) -> np.ndarray:
+    """zeta_m = exp(i t_m), formed in one array: exp of complex(+0, t_m),
+    the bits of np.exp(1j * grid_angles(log2_size))."""
+    z = np.zeros(1 << log2_size, dtype=complex)
+    z.imag = grid_angles(log2_size)
+    return np.exp(z, out=z)
 
 
 @dataclass(frozen=True)
@@ -95,8 +111,9 @@ def monomial(k: int) -> AnalyticSeries:
 
 
 def _spectrum(values: np.ndarray) -> np.ndarray:
-    """Grid Fourier coefficients fft(values) / len(values), read-only."""
-    c = np.fft.fft(values) / len(values)
+    """Grid Fourier coefficients fft(values) / len(values), read-only; the
+    transform applies the 1/n itself."""
+    c = np.fft.fft(values, norm="forward")
     c.flags.writeable = False
     return c
 
@@ -221,7 +238,7 @@ def herglotz_at_nodes(u: np.ndarray, nodes: np.ndarray, m_max: int) -> list[np.n
         near.append(kernel[offsets])
         far = kernel[: n // 2 + 1].copy()
         far[:reach] = 0.0
-        sums.append(np.fft.ifft(spectrum * (n * np.fft.irfft(far, n)))[nodes])
+        sums.append(np.fft.ifft(spectrum * np.fft.irfft(far, n, norm="forward"))[nodes])
     rows = max(1, _NEAR_BLOCK // len(offsets))
     for i in range(0, len(nodes), rows):
         window = u[(nodes[i : i + rows, None] + offsets) % n]
@@ -247,7 +264,8 @@ def fejer_means(series: AnalyticSeries, degree: int) -> AnalyticSeries:
 def evaluate_in_disk(series: AnalyticSeries, z) -> complex | np.ndarray:
     """Horner evaluation of the finite series at |z| <= 1 - 1e-6."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) > 1.0 - 1e-6):
+    # written so that a NaN point fails it too
+    if not np.all(np.abs(z) <= 1.0 - 1e-6):
         raise OutsideDomain("evaluate_in_disk needs |z| <= 1 - 1e-6")
     acc = np.zeros_like(z)
     for c in series.coeffs[::-1]:
@@ -270,9 +288,10 @@ def _cauchy_sum(c: np.ndarray, z):
     """
     n = len(c)
     z = np.asarray(z, dtype=complex)
-    r_max = float(np.max(np.abs(z), initial=0.0))
-    if r_max > 1.0 - 1e-6:
+    radii = np.abs(z)
+    if not np.all(radii <= 1.0 - 1e-6):  # NaN points fail it too
         raise OutsideDomain("the Cauchy sum needs |z| <= 1 - 1e-6")
+    r_max = float(np.max(radii, initial=0.0))
     terms = 1
     if r_max > 0.0:
         eps = np.finfo(float).eps
@@ -323,4 +342,4 @@ def synthesize_analytic(series: AnalyticSeries, log2_size: int) -> np.ndarray:
         raise BandTooLarge("series degree above Nyquist")
     c = np.zeros(n, dtype=complex)
     c[: len(series.coeffs)] = series.coeffs
-    return np.fft.ifft(c) * n
+    return np.fft.ifft(c, norm="forward")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._expderiv import _dyadic_level_points, pole_sum
-from .boundary_calculus import grid_angles
+from .boundary_calculus import grid_points
 from .circle_sets import (
     ANGLE_SLACK,
     TWO_PI,
@@ -133,8 +133,9 @@ def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
     next to b n / 2pi can lie within it of an endpoint b.
     """
     n = 1 << log2_size
-    z = np.exp(1j * grid_angles(log2_size))
-    vals = np.exp(eval_h(c, z))
+    z = grid_points(log2_size)
+    h = eval_h(c, z)
+    vals = np.exp(h, out=h)
     for b in c.boundary_angles:
         m = round(b * n / TWO_PI)
         _zero_endpoint_hits(z, vals, np.arange(m - 1, m + 2) % n, b)

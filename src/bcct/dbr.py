@@ -28,7 +28,7 @@ from .boundary_calculus import (
     AnalyticSeries,
     _spectrum,
     evaluate_in_disk,
-    grid_angles,
+    grid_points,
     indicator_mask,
     monomial,
     synthesize_analytic,
@@ -85,8 +85,9 @@ class SymbolB:
 
         The Herglotz factor comes from :func:`herglotz_exp`: one FFT and the
         spectral Cauchy sum, at |z| <= 1 - 1e-6; nearer the circle it raises
-        :class:`OutsideDomain`."""
-        return self.inner.eval(z) * herglotz_exp(self.log_modulus, z)
+        :class:`OutsideDomain` before theta is evaluated."""
+        outer = herglotz_exp(self.log_modulus, z)
+        return self.inner.eval(z) * outer
 
 
 def build_symbol(inner: InnerFunction, modulus: BoundaryWeight) -> SymbolB:
@@ -144,7 +145,7 @@ def kernel_eval(b, lam, z) -> complex | np.ndarray:
     one outside the domain of ``SymbolB.eval``, |z| <= 1 - 1e-6."""
     lam = np.asarray(lam, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(lam) >= 1.0) or np.any(np.abs(z) >= 1.0):
+    if not (np.all(np.abs(lam) < 1.0) and np.all(np.abs(z) < 1.0)):  # NaN fails too
         raise OutsideDomain("kernel arguments must lie in the open disk")
     blam = np.asarray(b(lam), dtype=complex)
     bz = np.asarray(b(z), dtype=complex)
@@ -204,8 +205,7 @@ def kernel_tuple(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tuple (f, g) = (k_b(lam, .), -conj(b(lam)) Delta s_lam) as samples."""
     n = 1 << grid_log2
-    t = grid_angles(grid_log2)
-    zeta = np.exp(1j * t)
+    zeta = grid_points(grid_log2)
     s_lam = 1.0 / (1.0 - np.conj(lam) * zeta)
     b_samples = synthesize_analytic(AnalyticSeries(b_coeffs), grid_log2)
     b_at_lam = complex(evaluate_in_disk(AnalyticSeries(b_coeffs), lam))

@@ -116,9 +116,16 @@ class OuterFunction:
 def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
     """Boundary samples exp(u + i*conj(u)) with u = log(w) on the carrier.
     Their grid Fourier coefficients, ``spectrum``, are computed on first use."""
-    with np.errstate(divide="ignore"):
-        u = np.where(w.mask, np.log(np.maximum(w.values, 1e-320)), 0.0)
-    boundary = np.exp(u + 1j * conjugate_function(u))
+    # u and the boundary are each built in one array, with no grid-sized
+    # temporaries: u = log(max(w, 1e-320)) on the carrier only and 0 off it,
+    # then exp(complex(u, v)) in place, the bits of np.exp(u + 1j * v).
+    u = np.zeros(len(w.values))
+    np.maximum(w.values, 1e-320, out=u, where=w.mask)
+    np.log(u, out=u, where=w.mask)
+    boundary = np.empty(len(u), dtype=complex)
+    boundary.real = u
+    boundary.imag = conjugate_function(u)
+    np.exp(boundary, out=boundary)
     return OuterFunction(weight=w, boundary=boundary, log_modulus=u)
 
 

@@ -48,23 +48,38 @@ def _e_arcs(E: BeurlingCarlesonSet) -> list[tuple[float, float]]:
     return out
 
 
+def _arc_slices(a: float, span: float, n: int) -> list[slice]:
+    """Slices of the n grid indices that can hold an angle a + u, 0 <= u <=
+    span: the cells the arc covers with one to spare on each side (rounding
+    moves an angle by far less than a cell), two slices for an arc through
+    angle 0 (they overlap when the arc covers nearly the whole circle)."""
+    cell = TWO_PI / n
+    lo = math.floor(a / cell) - 1
+    count = math.ceil((a + span) / cell) + 2 - lo
+    lo %= n
+    if lo + count <= n:
+        return [slice(lo, lo + count)]
+    return [slice(lo, n), slice(0, lo + count - n)]
+
+
 def taper_weight(E: BeurlingCarlesonSet, grid_log2: int, depth: float = 2.0) -> BoundaryWeight:
     """Smooth weight on E: on each E-arc, exp(-depth sin^2(pi u / span)) at
     the distance u from the arc's start, and 1 off E.
 
     Equals 1 with zero first derivative at the edges of E, so log(w) 1_E is
     C^{1,1} on the circle and the outer boundary data is clean.  Each arc's
-    profile is formed over the whole grid and kept where u <= span.
+    profile is formed on the contiguous grid slices the arc covers
+    (:func:`_arc_slices`) and kept where u <= span.
     """
     t = grid_angles(grid_log2)
     vals = np.ones_like(t)
     for a, span in _e_arcs(E):
-        u = np.mod(t - a, TWO_PI)
-        inside = u <= span
-        prof = np.exp(-depth * np.sin(np.pi * np.clip(u / span, 0.0, 1.0)) ** 2)
-        # In place: a new array per arc shifted where later arrays land on
-        # the heap, and raised a 2^21-grid transform run's peak RSS by 46 MB.
-        np.copyto(vals, prof, where=inside)
+        for piece in _arc_slices(a, span, len(t)):
+            u = np.mod(t[piece] - a, TWO_PI)
+            prof = np.exp(-depth * np.sin(np.pi * np.clip(u / span, 0.0, 1.0)) ** 2)
+            # In place: a new array per arc shifted where later arrays land on
+            # the heap, and raised a 2^21-grid transform run's peak RSS by 46 MB.
+            np.copyto(vals[piece], prof, where=u <= span)
     return boundary_weight(E, vals, grid_log2)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_calculus import AnalyticSeries, _spectrum, grid_angles, synthesize_analytic
+from .boundary_calculus import AnalyticSeries, _spectrum, grid_points, synthesize_analytic
 from .errors import LengthMismatch, RangeExhausted
 from .factors import BoundaryWeight
 from .transforms import KMember
@@ -193,7 +193,6 @@ def annihilator_check(
     """
     n = member.size
     mask = member.integration_mask
-    t = grid_angles(member.grid_log2)
     coeffs = member.spectrum[: n // 2]
     if perturbation is not None:
         coeffs = coeffs.copy()
@@ -201,7 +200,7 @@ def annihilator_check(
         coeffs[: len(p)] += p
     c_samples = synthesize_analytic(AnalyticSeries(coeffs), member.grid_log2)
     zeta_k = np.ones(n, dtype=complex)
-    phase = np.exp(1j * t)
+    phase = grid_points(member.grid_log2)
     out = np.empty(k_max + 1)
     for k in range(k_max + 1):
         left = np.sum(zeta_k * np.conj(c_samples)) / n

@@ -140,16 +140,18 @@ def build_member(
     if cutoff_samples is None:
         cutoff_samples = cutoff_boundary_samples(cutoff, grid_log2)
     zeta_p = AnalyticSeries(np.concatenate(([0.0], p.coeffs)))
-    q = synthesize_analytic(zeta_p, grid_log2) * cutoff_samples
+    # q is this member's own array, so the factors multiply into it in place
+    q = synthesize_analytic(zeta_p, grid_log2)
+    q *= cutoff_samples
     if outer is not None:
         if outer.grid_log2 != grid_log2:
             raise IngredientMismatch("outer factor sampled on a different grid")
-        q = q * outer.boundary
+        q *= outer.boundary
     s = np.conj(q)
     if theta is not None:
         if theta_samples is None:
             theta_samples = theta.boundary_samples(grid_log2)
-        s = theta_samples * s
+        np.multiply(theta_samples, s, out=s)
 
     return KMember(
         family=family,

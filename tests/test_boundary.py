@@ -22,6 +22,7 @@ from bcct.boundary_calculus import (
     evaluate_in_disk,
     fejer_means,
     grid_angles,
+    grid_points,
     indicator_mask,
     sup_norm_bound,
     synthesize_analytic,
@@ -86,6 +87,45 @@ class TestFourier:
         c = re + 1j * im
         exact = math.sqrt(math.fsum(x.real**2 + x.imag**2 for x in c))
         assert AnalyticSeries(c).norm_h2() == pytest.approx(exact, rel=1e-15)
+
+
+def _bits(x):
+    """The 64-bit words of a float or complex array, so that np.array_equal
+    tells -0.0 from +0.0."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestSameBitsInFewerPasses:
+    """The transforms apply the 1/n scaling themselves (norm="forward"), and
+    the grid arrays are built in place.  On power-of-two lengths each result
+    is, bit for bit, the expression with separate passes that it replaced."""
+
+    @pytest.mark.parametrize("log2", range(5, 17))
+    def test_grid_angles_and_points(self, log2):
+        n = 1 << log2
+        t = TWO_PI * np.arange(n) / n
+        assert np.array_equal(_bits(grid_angles(log2)), _bits(t))
+        assert np.array_equal(_bits(grid_points(log2)), _bits(np.exp(1j * t)))
+
+    @pytest.mark.parametrize("log2", range(5, 17))
+    def test_spectrum_is_fft_over_n(self, log2):
+        n = 1 << log2
+        rng = np.random.default_rng(log2)
+        # magnitudes from 1e-300 to 1; scaled by 1e-5 more, the spectrum
+        # reaches the subnormal range, where a product and a quotient still
+        # round the same exact value
+        x = 10.0 ** rng.uniform(-300.0, 0.0, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        for v in (x, x.real, 1e-5 * x):
+            assert np.array_equal(_bits(_spectrum(v)), _bits(np.fft.fft(v) / n))
+
+    @pytest.mark.parametrize("log2", range(5, 17))
+    def test_synthesis_is_ifft_times_n(self, log2):
+        n = 1 << log2
+        coeffs = _random_complex(np.random.default_rng(log2), n // 2)
+        padded = np.zeros(n, dtype=complex)
+        padded[: n // 2] = coeffs
+        assert np.array_equal(_bits(synthesize_analytic(AnalyticSeries(coeffs), log2)),
+                              _bits(np.fft.ifft(padded) * n))
 
 
 def _is_11_smooth(m):
@@ -290,6 +330,17 @@ class TestEvaluation:
             evaluate_in_disk(AnalyticSeries([1.0]), 1.0)
         with pytest.raises(OutsideDomain):
             _cauchy_sum(_spectrum(np.cos(grid_angles(G))), 1.0 - 1e-7)
+
+    @pytest.mark.parametrize(
+        "z", [math.nan, complex(math.nan, 0.0), np.array([0.5, math.nan, 0.2j])],
+        ids=["nan", "complex_nan", "array_with_nan"],
+    )
+    def test_nan_point_outside_domain(self, z):
+        # a NaN point fails |z| <= r as well as |z| > r
+        with pytest.raises(OutsideDomain):
+            evaluate_in_disk(AnalyticSeries([1.0, 2.0]), z)
+        with pytest.raises(OutsideDomain):
+            _cauchy_sum(_spectrum(np.cos(grid_angles(G))), z)
 
     def test_projection_evaluation_matches_quadrature(self):
         # smooth boundary data: both routes agree to 1e-6 at 64 points

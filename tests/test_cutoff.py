@@ -238,6 +238,36 @@ class TestDecayCertificate:
                 assert abs(h_k - complex(ref)) <= 3e-11 * abs(complex(ref)), k
                 assert abs(h2_k - complex(ref2)) <= 7e-11 * abs(complex(ref2)), k
 
+    def test_deepest_2p20_window_matches_mpmath(self, E, monkeypatch):
+        # The same oracle at acceptance scale: all 33 nodes of certify_decay's
+        # deepest window on 2^20 (k_max 24, distance 2^-17).  Measured: up to
+        # 2.9e-11 relative for h and 1.0e-10 for h''; the tolerances leave a
+        # factor of about 3.
+        c = build_cutoff(E, k_max=24)
+        seen = []
+
+        def recorded(cut, z, m_max):
+            seen.append((z, m_max))
+            return _g_and_h_derivs(cut, z, m_max)
+
+        monkeypatch.setattr(bcct.cutoff, "_g_and_h_derivs", recorded)
+        rep = certify_decay(c, E, orders_N=(0,), orders_m=(2,), grid_log2=20)
+        [(z, m_max)] = seen
+        z = z[-rep.points_per_level[-1] :]
+        h, h2 = eval_h(c, z), _g_and_h_derivs(c, z, m_max)[1][1]
+        n = 1 << 20
+        nodes = np.rint(np.angle(z) / TWO_PI * n).astype(int) % n
+        assert np.array_equal(z, np.exp(1j * TWO_PI * nodes / n))
+        with mpmath.workdps(40):
+            poles = [mpmath.mpc(complex(p)) for p in c.poles]
+            weights = [mpmath.mpc(complex(w)) for w in c.weights]
+            for k, h_k, h2_k in zip(nodes, h, h2):
+                zeta = mpmath.expjpi(mpmath.mpf(2 * int(k)) / n)
+                ref = -mpmath.fsum(w / (p - zeta) for p, w in zip(poles, weights))
+                ref2 = -2 * mpmath.fsum(w / (p - zeta) ** 3 for p, w in zip(poles, weights))
+                assert abs(h_k - complex(ref)) <= 1e-10 * abs(complex(ref)), k
+                assert abs(h2_k - complex(ref2)) <= 3e-10 * abs(complex(ref2)), k
+
 
 class TestDyadicWindows:
     @pytest.mark.parametrize("make_set", [two_gap, lambda: geometric_gaps(4)])

@@ -11,11 +11,13 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcct import _expderiv
 from bcct._expderiv import _BLOCK_ENTRIES, _SPLIT_ENTRIES, _block_buffers, _pole_rows, pole_sum
-from bcct.boundary_calculus import _fast_length, grid_angles, herglotz_at_nodes
-from bcct.circle_sets import TWO_PI, Arc, distances_to_set, point_carrier, validate_set
+from bcct.boundary_calculus import _fast_length, conjugate_function, grid_angles, herglotz_at_nodes
+from bcct.circle_sets import TWO_PI, Arc, distances_to_set, point_carrier, rotate_set, validate_set
 from bcct.cutoff import _g_and_h_derivs, build_cutoff
 from bcct.dbr import build_symbol, kernel_eval
 from bcct.errors import OutsideDomain, ResolutionError, WeightNotLogIntegrable
@@ -34,7 +36,7 @@ from bcct.factors import (
     measure_from_json,
     outer_from_weight,
 )
-from bcct.fixtures import const_weight, taper_weight, two_gap
+from bcct.fixtures import _e_arcs, const_weight, geometric_gaps, taper_weight, two_gap
 from bcct.transforms import interior_lattice
 
 G = 13
@@ -65,6 +67,43 @@ class TestBoundaryWeight:
         assert np.all(w.values[[n // 8, n // 2, 19 * n // 32, 0]] == 1.0)
         assert np.all(w.values[[5 * n // 16, 51 * n // 64]] == math.exp(-2.0))
         assert np.all((w.values >= math.exp(-2.0)) & (w.values <= 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["two_gap", "geometric_gaps"]),
+        st.integers(0, 5),
+        st.floats(0.0, 1.0),
+        st.integers(5, 16),
+        st.floats(0.5, 3.0),
+    )
+    @example(name="two_gap", arc=1, through=0.0, grid_log2=5, depth=2.0)
+    @example(name="geometric_gaps", arc=3, through=1.0, grid_log2=10, depth=2.0)
+    def test_taper_weight_on_arc_slices_is_the_whole_grid_formula(
+        self, name, arc, through, grid_log2, depth
+    ):
+        # E rotated so that angle 0 lies a fraction ``through`` along one of
+        # its arcs (at an end for 0 and 1), so that arc takes two slices
+        E = two_gap() if name == "two_gap" else geometric_gaps(4)
+        a, span = _e_arcs(E)[arc % len(_e_arcs(E))]
+        E = rotate_set(E, -(a + through * span) % TWO_PI)
+        w = taper_weight(E, grid_log2, depth)
+        assert np.array_equal(w.values, _whole_grid_taper(E, grid_log2, depth))
+
+    def test_taper_weight_on_an_arc_that_covers_the_grid(self):
+        E = validate_set([Arc(1.0, 1.0 + TWO_PI / (1 << G))])  # one hairline gap
+        assert np.array_equal(taper_weight(E, G).values, _whole_grid_taper(E, G, 2.0))
+
+
+def _whole_grid_taper(E, grid_log2, depth):
+    """The taper values as formed before the arc slices: each arc's profile
+    over the whole grid, kept where u <= span."""
+    t = grid_angles(grid_log2)
+    vals = np.ones_like(t)
+    for a, span in _e_arcs(E):
+        u = np.mod(t - a, TWO_PI)
+        prof = np.exp(-depth * np.sin(np.pi * np.clip(u / span, 0.0, 1.0)) ** 2)
+        np.copyto(vals, prof, where=u <= span)
+    return vals
 
 
 class TestOuter:
@@ -120,6 +159,16 @@ class TestOuter:
         herglotz_vals = W.eval(z)
         assert np.max(np.abs(series_vals - herglotz_vals)) <= 1e-6
 
+    @pytest.mark.parametrize("grid_log2", range(5, 17))
+    def test_built_in_place_with_the_bits_of_the_whole_grid_expressions(self, E, grid_log2):
+        # u is the log on the carrier only; the boundary is exp(complex(u, v))
+        bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+        for w in (taper_weight(E, grid_log2), const_weight(E, grid_log2, 0.3)):
+            W = outer_from_weight(w)
+            u = np.where(w.mask, np.log(np.maximum(w.values, 1e-320)), 0.0)
+            assert np.array_equal(bits(W.log_modulus), bits(u))
+            assert np.array_equal(bits(W.boundary), bits(np.exp(u + 1j * conjugate_function(u))))
+
     def test_spectrum_is_cached_and_read_only(self, E):
         W = outer_from_weight(taper_weight(E, G))
         assert W.spectrum is W.spectrum
@@ -167,23 +216,40 @@ class TestHerglotzExp:
                 ref = complex(mpmath.exp(H))
                 assert abs(val - ref) <= 1e-13 * abs(ref), zi
 
-    @pytest.mark.parametrize(
-        "evaluator", ["herglotz_exp", "outer_eval", "symbol_eval", "kernel_eval"]
-    )
-    def test_near_circle_raises(self, evaluator):
+    @staticmethod
+    def _evaluator(name):
         w = taper_weight(two_gap(), 10)
         W = outer_from_weight(w)
         b = build_symbol(InnerFunction((0.3,)), w)
-        call = {
+        return {
             "herglotz_exp": lambda z: herglotz_exp(W.log_modulus, z),
             "outer_eval": W.eval,
             "symbol_eval": b.eval,
             "kernel_eval": lambda z: kernel_eval(b.eval, 0.5, z),
-        }[evaluator]
+            "kernel_eval_lam": lambda z: kernel_eval(b.eval, z, 0.1),
+        }[name]
+
+    @pytest.mark.parametrize(
+        "evaluator", ["herglotz_exp", "outer_eval", "symbol_eval", "kernel_eval"]
+    )
+    def test_near_circle_raises(self, evaluator):
+        call = self._evaluator(evaluator)
         z_edge = (1.0 - 1e-7) * np.exp(0.3j)
         for z in (z_edge, np.array([0.5, z_edge])):
             with pytest.raises(OutsideDomain):
                 call(z)
+
+    @pytest.mark.parametrize(
+        "z", [math.nan, complex(math.nan, 0.0), np.array([0.5, math.nan, 0.2j])],
+        ids=["nan", "complex_nan", "array_with_nan"],
+    )
+    @pytest.mark.parametrize(
+        "evaluator", ["herglotz_exp", "outer_eval", "symbol_eval", "kernel_eval", "kernel_eval_lam"]
+    )
+    def test_nan_point_raises(self, evaluator, z):
+        # a NaN point fails |z| <= r as well as |z| > r
+        with pytest.raises(OutsideDomain):
+            self._evaluator(evaluator)(z)
 
 
 def _certificate_nodes(grid_log2: int, windows: int = 4) -> np.ndarray:
@@ -423,6 +489,50 @@ class TestThetaDerivatives:
         theta = InnerFunction((), SingularMeasure((Atom(0.0, 0.1),)))
         rep = certify_theta_derivatives(theta, F, orders_m=(1,), grid_log2=14)
         assert rep.stable(1)
+
+    def test_constants_match_mpmath(self, E, monkeypatch):
+        # C_m per window, max |d^m theta(e^{it})/dt^m| dist^{2m}, against
+        # 40-digit derivatives (mpmath.diffs) of the closed form of theta at
+        # the exact nodes 2 pi k/n, with the window distances the certificate
+        # used.  Two atoms at gap endpoints and one Blaschke zero, on 2^14
+        # (479 nodes).  Measured: up to 6.8e-13 relative over orders 0 to 2
+        # and the four windows, at order 0 in the deepest one, where a node's
+        # 1e-16 distance from the circle moves |theta| by about that much.
+        atoms = (Atom(E.gaps[0].start, 0.1), Atom(E.gaps[1].end, 0.05))
+        zero = 0.3 + 0.2j
+        theta = InnerFunction((zero,), SingularMeasure(atoms))
+        seen = {}
+        windows_of = _expderiv._dyadic_level_points
+
+        def recorded(carrier, grid_log2, levels, factor, m_max):
+            def spy(z, nodes, m):
+                seen["nodes"] = nodes
+                return factor(z, nodes, m)
+
+            seen["windows"] = windows_of(carrier, grid_log2, levels, spy, m_max)
+            return seen["windows"]
+
+        monkeypatch.setattr("bcct.factors._dyadic_level_points", recorded)
+        rep = certify_theta_derivatives(theta, E, orders_m=(0, 1, 2), grid_log2=14)
+        n = 1 << 14
+        cuts = np.cumsum([len(dist) for _, dist, _ in seen["windows"]])[:-1]
+        with mpmath.workdps(40):
+            a = mpmath.mpc(zero)
+            points = [(mpmath.expj(mpmath.mpf(atom.angle)), atom.mass) for atom in atoms]
+
+            def theta_at(t):
+                z = mpmath.expj(t)
+                acc = -mpmath.fsum(m * (p + z) / (p - z) for p, m in points)
+                return mpmath.exp(acc) * (abs(a) / a) * (a - z) / (1 - mpmath.conj(a) * z)
+
+            for level, (nodes, (_, dist, _)) in enumerate(
+                zip(np.split(seen["nodes"], cuts), seen["windows"])
+            ):
+                derivs = [list(mpmath.diffs(theta_at, 2 * mpmath.pi * int(k) / n, 2)) for k in nodes]
+                for m in (0, 1, 2):
+                    ref = float(max(abs(d[m]) * mpmath.mpf(float(dw)) ** (2 * m)
+                                    for d, dw in zip(derivs, dist)))
+                    assert abs(rep.constants[m][level] - ref) <= 2e-12 * ref, (m, level)
 
     def test_atom_outside_carrier_rejected(self):
         F = point_carrier(0.0)
