@@ -28,8 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .boundary_calculus import grid_angles
-from .circle_sets import BeurlingCarlesonSet, distances_to_set
+from .circle_sets import TWO_PI, BeurlingCarlesonSet, distances_to_set
 from .errors import ResolutionError
 
 # Point x pole entries per block of a pole sum.  2^15 complex entries are
@@ -180,22 +179,41 @@ def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, fa
     nodes), and returns ``exp(L(z))`` and ``[L'(z), ..., L^(m_max)(z)]``; each
     level yields ``(2^-l, distances, [|G|, |G'|, ..., |G^(m_max)|])`` for
     G(t) = exp(L(e^{it})).
+
+    A grid angle at distance below 2^(1-l_min) from E lies in a gap, that
+    close to one of the gap's endpoints; the distance is a fraction of the
+    circle, so the angle is fewer than n 2^(1-l_min) cells from that endpoint.
+    Distances are therefore computed only at the candidate nodes within
+    n 2^(1-l_min) + 2 cells of a boundary angle (the 2 covers the endpoint's
+    rounding to a cell), taken modulo n, deduplicated and sorted: a few
+    thousand nodes at 2^20 instead of the whole grid.  Each candidate's angle
+    and distance are formed as on the whole grid (:func:`grid_angles`,
+    :func:`distances_to_set`), so the windows, their distances and the
+    magnitudes are those of the whole-grid selection bit for bit.
     """
     l_max = grid_log2 - 3
     l_min = l_max - levels + 1
     if l_min < 1:
         raise ResolutionError("grid too coarse for the requested number of levels")
-    t = grid_angles(grid_log2)
+    n = 1 << grid_log2
+    reach = (n >> (l_min - 1)) + 2
+    offsets = np.arange(-reach, reach + 1)
+    candidates = np.unique(
+        np.concatenate([(round(b * n / TWO_PI) + offsets) % n for b in E.boundary_angles])
+    )
+    t = candidates * TWO_PI
+    t /= n
     dist = distances_to_set(t, E)
     windows = []
     for l in range(l_min, l_max + 1):
         d = 2.0 ** (-l)
-        nodes = np.flatnonzero((dist >= d) & (dist < 2.0 * d))
-        if len(nodes) < 8:
+        keep = np.flatnonzero((dist >= d) & (dist < 2.0 * d))
+        if len(keep) < 8:
             raise ResolutionError(f"level 2^-{l}: fewer than 8 grid points at that distance")
-        windows.append((d, nodes))
-    nodes = np.concatenate([k for _, k in windows])
-    z = np.exp(1j * t[nodes])
+        windows.append((d, keep))
+    keep = np.concatenate([k for _, k in windows])
+    nodes = candidates[keep]
+    z = np.exp(1j * t[keep])
     value, z_derivs = factor(z, nodes, m_max)
     mags = [np.abs(g) for g in exp_t_derivatives(z, value, z_derivs, m_max)]
     cuts = np.cumsum([len(k) for _, k in windows])[:-1]

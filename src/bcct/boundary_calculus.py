@@ -12,11 +12,18 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
   transform (``norm="forward"``, which leaves the inverse unscaled), so no
   extra pass over the grid rescales a result; on the package's power-of-two
   grids that scaling is exact, and the values are those of fft(v)/n and
-  ifft(c)*n bit for bit;
+  ifft(c)*n bit for bit.  Given a mask, the spectrum of v times the mask:
+  that product is a temporary built only to be transformed, so the
+  transform writes into it and allocates no second grid array (the bits of
+  the out-of-place transform);
 * :func:`analytic_coefficients` -- the analytic (Riesz) projection, the
   Taylor coefficients c_0..c_band read off the spectrum;
 * :func:`synthesize_analytic` -- its inverse, the grid samples of an
-  analytic polynomial;
+  analytic polynomial, in one of two ways by cost: a series with at least
+  log2 n nonzero terms by the inverse FFT (about log2 n passes over the
+  grid), a sparser one, such as a member's zeta z^k, summed term by term
+  from a row and a column table of roots of unity (one pass per term,
+  within a few units of rounding of the inverse FFT);
 * :func:`_cauchy_sum` -- the trapezoid Cauchy sum, from the spectrum by the
   exact identity
 
@@ -35,8 +42,10 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
 Alongside them: the conjugate function, Fejer means, Horner evaluation
 inside the disk, FFT convolution and correlation (their transform length
 is :func:`_fast_length`, the least 11-smooth length that avoids
-wrap-around), the grid angles t_m and points zeta_m, and the grid mask of
-a set.  The package's grids have 2**log2_size points.
+wrap-around), the grid angles t_m and points zeta_m (the roots of unity
+exp(2 pi i k/n), which the synthesis tables take too), the grid mask of
+a set, and the closed-disk domain check of the pole-sum evaluators.  The
+package's grids have 2**log2_size points.
 """
 
 from __future__ import annotations
@@ -67,10 +76,21 @@ def grid_angles(log2_size: int) -> np.ndarray:
 
 
 def grid_points(log2_size: int) -> np.ndarray:
-    """zeta_m = exp(i t_m), formed in one array: exp of complex(+0, t_m),
-    the bits of np.exp(1j * grid_angles(log2_size))."""
-    z = np.zeros(1 << log2_size, dtype=complex)
-    z.imag = grid_angles(log2_size)
+    """zeta_m = exp(i t_m), formed in one array: the bits of
+    np.exp(1j * grid_angles(log2_size))."""
+    n = 1 << log2_size
+    return _unit_roots(np.arange(n), n)
+
+
+def _unit_roots(k: np.ndarray, n: int) -> np.ndarray:
+    """exp(2 pi i k/n) for integers 0 <= k < n, formed in one array: exp of
+    complex(+0, t_k) with t_k = TWO_PI * k / n as :func:`grid_angles` forms
+    it, so entry k has the bits of grid_points(log2 n)[k]."""
+    z = np.zeros(len(k), dtype=complex)
+    t = z.imag
+    t[...] = k
+    t *= TWO_PI
+    t /= n
     return np.exp(z, out=z)
 
 
@@ -110,23 +130,36 @@ def monomial(k: int) -> AnalyticSeries:
     return AnalyticSeries(c)
 
 
-def _spectrum(values: np.ndarray) -> np.ndarray:
+def _spectrum(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Grid Fourier coefficients fft(values) / len(values), read-only; the
-    transform applies the 1/n itself."""
-    c = np.fft.fft(values, norm="forward")
+    transform applies the 1/n itself.
+
+    With a boolean ``mask``, the spectrum of the product values * mask of
+    complex values.  That product is built only to be transformed, so the
+    transform writes into its buffer (``out=``) instead of a second grid
+    array; the bits are those of the out-of-place transform.
+    """
+    if mask is None:
+        c = np.fft.fft(values, norm="forward")
+    else:
+        c = values * mask
+        np.fft.fft(c, norm="forward", out=c)
     c.flags.writeable = False
     return c
 
 
-def analytic_coefficients(samples: np.ndarray, band: int | None = None) -> AnalyticSeries:
-    """Analytic (Riesz) projection of grid samples: spectrum indices 0..band."""
+def analytic_coefficients(
+    samples: np.ndarray, band: int | None = None, mask: np.ndarray | None = None
+) -> AnalyticSeries:
+    """Analytic (Riesz) projection of grid samples, times ``mask`` if given
+    (transformed in place, as in :func:`_spectrum`): spectrum indices 0..band."""
     samples = np.asarray(samples, dtype=complex)
     n = len(samples)
     if band is None:
         band = n // 2 - 1
     if band >= n // 2:
         raise BandTooLarge(f"band {band} >= Nyquist {n // 2}")
-    return AnalyticSeries(_spectrum(samples)[: band + 1])
+    return AnalyticSeries(_spectrum(samples, mask)[: band + 1])
 
 
 def _fast_length(n: int) -> int:
@@ -261,6 +294,17 @@ def fejer_means(series: AnalyticSeries, degree: int) -> AnalyticSeries:
     return AnalyticSeries(out)
 
 
+def _closed_disk(z, name: str) -> np.ndarray:
+    """z as a complex array; raises :class:`OutsideDomain` unless every point
+    has |z| <= 1 + 1e-12 (the closed disk, with slack for rounded points on
+    the circle)."""
+    z = np.asarray(z, dtype=complex)
+    # written so that a NaN point fails it too
+    if not np.all(np.abs(z) <= 1.0 + 1e-12):
+        raise OutsideDomain(f"{name} needs |z| <= 1 + 1e-12")
+    return z
+
+
 def evaluate_in_disk(series: AnalyticSeries, z) -> complex | np.ndarray:
     """Horner evaluation of the finite series at |z| <= 1 - 1e-6."""
     z = np.asarray(z, dtype=complex)
@@ -336,10 +380,38 @@ def sup_norm_bound(series: AnalyticSeries, log2_size: int = 12) -> float:
 
 
 def synthesize_analytic(series: AnalyticSeries, log2_size: int) -> np.ndarray:
-    """Boundary samples of an analytic polynomial (indices 0..degree)."""
+    """Boundary samples sum_j f_j zeta_m^j of an analytic polynomial
+    (indices 0..degree), in a new array.
+
+    An inverse FFT costs about log2 n passes over the grid, one term of the
+    sum one pass.  So a series with at least log2 n nonzero terms takes the
+    inverse FFT (the bits of ifft(c) * n), and a sparser one is summed from
+    root tables.  With q = 2^floor(log2_size / 2) and the grid index
+    m = a q + b, zeta_m^j = w^(j q a) w^(j b), w = exp(2 pi i/n): each term
+    has a table of n/q row roots w^(j q a), times f_j, and one of q column
+    roots w^(j b), their exponents reduced modulo n in integers
+    (:func:`_unit_roots`).  The samples are the sum over the terms of the
+    outer products of these tables, formed in one pass over the grid (for
+    one term, a product written straight into the output).  Each sample is
+    then within a few units of rounding of the exact sum, as the inverse
+    FFT's are.
+    """
     n = 1 << log2_size
     if series.degree >= n // 2:
         raise BandTooLarge("series degree above Nyquist")
-    c = np.zeros(n, dtype=complex)
-    c[: len(series.coeffs)] = series.coeffs
-    return np.fft.ifft(c, norm="forward")
+    terms = np.flatnonzero(series.coeffs)
+    if len(terms) >= log2_size:
+        c = np.zeros(n, dtype=complex)
+        c[: len(series.coeffs)] = series.coeffs
+        return np.fft.ifft(c, norm="forward")
+    q = 1 << (log2_size // 2)
+    a_q, b = np.arange(0, n, q), np.arange(q)
+    rows = np.array([_unit_roots(j * a_q % n, n) * series.coeffs[j] for j in terms])
+    cols = np.array([_unit_roots(j * b % n, n) for j in terms])
+    out = np.empty(n, dtype=complex)
+    grid = out.reshape(n // q, q)
+    if len(terms) == 1:
+        np.multiply(rows[0][:, None], cols[0], out=grid)
+    else:  # numpy's own loop over the terms, no BLAS
+        np.einsum("ta,tb->ab", rows.reshape(-1, n // q), cols.reshape(-1, q), out=grid)
+    return out

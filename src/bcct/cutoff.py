@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._expderiv import _dyadic_level_points, pole_sum
-from .boundary_calculus import grid_points
+from .boundary_calculus import _closed_disk, grid_points
 from .circle_sets import (
     ANGLE_SLACK,
     TWO_PI,
@@ -103,15 +103,18 @@ def build_cutoff(E: BeurlingCarlesonSet, k_max: int = 16) -> CutoffFunction:
 
 
 def eval_h(c: CutoffFunction, z) -> complex | np.ndarray:
-    """The pole series h at points of the closed disk (vectorized)."""
-    out = pole_sum(c.poles, -c.weights, z)[0]
+    """The pole series h at points of the closed disk |z| <= 1 + 1e-12
+    (vectorized); a point outside it, NaN included, raises
+    :class:`OutsideDomain`."""
+    out = pole_sum(c.poles, -c.weights, _closed_disk(z, "h"))[0]
     return out if out.shape else complex(out)
 
 
 def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
-    """g = exp(h); at points on the circle (| |z| - 1 | < 1e-12) within
-    ANGLE_SLACK in angle of a gap endpoint e^{ib} (where the full series
-    diverges to -infinity) the continuous extension 0 is returned.
+    """g = exp(h) on the domain of :func:`eval_h`; at points on the circle
+    (| |z| - 1 | < 1e-12) within ANGLE_SLACK in angle of a gap endpoint
+    e^{ib} (where the full series diverges to -infinity) the continuous
+    extension 0 is returned.
 
     The chord |z - e^{ib}| carries a rounding error of about 1e-16, 1 % of
     ANGLE_SLACK, so it only preselects the points within 1e-11 of the
@@ -129,12 +132,14 @@ def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
 def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
     """g sampled on the uniform grid e^{i t_m}, equal to :func:`eval_g` there.
 
-    The grid cell is far wider than ANGLE_SLACK, so only the grid points
-    next to b n / 2pi can lie within it of an endpoint b.
+    The grid points lie on the circle, so the pole sum takes them without
+    :func:`eval_h`'s domain check.  The grid cell is far wider than
+    ANGLE_SLACK, so only the grid points next to b n / 2pi can lie within it
+    of an endpoint b.
     """
     n = 1 << log2_size
     z = grid_points(log2_size)
-    h = eval_h(c, z)
+    h = pole_sum(c.poles, -c.weights, z)[0]
     vals = np.exp(h, out=h)
     for b in c.boundary_angles:
         m = round(b * n / TWO_PI)

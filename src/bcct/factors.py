@@ -26,10 +26,12 @@ import numpy as np
 from ._expderiv import _dyadic_level_points, pole_sum
 from .boundary_calculus import (
     _cauchy_sum,
+    _closed_disk,
     _fft_convolve,
     _spectrum,
     conjugate_function,
     grid_angles,
+    grid_points,
     herglotz_at_nodes,
     indicator_mask,
 )
@@ -57,14 +59,18 @@ class BoundaryWeight:
     """Positive bounded weight supported on a closed carrier set.
 
     ``values`` holds full-grid samples; only entries under ``mask`` (the
-    carrier) are meaningful, and they are finite and positive.  ``log_integral``
-    is the grid quadrature of log(w) over the carrier, at least log(1e-320).
+    carrier) are meaningful, and they are finite and positive.  ``log_values``
+    is u = log(max(w, 1e-320)) on the carrier and 0 off it, read-only: the
+    weight's one log, the log-modulus of its outer function.  ``log_integral``
+    is the grid quadrature of log(w) over the carrier, sum(u[mask]) / n, at
+    least log(1e-320).
     """
 
     support: BeurlingCarlesonSet
     grid_log2: int
     values: np.ndarray
     mask: np.ndarray
+    log_values: np.ndarray
     log_integral: float
 
 
@@ -83,8 +89,14 @@ def boundary_weight(E: BeurlingCarlesonSet, values, grid_log2: int) -> BoundaryW
     on = vals[mask]
     if on.size and (np.any(~np.isfinite(on)) or np.any(on <= 0.0)):
         raise WeightNotLogIntegrable("weight must be finite and positive on the carrier")
-    log_integral = float(np.sum(np.log(np.maximum(on, 1e-320))) / n)
-    return BoundaryWeight(E, grid_log2, vals, mask, log_integral)
+    # u is built in one array, with no grid-sized temporaries:
+    # log(max(w, 1e-320)) on the carrier only and 0 off it
+    u = np.zeros(n)
+    np.maximum(vals, 1e-320, out=u, where=mask)
+    np.log(u, out=u, where=mask)
+    u.flags.writeable = False
+    log_integral = float(np.sum(u[mask]) / n)
+    return BoundaryWeight(E, grid_log2, vals, mask, u, log_integral)
 
 
 @dataclass(frozen=True)
@@ -114,14 +126,12 @@ class OuterFunction:
 
 
 def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
-    """Boundary samples exp(u + i*conj(u)) with u = log(w) on the carrier.
-    Their grid Fourier coefficients, ``spectrum``, are computed on first use."""
-    # u and the boundary are each built in one array, with no grid-sized
-    # temporaries: u = log(max(w, 1e-320)) on the carrier only and 0 off it,
-    # then exp(complex(u, v)) in place, the bits of np.exp(u + 1j * v).
-    u = np.zeros(len(w.values))
-    np.maximum(w.values, 1e-320, out=u, where=w.mask)
-    np.log(u, out=u, where=w.mask)
+    """Boundary samples exp(u + i*conj(u)) with u = ``w.log_values``, log(w)
+    on the carrier and 0 off it.  Their grid Fourier coefficients,
+    ``spectrum``, are computed on first use."""
+    # the boundary is built in one array, with no grid-sized temporaries:
+    # exp(complex(u, v)) in place, the bits of np.exp(u + 1j * v)
+    u = w.log_values
     boundary = np.empty(len(u), dtype=complex)
     boundary.real = u
     boundary.imag = conjugate_function(u)
@@ -312,7 +322,9 @@ class InnerFunction:
         return not self.blaschke_zeros and not self.singular.atoms
 
     def eval(self, z) -> complex | np.ndarray:
-        z = np.asarray(z, dtype=complex)
+        """theta at points of the closed disk |z| <= 1 + 1e-12; a point
+        outside it, NaN included, raises :class:`OutsideDomain`."""
+        z = _closed_disk(z, "theta")
         out = np.asarray(inner_singular_eval(self.singular, z), dtype=complex)
         out = self._times_blaschke(out, z)
         return out if out.shape else complex(out)
@@ -329,9 +341,9 @@ class InnerFunction:
     def boundary_samples(self, grid_log2: int) -> np.ndarray:
         """Samples on the grid; atoms are evaluated through the boundary
         phase formula exp(-i sum mass cot((t - t_a)/2)), which keeps the
-        modulus exactly 1 away from the atoms (0 at exact atom hits)."""
+        modulus exactly 1 away from the atoms (0 at exact atom hits).  The
+        grid points themselves enter only the Blaschke factors."""
         t = grid_angles(grid_log2)
-        z = np.exp(1j * t)
         out = np.ones(len(t), dtype=complex)
         hit = np.zeros(len(t), dtype=bool)
         for atom in self.singular.atoms:
@@ -340,7 +352,9 @@ class InnerFunction:
             hit |= near
             phase = atom.mass / np.tan(np.where(near, 1.0, half))
             out = out * np.exp(-1j * phase)
-        return np.where(hit, 0.0, self._times_blaschke(out, z))
+        if self.blaschke_zeros:
+            out = self._times_blaschke(out, grid_points(grid_log2))
+        return np.where(hit, 0.0, out)
 
     def coefficients(self, band: int) -> np.ndarray:
         """Taylor coefficients 0..band, computed factor by factor (exact up

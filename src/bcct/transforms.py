@@ -31,7 +31,7 @@ from .boundary_calculus import (
     _fft_correlate,
     _spectrum,
     analytic_coefficients,
-    grid_angles,
+    monomial,
     synthesize_analytic,
 )
 from .circle_sets import BeurlingCarlesonSet
@@ -70,10 +70,11 @@ class KMember:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Grid Fourier coefficients of the transform integrand,
-        fft(samples * integration_mask) / size, computed on first use and
-        read-only.  Index r < size/2 is coefficient r of the member's Cauchy
-        transform; the certificates below all read this one array."""
-        return _spectrum(self.samples * self.integration_mask)
+        fft(samples * integration_mask) / size, computed on first use (in the
+        masked product's own buffer) and read-only.  Index r < size/2 is
+        coefficient r of the member's Cauchy transform; the certificates below
+        all read this one array."""
+        return _spectrum(self.samples, self.integration_mask)
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def flip_check(member: KMember) -> float:
         raise IngredientMismatch("flip identity applies to family K")
     z = interior_lattice(64, 0.9)
     a = _cauchy_sum(member.spectrum, z)
-    b = -_cauchy_sum(_spectrum(member.samples * ~member.e_mask), z)
+    b = -_cauchy_sum(_spectrum(member.samples, ~member.e_mask), z)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
 
@@ -264,15 +265,17 @@ def backshift_identity(member: KMember, k: int) -> float:
     """Residual of L^k C = C_{conj(zeta)^k s} on the coefficients 0..size/2-1.
 
     The left side shifts ``member.spectrum``; the right side is its own FFT
-    of the shifted, masked samples.
+    of the shifted, masked samples, with conj(zeta)^k the conjugate of the
+    grid samples of z^k (:func:`synthesize_analytic`).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     n = member.size
-    t = grid_angles(member.grid_log2)
     left = member.spectrum[k : n // 2]
-    shifted = np.exp(-1j * k * t) * member.samples
-    right = analytic_coefficients(shifted * member.integration_mask).coeffs[: len(left)]
+    shifted = synthesize_analytic(monomial(k), member.grid_log2)
+    np.conjugate(shifted, out=shifted)
+    shifted *= member.samples
+    right = analytic_coefficients(shifted, mask=member.integration_mask).coeffs[: len(left)]
     return float(np.max(np.abs(left - right)))
 
 
@@ -403,8 +406,8 @@ def split_transform(member: KMember, weight_values: np.ndarray | None = None) ->
         raise IngredientMismatch("split applies to family K2")
     n = member.size
     mask = member.e_mask
-    u2 = analytic_coefficients(member.samples * mask)
-    u1 = analytic_coefficients(member.samples * (~mask))
+    u2 = analytic_coefficients(member.samples, mask=mask)
+    u1 = analytic_coefficients(member.samples, mask=~mask)
     resid = float(np.max(np.abs(u1.coeffs + u2.coeffs - member.spectrum[: n // 2])))
     slope = _decay_slope(u1.coeffs, (64, 1024))
     consts = np.array([])

@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 
 import bcct.cutoff
 from bcct._expderiv import _dyadic_level_points, exp_t_derivatives
-from bcct.circle_sets import ANGLE_SLACK, TWO_PI, Arc, dist_to_set, rotate_set, validate_set
+from bcct.boundary_calculus import grid_angles
+from bcct.circle_sets import (
+    ANGLE_SLACK,
+    TWO_PI,
+    Arc,
+    dist_to_set,
+    distances_to_set,
+    point_carrier,
+    rotate_set,
+    validate_set,
+)
 from bcct.cutoff import (
     TAIL_RADIUS,
     _g_and_h_derivs,
@@ -297,6 +307,73 @@ class TestDyadicWindows:
             assert list(dsel) == [dist[j] for j in k]
             start += len(expect)
         assert start == len(nodes)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _whole_grid_windows(E, grid_log2, levels, factor, m_max):
+    """The dyadic windows as _dyadic_level_points selected them before it
+    cut candidates around the endpoints: distances over the whole grid."""
+    l_max = grid_log2 - 3
+    l_min = l_max - levels + 1
+    t = grid_angles(grid_log2)
+    dist = distances_to_set(t, E)
+    windows = []
+    for l in range(l_min, l_max + 1):
+        d = 2.0 ** (-l)
+        nodes = np.flatnonzero((dist >= d) & (dist < 2.0 * d))
+        if len(nodes) < 8:
+            raise ResolutionError(f"level 2^-{l}: fewer than 8 grid points at that distance")
+        windows.append((d, nodes))
+    nodes = np.concatenate([k for _, k in windows])
+    z = np.exp(1j * t[nodes])
+    value, z_derivs = factor(z, nodes, m_max)
+    mags = [np.abs(g) for g in exp_t_derivatives(z, value, z_derivs, m_max)]
+    cuts = np.cumsum([len(k) for _, k in windows])[:-1]
+    per_window = zip(*(np.split(m, cuts) for m in mags))
+    return [(d, dist[k], list(ms)) for (d, k), ms in zip(windows, per_window)]
+
+
+class TestEndpointWindows:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["two_gap", "geometric_gaps", "point"]),
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.integers(8, 20),
+        st.integers(1, 6),
+    )
+    @example("two_gap", 0.0, 20, 6)  # criterion 2 at 2^20
+    @example("point", 0.0, 8, 5)  # l_min = 1: every node is a candidate
+    @example("geometric_gaps", TWO_PI * 3 / 1024, 10, 4)  # endpoints on grid points
+    def test_bits_of_the_whole_grid_windows(self, name, phi, grid_log2, levels):
+        levels = min(levels, grid_log2 - 3)
+        E = {"two_gap": two_gap, "geometric_gaps": lambda: geometric_gaps(4),
+             "point": lambda: point_carrier(0.0)}[name]()
+        E = rotate_set(E, phi)
+        seen = []
+
+        def factor(z, nodes, m_max):
+            seen.append((z, nodes))
+            return z * z, [2.0 * z, np.full_like(z, 2.0)]
+
+        try:
+            expect = _whole_grid_windows(E, grid_log2, levels, factor, 2)
+        except ResolutionError:
+            with pytest.raises(ResolutionError):
+                _dyadic_level_points(E, grid_log2, levels, factor, 2)
+            return
+        got = _dyadic_level_points(E, grid_log2, levels, factor, 2)
+        (z_ref, nodes_ref), (z, nodes) = seen
+        assert np.array_equal(nodes, nodes_ref)
+        assert np.array_equal(_bits(z), _bits(z_ref))
+        assert len(got) == len(expect)
+        for (d, dist, mags), (d_ref, dist_ref, mags_ref) in zip(got, expect):
+            assert d == d_ref
+            assert np.array_equal(_bits(dist), _bits(dist_ref))
+            for m, m_ref in zip(mags, mags_ref):
+                assert np.array_equal(_bits(m), _bits(m_ref))
 
 
 class TestDerivativeEngine:

@@ -14,11 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcct import _expderiv
+from bcct import _expderiv, factors
 from bcct._expderiv import _BLOCK_ENTRIES, _SPLIT_ENTRIES, _block_buffers, _pole_rows, pole_sum
-from bcct.boundary_calculus import _fast_length, conjugate_function, grid_angles, herglotz_at_nodes
+from bcct.boundary_calculus import (
+    _fast_length,
+    conjugate_function,
+    grid_angles,
+    grid_points,
+    herglotz_at_nodes,
+)
 from bcct.circle_sets import TWO_PI, Arc, distances_to_set, point_carrier, rotate_set, validate_set
-from bcct.cutoff import _g_and_h_derivs, build_cutoff
+from bcct.cutoff import _g_and_h_derivs, build_cutoff, eval_g, eval_h
 from bcct.dbr import build_symbol, kernel_eval
 from bcct.errors import OutsideDomain, ResolutionError, WeightNotLogIntegrable
 from bcct.factors import (
@@ -56,6 +62,22 @@ class TestBoundaryWeight:
         w = boundary_weight(E, 0.25, G)
         frac = np.count_nonzero(w.mask) / (1 << G)
         assert w.log_integral == pytest.approx(frac * math.log(0.25), abs=1e-13)
+
+    @pytest.mark.parametrize("grid_log2", [5, 10, 16])
+    def test_one_log_per_weight(self, E, grid_log2):
+        # u = log(max(w, 1e-320)) on the carrier and 0 off it, read-only; the
+        # log integral sums its carrier entries, the bits of the log taken
+        # over the carrier samples alone, and the outer factor shares u
+        bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+        n = 1 << grid_log2
+        for w in (taper_weight(E, grid_log2), const_weight(E, grid_log2, 0.3)):
+            on = w.values[w.mask]
+            u = np.where(w.mask, np.log(np.maximum(w.values, 1e-320)), 0.0)
+            assert np.array_equal(bits(w.log_values), bits(u))
+            assert not w.log_values.flags.writeable
+            old = float(np.sum(np.log(np.maximum(on, 1e-320))) / n)
+            assert w.log_integral.hex() == old.hex()
+            assert outer_from_weight(w).log_modulus is w.log_values
 
     @pytest.mark.parametrize("grid_log2", [10, 12, 14])
     def test_taper_weight_closed_form(self, E, grid_log2):
@@ -380,6 +402,37 @@ class TestSingularInner:
         assert [(a.angle, a.mass, a.part) for a in nu.atoms] == [(1.0, 0.1, "C")]
 
 
+class TestClosedDiskDomain:
+    """eval_h, eval_g and theta's eval take |z| <= 1 + 1e-12 and raise
+    OutsideDomain elsewhere."""
+
+    @staticmethod
+    def _evaluator(name):
+        c = build_cutoff(two_gap(), 8)
+        theta = InnerFunction((0.3 + 0.2j,), SingularMeasure((Atom(0.7, 0.15),)))
+        return {
+            "eval_h": lambda z: eval_h(c, z),
+            "eval_g": lambda z: eval_g(c, z),
+            "theta_eval": theta.eval,
+        }[name]
+
+    @pytest.mark.parametrize(
+        "z",
+        [math.nan, complex(math.nan, 0.0), np.array([0.5, math.nan, 0.2j]), 1.5],
+        ids=["nan", "complex_nan", "array_with_nan", "1.5"],
+    )
+    @pytest.mark.parametrize("evaluator", ["eval_h", "eval_g", "theta_eval"])
+    def test_outside_raises(self, evaluator, z):
+        # a NaN point fails |z| <= r as well as |z| > r
+        with pytest.raises(OutsideDomain):
+            self._evaluator(evaluator)(z)
+
+    @pytest.mark.parametrize("evaluator", ["eval_h", "eval_g", "theta_eval"])
+    def test_rounded_circle_points_accepted(self, evaluator):
+        z = np.array([(1.0 + 1e-13) * np.exp(0.3j), 1.0, -1j, 0.5])
+        assert np.all(np.isfinite(self._evaluator(evaluator)(z)))
+
+
 class TestInnerFunction:
     def test_unimodular_boundary(self):
         theta = InnerFunction((0.9,), SingularMeasure((Atom(1.5, 0.2),)))
@@ -414,6 +467,29 @@ class TestInnerFunction:
         c_fft = np.fft.fft(theta.boundary_samples(16)) / n
         assert np.max(np.abs(co[:64] - c_fft[:64])) <= 1e-4  # slow tail aliases
         assert np.max(np.abs(co[:8] - c_fft[:8])) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "zeros, atoms",
+        [((), (Atom(1.5, 0.2),)), ((0.9, 0j), ()), ((-0.3 + 0.2j,), (Atom(0.0, 0.1), Atom(2.0, 0.3)))],
+        ids=["atom", "blaschke", "both"],
+    )
+    def test_boundary_samples_take_grid_points_only_for_blaschke_zeros(self, zeros, atoms, monkeypatch):
+        # the bits of the formula that formed z = exp(1j * t) on every grid
+        theta = InnerFunction(zeros, SingularMeasure(atoms))
+        t = grid_angles(G)
+        out, hit = np.ones(len(t), dtype=complex), np.zeros(len(t), dtype=bool)
+        for atom in atoms:
+            half = 0.5 * (t - atom.angle)
+            near = np.abs(np.sin(half)) < 1e-15
+            hit |= near
+            out = out * np.exp(-1j * (atom.mass / np.tan(np.where(near, 1.0, half))))
+        expect = np.where(hit, 0.0, theta._times_blaschke(out, np.exp(1j * t)))
+        calls = []
+        monkeypatch.setattr(factors, "grid_points", lambda g: calls.append(g) or grid_points(g))
+        got = theta.boundary_samples(G)
+        bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+        assert np.array_equal(bits(got), bits(expect))
+        assert calls == ([G] if zeros else [])
 
     def test_atom_hit_is_zero(self):
         theta = InnerFunction((), SingularMeasure((Atom(0.0, 0.1),)))

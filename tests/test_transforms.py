@@ -145,6 +145,24 @@ class TestBuildMember:
             assert np.array_equal(a.samples, b.samples)
             assert np.array_equal(a.q_samples, b.q_samples)
 
+    def test_monomial_member_takes_no_inverse_fft(self, E, monkeypatch):
+        # zeta z^k has one term, so q is summed from root tables; a p with
+        # log2 n nonzero terms still takes the inverse FFT
+        ingredients = MemberIngredients(E, outer_from_weight(taper_weight(E, 12)), build_cutoff(E, 8))
+        ingredients.cutoff_samples
+        calls = []
+        for name in ("ifft", "irfft"):
+            inverse = getattr(np.fft, name)
+            spy = lambda *a, _name=name, _inverse=inverse, **kw: calls.append(_name) or _inverse(*a, **kw)
+            monkeypatch.setattr(np.fft, name, spy)
+        for k in (0, 1, 3, 17):
+            ingredients.member(monomial(k), None)
+        assert calls == []
+        ingredients.member(AnalyticSeries(np.ones(11)), None)  # zeta p: 11 terms
+        assert calls == []
+        ingredients.member(AnalyticSeries(np.ones(12)), None)  # 12 = log2 n terms
+        assert calls == ["ifft"]
+
     def test_degenerate_full_circle_excluded(self):
         with pytest.raises(ValueError):
             validate_set([])  # no gaps means the set is the whole circle
