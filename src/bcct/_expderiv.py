@@ -28,6 +28,7 @@ from math import comb
 
 import numpy as np
 
+from .boundary_calculus import _unit_roots
 from .circle_sets import TWO_PI, BeurlingCarlesonSet, distances_to_set
 from .errors import ResolutionError
 
@@ -188,7 +189,8 @@ def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, fa
     rounding to a cell), taken modulo n, deduplicated and sorted: a few
     thousand nodes at 2^20 instead of the whole grid.  Each candidate's angle
     and distance are formed as on the whole grid (:func:`grid_angles`,
-    :func:`distances_to_set`), so the windows, their distances and the
+    :func:`distances_to_set`), and its point is the grid point's
+    (:func:`_unit_roots`), so the windows, their distances and the
     magnitudes are those of the whole-grid selection bit for bit.
     """
     l_max = grid_log2 - 3
@@ -213,7 +215,7 @@ def _dyadic_level_points(E: BeurlingCarlesonSet, grid_log2: int, levels: int, fa
         windows.append((d, keep))
     keep = np.concatenate([k for _, k in windows])
     nodes = candidates[keep]
-    z = np.exp(1j * t[keep])
+    z = _unit_roots(nodes, n)
     value, z_derivs = factor(z, nodes, m_max)
     mags = [np.abs(g) for g in exp_t_derivatives(z, value, z_derivs, m_max)]
     cuts = np.cumsum([len(k) for _, k in windows])[:-1]

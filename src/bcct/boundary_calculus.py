@@ -19,11 +19,11 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
 * :func:`analytic_coefficients` -- the analytic (Riesz) projection, the
   Taylor coefficients c_0..c_band read off the spectrum;
 * :func:`synthesize_analytic` -- its inverse, the grid samples of an
-  analytic polynomial, in one of two ways by cost: a series with at least
-  log2 n nonzero terms by the inverse FFT (about log2 n passes over the
-  grid), a sparser one, such as a member's zeta z^k, summed term by term
-  from a row and a column table of roots of unity (one pass per term,
-  within a few units of rounding of the inverse FFT);
+  analytic polynomial, in one of two ways by cost: a monomial, such as a
+  member's zeta z^k, as the outer product of a row and a column table of
+  roots of unity (one pass over the grid, within a few units of rounding
+  of the inverse FFT), every other series by the inverse FFT (about
+  log2 n passes);
 * :func:`_cauchy_sum` -- the trapezoid Cauchy sum, from the spectrum by the
   exact identity
 
@@ -76,8 +76,8 @@ def grid_angles(log2_size: int) -> np.ndarray:
 
 
 def grid_points(log2_size: int) -> np.ndarray:
-    """zeta_m = exp(i t_m), formed in one array: the bits of
-    np.exp(1j * grid_angles(log2_size))."""
+    """zeta_m = exp(i t_m), formed in one array: the bits of exp(1j * t)
+    for t = grid_angles(log2_size)."""
     n = 1 << log2_size
     return _unit_roots(np.arange(n), n)
 
@@ -136,8 +136,9 @@ def _spectrum(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
 
     With a boolean ``mask``, the spectrum of the product values * mask of
     complex values.  That product is built only to be transformed, so the
-    transform writes into its buffer (``out=``) instead of a second grid
-    array; the bits are those of the out-of-place transform.
+    transform writes into its buffer (``out=``, which numpy.fft takes from
+    numpy 2.0 on) instead of a second grid array; the bits are those of the
+    out-of-place transform.
     """
     if mask is None:
         c = np.fft.fft(values, norm="forward")
@@ -383,35 +384,30 @@ def synthesize_analytic(series: AnalyticSeries, log2_size: int) -> np.ndarray:
     """Boundary samples sum_j f_j zeta_m^j of an analytic polynomial
     (indices 0..degree), in a new array.
 
-    An inverse FFT costs about log2 n passes over the grid, one term of the
-    sum one pass.  So a series with at least log2 n nonzero terms takes the
-    inverse FFT (the bits of ifft(c) * n), and a sparser one is summed from
-    root tables.  With q = 2^floor(log2_size / 2) and the grid index
-    m = a q + b, zeta_m^j = w^(j q a) w^(j b), w = exp(2 pi i/n): each term
-    has a table of n/q row roots w^(j q a), times f_j, and one of q column
-    roots w^(j b), their exponents reduced modulo n in integers
-    (:func:`_unit_roots`).  The samples are the sum over the terms of the
-    outer products of these tables, formed in one pass over the grid (for
-    one term, a product written straight into the output).  Each sample is
-    then within a few units of rounding of the exact sum, as the inverse
-    FFT's are.
+    A monomial f_k z^k, such as a member's zeta z^k, is formed from two
+    tables of roots of unity in one pass over the grid, where the inverse
+    FFT takes about log2 n.  With q = 2^floor(log2_size / 2) and the grid
+    index m = a q + b, zeta_m^k = w^(k q a) w^(k b), w = exp(2 pi i/n): a
+    table of n/q row roots w^(k q a), times f_k, and one of q column roots
+    w^(k b), their exponents reduced modulo n in integers
+    (:func:`_unit_roots`), and their outer product written straight into
+    the output.  Each sample is within a few units of rounding of the exact
+    value, as the inverse FFT's are.  Every other series takes the inverse
+    FFT (the bits of ifft(c) * n).
     """
     n = 1 << log2_size
     if series.degree >= n // 2:
         raise BandTooLarge("series degree above Nyquist")
     terms = np.flatnonzero(series.coeffs)
-    if len(terms) >= log2_size:
+    if len(terms) != 1:
         c = np.zeros(n, dtype=complex)
         c[: len(series.coeffs)] = series.coeffs
         return np.fft.ifft(c, norm="forward")
+    k = terms[0]
     q = 1 << (log2_size // 2)
-    a_q, b = np.arange(0, n, q), np.arange(q)
-    rows = np.array([_unit_roots(j * a_q % n, n) * series.coeffs[j] for j in terms])
-    cols = np.array([_unit_roots(j * b % n, n) for j in terms])
+    rows = _unit_roots(k * np.arange(0, n, q) % n, n)
+    rows *= series.coeffs[k]
+    cols = _unit_roots(k * np.arange(q) % n, n)
     out = np.empty(n, dtype=complex)
-    grid = out.reshape(n // q, q)
-    if len(terms) == 1:
-        np.multiply(rows[0][:, None], cols[0], out=grid)
-    else:  # numpy's own loop over the terms, no BLAS
-        np.einsum("ta,tb->ab", rows.reshape(-1, n // q), cols.reshape(-1, q), out=grid)
+    np.multiply(rows[:, None], cols, out=out.reshape(n // q, q))
     return out

@@ -146,8 +146,8 @@ class TestBuildMember:
             assert np.array_equal(a.q_samples, b.q_samples)
 
     def test_monomial_member_takes_no_inverse_fft(self, E, monkeypatch):
-        # zeta z^k has one term, so q is summed from root tables; a p with
-        # log2 n nonzero terms still takes the inverse FFT
+        # zeta z^k has one term, so q is formed from root tables; a p with
+        # two terms takes the inverse FFT
         ingredients = MemberIngredients(E, outer_from_weight(taper_weight(E, 12)), build_cutoff(E, 8))
         ingredients.cutoff_samples
         calls = []
@@ -158,9 +158,7 @@ class TestBuildMember:
         for k in (0, 1, 3, 17):
             ingredients.member(monomial(k), None)
         assert calls == []
-        ingredients.member(AnalyticSeries(np.ones(11)), None)  # zeta p: 11 terms
-        assert calls == []
-        ingredients.member(AnalyticSeries(np.ones(12)), None)  # 12 = log2 n terms
+        ingredients.member(AnalyticSeries([1.0, 1.0]), None)
         assert calls == ["ifft"]
 
     def test_degenerate_full_circle_excluded(self):
