@@ -265,6 +265,16 @@ def whitney_residuals(E: BeurlingCarlesonSet, k_max: int) -> list[tuple[int, flo
     return [(n, _rank_length(g.length, k_max)) for n, g in enumerate(E.gaps)]
 
 
+def whitney_exactness(E: BeurlingCarlesonSet, k_max: int) -> tuple[float, float]:
+    """Residuals of the two Whitney rules over ``whitney_decompose(E, k_max)``:
+    the largest |length - |A| / (3 * 2**|k|)| and the largest
+    |dist(arc, E) - length|."""
+    arcs = whitney_decompose(E, k_max)
+    length = max(abs(w.length - _rank_length(E.gaps[w.parent].length, w.rank)) for w in arcs)
+    distance = max(abs(dist_arc_to_set(w.arc, E) - w.length) for w in arcs)
+    return length, distance
+
+
 def _tail_lambda(c: np.ndarray) -> np.ndarray:
     """The tail-sum rule: lambda = max(1, T**-0.5), T the suffix sums of c."""
     tails = np.cumsum(c[::-1])[::-1]

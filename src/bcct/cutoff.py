@@ -129,6 +129,14 @@ def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
     return vals if vals.shape else complex(vals)
 
 
+def closure_extrema(c: CutoffFunction, interior, boundary) -> tuple[float, float]:
+    """For the claims Re h < 0 and |g| <= 1: max Re h over the interior points
+    (at least one), and max |g| over them and the boundary points (maybe none)."""
+    re_h = float(np.max(np.real(eval_h(c, interior))))
+    g_max = max(float(np.max(np.abs(eval_g(c, z)), initial=0.0)) for z in (interior, boundary))
+    return re_h, g_max
+
+
 def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
     """g sampled on the uniform grid e^{i t_m}, equal to :func:`eval_g` there.
 

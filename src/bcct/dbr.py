@@ -176,6 +176,17 @@ def kernel_difference_psd(b: SymbolB, b_n: SymbolB) -> float:
     return float(np.min(np.linalg.eigvalsh(G)))
 
 
+def divisor_psd(b: SymbolB, b_n: SymbolB) -> tuple[float, bool]:
+    """:func:`kernel_difference_psd` of (b, b_n), and its swap control: whether
+    the swapped pair is refused as :class:`NotADivisor` (it must be if |b| < |b_n|)."""
+    min_eig = kernel_difference_psd(b, b_n)
+    try:
+        kernel_difference_psd(b_n, b)
+    except NotADivisor:
+        return min_eig, True
+    return min_eig, False
+
+
 # ---------------------------------------------------------------------------
 # J-embedding identities
 # ---------------------------------------------------------------------------

@@ -126,9 +126,9 @@ class OuterFunction:
 
 
 def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
-    """Boundary samples exp(u + i*conj(u)) with u = ``w.log_values``, log(w)
-    on the carrier and 0 off it.  Their grid Fourier coefficients,
-    ``spectrum``, are computed on first use."""
+    """Boundary samples exp(u + i*conj(u)), read-only, with u =
+    ``w.log_values``, log(w) on the carrier and 0 off it.  Their grid Fourier
+    coefficients, ``spectrum``, are computed on first use."""
     # the boundary is built in one array, with no grid-sized temporaries:
     # exp(complex(u, v)) in place, the bits of np.exp(u + 1j * v)
     u = w.log_values
@@ -136,6 +136,7 @@ def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
     boundary.real = u
     boundary.imag = conjugate_function(u)
     np.exp(boundary, out=boundary)
+    boundary.flags.writeable = False
     return OuterFunction(weight=w, boundary=boundary, log_modulus=u)
 
 

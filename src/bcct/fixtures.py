@@ -7,14 +7,17 @@ exact on every power-of-two grid of size >= 2^5.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .boundary_calculus import AnalyticSeries, grid_angles, monomial
 from .circle_sets import TWO_PI, Arc, BeurlingCarlesonSet, point_carrier, validate_set, wrap_angle
-from .cutoff import build_cutoff
+from .cutoff import CutoffFunction, build_cutoff
 from .dbr import build_symbol, restricted_symbol
-from .factors import Atom, BoundaryWeight, InnerFunction, SingularMeasure, boundary_weight, outer_from_weight
+from .factors import Atom, BoundaryWeight, InnerFunction, OuterFunction, SingularMeasure
+from .factors import boundary_weight, outer_from_weight
 from .transforms import KMember, MemberIngredients, build_member
 
 
@@ -103,6 +106,45 @@ def point_atom() -> tuple[BeurlingCarlesonSet, Atom]:
     return point_carrier(2.0), Atom(2.0, 0.1, "C")
 
 
+def disk_points(rng, count: int) -> np.ndarray:
+    """Up to ``count`` points uniform in the open unit disk: 3 count uniform
+    draws from the square [-1, 1]^2, kept in order where |z| < 1."""
+    xy = rng.uniform(-1.0, 1.0, (3 * count, 2))
+    z = xy[:, 0] + 1j * xy[:, 1]
+    return z[np.abs(z) < 1.0][:count]
+
+
+@dataclass(frozen=True)
+class Scale:
+    """The family-K ingredients over E at one scale, each built on first use:
+    the taper weight's outer factor W on the 2^grid_log2 grid, the cut-off g
+    of E at Whitney depth k_max, their :class:`MemberIngredients`, and the
+    member s = conj(zeta z^k g W) for each k, all with read-only arrays."""
+
+    E: BeurlingCarlesonSet
+    grid_log2: int
+    k_max: int
+    _members: dict[int, KMember] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def outer(self) -> OuterFunction:
+        return outer_from_weight(taper_weight(self.E, self.grid_log2))
+
+    @cached_property
+    def cutoff(self) -> CutoffFunction:
+        return build_cutoff(self.E, k_max=self.k_max)
+
+    @cached_property
+    def ingredients(self) -> MemberIngredients:
+        return MemberIngredients(self.E, self.outer, self.cutoff)
+
+    def member(self, k: int) -> KMember:
+        """The family-K member for p = z^k, built once per k and kept."""
+        if k not in self._members:
+            self._members[k] = self.ingredients.member(monomial(k), None)
+        return self._members[k]
+
+
 def standard_member(
     family: str,
     p: AnalyticSeries,
@@ -118,12 +160,9 @@ def standard_member(
         g_F = build_cutoff(F, k_max=k_max)
         return build_member("K1", p, cutoff=g_F, cutoff_set=F, theta=th, grid_log2=grid_log2)
     E = E if E is not None else two_gap()
-    W = outer_from_weight(taper_weight(E, grid_log2))
-    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=k_max))
-    if family == "K":
-        return ingredients.member(p, None)
-    th = theta if theta is not None else InnerFunction((), SingularMeasure((endpoint_atom(E),)))
-    return ingredients.member(p, th)
+    if family == "K2" and theta is None:
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+    return Scale(E, grid_log2, k_max).ingredients.member(p, theta if family == "K2" else None)
 
 
 def e_arc_subset(E: BeurlingCarlesonSet, index: int = 0) -> BeurlingCarlesonSet:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_calculus import AnalyticSeries, _spectrum, grid_points, synthesize_analytic
+from .boundary_calculus import AnalyticSeries, _spectrum, grid_points, monomial, synthesize_analytic
 from .errors import LengthMismatch, RangeExhausted
 from .factors import BoundaryWeight
 from .transforms import KMember
@@ -31,6 +31,7 @@ __all__ = [
     "toeplitz_truncation",
     "weighted_operator_norm",
     "annihilator_check",
+    "annihilator_residuals",
     "moments_beta",
     "moments_beta_quadrature",
     "d_space_gram",
@@ -208,6 +209,15 @@ def annihilator_check(
         out[k] = abs(-left + right)
         zeta_k = zeta_k * phase
     return out
+
+
+def annihilator_residuals(members) -> tuple[float, float]:
+    """The largest :func:`annihilator_check` residual (k <= 32) over the
+    members, and its negative control: the k = 1 residual of the first member
+    with z added to its transform, which must stay far from 0."""
+    resid = max(float(np.max(annihilator_check(m, k_max=32))) for m in members)
+    control = float(annihilator_check(members[0], k_max=1, perturbation=monomial(1))[1])
+    return resid, control
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ _NOISE_FLOOR_FACTOR = 32 * np.finfo(float).eps
 @dataclass(frozen=True)
 class KMember:
     """Boundary samples of one member s, with its analytic part q kept
-    separate (s = theta * conj(q); theta = 1 for family K).  ``e_mask`` is
-    the outer weight's own read-only mask of E (None for family K1)."""
+    separate (s = theta * conj(q); theta = 1 for family K), both read-only.
+    ``e_mask`` is the outer weight's own read-only mask of E (None for family
+    K1)."""
 
     family: str
     samples: np.ndarray
@@ -153,6 +154,8 @@ def build_member(
         if theta_samples is None:
             theta_samples = theta.boundary_samples(grid_log2)
         np.multiply(theta_samples, s, out=s)
+    s.flags.writeable = False
+    q.flags.writeable = False
 
     return KMember(
         family=family,
@@ -167,7 +170,8 @@ def build_member(
 @dataclass(frozen=True)
 class MemberIngredients:
     """What the family-K and K2 members over E share: E, the outer factor W of
-    a weight on E and the cut-off g of E, with g's samples on W's grid."""
+    a weight on E and the cut-off g of E, with g's samples on W's grid
+    (read-only)."""
 
     E: BeurlingCarlesonSet
     outer: OuterFunction
@@ -175,7 +179,9 @@ class MemberIngredients:
 
     @cached_property
     def cutoff_samples(self) -> np.ndarray:
-        return cutoff_boundary_samples(self.cutoff, self.outer.grid_log2)
+        samples = cutoff_boundary_samples(self.cutoff, self.outer.grid_log2)
+        samples.flags.writeable = False
+        return samples
 
     def member(self, p: AnalyticSeries, theta: InnerFunction | None) -> KMember:
         """The family-K member s = conj(zeta p g W) for theta None, else K2's theta s."""

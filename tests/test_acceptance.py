@@ -14,28 +14,22 @@ import time
 import numpy as np
 
 from bcct.boundary_calculus import AnalyticSeries, fejer_means, sup_norm_bound
-from bcct.circle_sets import (
-    TWO_PI,
-    Arc,
-    dist_arc_to_set,
-    validate_set,
-    whitney_decompose,
-)
-from bcct.cutoff import build_cutoff, certify_decay, eval_g, eval_h
-from bcct.dbr import kernel_difference_psd, permanence_report
-from bcct.errors import NotADivisor
-from bcct.factors import InnerFunction, SingularMeasure, outer_from_weight
+from bcct.circle_sets import TWO_PI, Arc, validate_set, whitney_exactness
+from bcct.cutoff import build_cutoff, certify_decay, closure_extrema
+from bcct.dbr import divisor_psd, permanence_report
+from bcct.factors import InnerFunction, SingularMeasure
 from bcct.fixtures import (
+    Scale,
     dbr_divisor_pair,
+    disk_points,
     endpoint_atom,
     interior_gap_atom,
     monomial,
     standard_member,
-    taper_weight,
     two_gap,
 )
 from bcct.spaces import (
-    annihilator_check,
+    annihilator_residuals,
     moments_beta,
     moments_beta_quadrature,
     rapid_weight,
@@ -43,7 +37,6 @@ from bcct.spaces import (
     weighted_operator_norm,
 )
 from bcct.transforms import (
-    MemberIngredients,
     backshift_identity,
     flip_check,
     model_space_orthogonality,
@@ -77,11 +70,9 @@ def test_criterion_1_whitney_exactness():
         if not gaps:
             continue
         configs += 1
-        E = validate_set(gaps)
-        for w in whitney_decompose(E, 8):
-            expect = E.gaps[w.parent].length / (3.0 * 2.0 ** abs(w.rank))
-            worst_len = max(worst_len, abs(w.length - expect))
-            worst_dist = max(worst_dist, abs(dist_arc_to_set(w.arc, E) - w.length))
+        len_resid, dist_resid = whitney_exactness(validate_set(gaps), 8)
+        worst_len = max(worst_len, len_resid)
+        worst_dist = max(worst_dist, dist_resid)
     elapsed = time.monotonic() - start
     ok = worst_len <= 1e-12 and worst_dist <= 1e-12 and elapsed < 1.0
     verdict(1, ok, f"whitney exactness: len {worst_len:.2e}, dist {worst_dist:.2e}, "
@@ -91,23 +82,15 @@ def test_criterion_1_whitney_exactness():
     assert elapsed < 1.0
 
 
-def _closure_points(rng, count):
-    interior = rng.uniform(-1, 1, (3 * count, 2)) @ np.array([1.0, 1.0j])
-    interior = interior[np.abs(interior) < 1.0][: count // 2]
-    boundary = np.exp(1j * rng.uniform(0.0, TWO_PI, count - len(interior)))
-    return interior, boundary
-
-
 def test_criterion_2_cutoff_validity():
     start = time.monotonic()
     E = two_gap()
     c = build_cutoff(E, k_max=16)
+    # half of 10^4 points uniform in the open disk, the rest on the circle
     rng = np.random.default_rng(7)
-    interior, boundary = _closure_points(rng, 10**4)
-    re_h = float(np.max(np.real(eval_h(c, interior))))
-    g_closure = float(
-        max(np.max(np.abs(eval_g(c, interior))), np.max(np.abs(eval_g(c, boundary))))
-    )
+    interior = disk_points(rng, 10**4)[: 10**4 // 2]
+    boundary = np.exp(1j * rng.uniform(0.0, TWO_PI, 10**4 - len(interior)))
+    re_h, g_closure = closure_extrema(c, interior, boundary)
     rep = certify_decay(c, E, orders_N=range(5), orders_m=range(3), grid_log2=16)
     elapsed = time.monotonic() - start
 
@@ -146,14 +129,13 @@ def test_criterion_2_supplement_deep_grid_certificate():
 
 def test_criterion_3_smooth_transform():
     start = time.monotonic()
-    E = two_gap()
-    W = outer_from_weight(taper_weight(E, 21))
-    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=16))
+    ingredients = Scale(two_gap(), 21, 16).ingredients
     slopes = {}
     flips = {}
     norms = {}
     mean_residual = 0.0
     for k in (0, 1, 3):
+        # not Scale.member, which would keep all three 2^21 members alive
         member = ingredients.member(monomial(k), None)
         res = smooth_transform(member, fit_window=(64, 1024))
         slopes[k] = res.decay_fit
@@ -180,7 +162,7 @@ def test_criterion_3_smooth_transform():
 
 
 def test_criterion_4_backshift_identity():
-    member = standard_member("K", monomial(0), 14, k_max=12)
+    member = Scale(two_gap(), 14, 12).member(0)
     worst = max(backshift_identity(member, k) for k in range(1, 9))
     ok = worst <= 1e-10
     verdict(4, ok, f"backward-shift identity residual {worst:.2e} for k <= 8")
@@ -236,12 +218,8 @@ def test_criterion_6_toeplitz_norm_bounds():
 
 
 def test_criterion_7_annihilator():
-    worst = 0.0
-    for k in (0, 1, 3):
-        member = standard_member("K", monomial(k), 14, k_max=12)
-        worst = max(worst, float(np.max(annihilator_check(member, k_max=32))))
-    member = standard_member("K", monomial(0), 14, k_max=12)
-    control = float(annihilator_check(member, k_max=1, perturbation=monomial(1))[1])
+    scale = Scale(two_gap(), 14, 12)
+    worst, control = annihilator_residuals([scale.member(k) for k in (0, 1, 3)])
     ok = worst <= 1e-7 and control >= 1e-2
     verdict(7, ok, f"annihilator residual {worst:.2e} (k <= 32, p in {{1, z, z^3}}); "
                    f"negative control {control:.2f}")
@@ -286,13 +264,7 @@ def test_criterion_9_model_space_membership():
 
 
 def test_criterion_10_kernel_psd():
-    b, b_n = dbr_divisor_pair(14)
-    min_eig = kernel_difference_psd(b, b_n)
-    swapped = False
-    try:
-        kernel_difference_psd(b_n, b)
-    except NotADivisor:
-        swapped = True
+    min_eig, swapped = divisor_psd(*dbr_divisor_pair(14))
     ok = min_eig >= -1e-10 and swapped
     verdict(10, ok, f"kernel difference PSD: min eigenvalue {min_eig:.2e} on the "
                     f"32-point lattice; swapped control {'fails' if swapped else 'PASSES'}")
@@ -303,8 +275,7 @@ def test_criterion_10_kernel_psd():
 def test_criterion_11_split_functional_stability():
     start = time.monotonic()
     E = two_gap()
-    W = outer_from_weight(taper_weight(E, 16))
-    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=12))
+    ingredients = Scale(E, 16, 12).ingredients
     on = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
     off = InnerFunction((), SingularMeasure((interior_gap_atom(E, 0.1, "K"),)))
     rep_on = permanence_report(on, ingredients, None, 1 << 18)

@@ -424,6 +424,18 @@ class TestVerify:
         assert main(["verify", "--suite", "cutoff", "--out", str(tmp_path / "out")]) == 0
         assert tapers == []
 
+    def test_swap_control_can_fail(self, tmp_path, monkeypatch):
+        # a symbol paired with itself divides both ways round, so the dbr-psd
+        # suite's swap control fails and the run exits 1
+        b = bcct.fixtures.dbr_divisor_pair(12)[0]
+        monkeypatch.setattr(bcct.fixtures, "dbr_divisor_pair", lambda grid_log2: (b, b))
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", "dbr-psd", "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads((out / "dbr-psd.json").read_text())["checks"]}
+        assert checks["swap_control"]["value"] is False
+        assert checks["swap_control"]["pass"] is False
+        assert checks["psd_min_eig"]["pass"] is True
+
     def test_suites_alone_match_all(self, tmp_path):
         # the suites of one run share their ingredients; a suite that modified
         # one in place would change what the later suites write

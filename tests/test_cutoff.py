@@ -29,7 +29,7 @@ from bcct.cutoff import (
     eval_h,
 )
 from bcct.errors import ResolutionError
-from bcct.fixtures import geometric_gaps, two_gap
+from bcct.fixtures import disk_points, geometric_gaps, two_gap
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +51,6 @@ def angular_endpoint_hits(c, z):
         d = np.mod(ang - b, TWO_PI)
         hit |= on_circle & (np.minimum(d, TWO_PI - d) <= ANGLE_SLACK)
     return hit
-
-
-def disk_points(rng, count):
-    z = rng.uniform(-1, 1, (3 * count, 2)) @ np.array([1.0, 1.0j])
-    return z[np.abs(z) < 1.0][:count]
 
 
 class TestEvalH:

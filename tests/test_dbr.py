@@ -8,6 +8,7 @@ from bcct.boundary_calculus import _spectrum
 from bcct.circle_sets import TWO_PI
 from bcct.dbr import (
     build_symbol,
+    divisor_psd,
     j_relation_check,
     j_relation_residuals,
     kernel_difference_psd,
@@ -21,6 +22,7 @@ from bcct.dbr import (
 from bcct.errors import NotADivisor, OutsideDomain
 from bcct.factors import InnerFunction, SingularMeasure, outer_from_weight
 from bcct.fixtures import (
+    Scale,
     const_weight,
     dbr_divisor_pair,
     dbr_symbol,
@@ -120,6 +122,12 @@ class TestKernelDifference:
         with pytest.raises(NotADivisor):
             kernel_difference_psd(b_n, b)
 
+    def test_swap_control_passes_a_pair_that_divides_both_ways(self):
+        # b divides itself, so the swapped pair is not refused: the control
+        # reads False, and the least eigenvalue is that of the zero matrix
+        b = dbr_divisor_pair(12)[0]
+        assert divisor_psd(b, b) == (0.0, False)
+
     def test_pointwise_convergence_proxy(self):
         # |b_n - b| decreases at fixed interior points as the kept part grows
         E = geometric_gaps(3)
@@ -205,13 +213,11 @@ class TestPermanence:
         assert rep.stable_within(2.0)
 
     def test_theta_coefficients_once_for_all_members(self, monkeypatch):
-        from bcct.cutoff import build_cutoff
         from bcct.fixtures import monomial
         from bcct.transforms import model_space_orthogonality
 
         E = two_gap()
-        W = outer_from_weight(taper_weight(E, 12))
-        ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=8))
+        ingredients = Scale(E, 12, 8).ingredients
         theta = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
         separate = max(
             model_space_orthogonality(ingredients.member(monomial(j), theta), max_k=32, band=4096)
@@ -230,11 +236,8 @@ class TestPermanence:
         assert rep.orthogonality_residual == pytest.approx(separate, rel=1e-12)
 
     def test_theta_sampled_once_per_report(self, monkeypatch):
-        from bcct.cutoff import build_cutoff
-
         E = two_gap()
-        W = outer_from_weight(taper_weight(E, 12))
-        ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=8))
+        ingredients = Scale(E, 12, 8).ingredients
         theta = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
         calls = []
         sample = InnerFunction.boundary_samples
@@ -265,14 +268,12 @@ class TestPermanence:
         # build the compliant weight sequence from the ON-carrier member,
         # then watch the off-carrier u1 constants drift against it
         from bcct.boundary_calculus import AnalyticSeries
-        from bcct.cutoff import build_cutoff
         from bcct.fixtures import monomial
         from bcct.spaces import rapid_weight
         from bcct.transforms import split_transform
 
         E = two_gap()
-        W = outer_from_weight(taper_weight(E, 16))
-        ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=12))
+        ingredients = Scale(E, 16, 12).ingredients
         on = InnerFunction((), SingularMeasure((endpoint_atom(E, 0.1, "K"),)))
         off = InnerFunction((), SingularMeasure((interior_gap_atom(E, 0.1, "K"),)))
         base = permanence_report(on, ingredients, None, 1 << 16)

@@ -24,6 +24,7 @@ from bcct.cutoff import build_cutoff, boundary_samples
 from bcct.errors import IngredientMismatch
 from bcct.factors import Atom, InnerFunction, SingularMeasure, outer_from_weight
 from bcct.fixtures import (
+    Scale,
     endpoint_atom,
     monomial,
     point_atom,
@@ -148,7 +149,7 @@ class TestBuildMember:
     def test_monomial_member_takes_no_inverse_fft(self, E, monkeypatch):
         # zeta z^k has one term, so q is formed from root tables; a p with
         # two terms takes the inverse FFT
-        ingredients = MemberIngredients(E, outer_from_weight(taper_weight(E, 12)), build_cutoff(E, 8))
+        ingredients = Scale(E, 12, 8).ingredients
         ingredients.cutoff_samples
         calls = []
         for name in ("ifft", "irfft"):
@@ -160,6 +161,27 @@ class TestBuildMember:
         assert calls == []
         ingredients.member(AnalyticSeries([1.0, 1.0]), None)
         assert calls == ["ifft"]
+
+    def test_shared_arrays_are_read_only(self, E):
+        # what a Scale builds is shared by its callers, so no caller can
+        # write into it
+        scale = Scale(E, 12, 8)
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+        k2 = scale.ingredients.member(monomial(0), theta)
+        k1 = standard_member("K1", monomial(0), 12, k_max=8)
+        arrays = {
+            "K samples": scale.member(0).samples,
+            "K q_samples": scale.member(0).q_samples,
+            "K2 samples": k2.samples,
+            "K2 q_samples": k2.q_samples,
+            "K1 samples": k1.samples,
+            "outer boundary": scale.outer.boundary,
+            "cutoff samples": scale.ingredients.cutoff_samples,
+        }
+        for name, a in arrays.items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
 
     def test_degenerate_full_circle_excluded(self):
         with pytest.raises(ValueError):
@@ -335,10 +357,8 @@ class TestModelSpace:
 def _permanence_members(grid_log2):
     # the four K2 members of the permanence check, p = z^0..z^3, on one theta
     E = two_gap()
-    W = outer_from_weight(taper_weight(E, grid_log2))
-    ingredients = MemberIngredients(E, W, build_cutoff(E, k_max=8))
     theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
-    return [ingredients.member(monomial(j), theta) for j in range(4)]
+    return Scale(E, grid_log2, 8).ingredients.members([monomial(j) for j in range(4)], theta)
 
 
 def _lag_sum_residual(members, max_k, band):
