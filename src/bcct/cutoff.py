@@ -121,19 +121,32 @@ def eval_g(c: CutoffFunction, z) -> complex | np.ndarray:
     endpoint; the angle decides among those few.
     """
     z = np.asarray(z, dtype=complex)
-    vals = np.asarray(np.exp(eval_h(c, z)))
+    vals = _g_from_h(c, z, eval_h(c, z))
+    return vals if vals.shape else complex(vals)
+
+
+def _g_from_h(c: CutoffFunction, z: np.ndarray, h) -> np.ndarray:
+    """exp(h) at the points z, h being :func:`eval_h` there, with
+    :func:`eval_g`'s endpoint zeros."""
+    vals = np.asarray(np.exp(h))
     flat_z, flat_vals = z.reshape(-1), vals.reshape(-1)  # views of z and vals
     for b in c.boundary_angles:
         near = np.flatnonzero(np.abs(flat_z - np.exp(1j * b)) <= 1e-11)
         _zero_endpoint_hits(flat_z, flat_vals, near, b)
-    return vals if vals.shape else complex(vals)
+    return vals
 
 
 def closure_extrema(c: CutoffFunction, interior, boundary) -> tuple[float, float]:
     """For the claims Re h < 0 and |g| <= 1: max Re h over the interior points
-    (at least one), and max |g| over them and the boundary points (maybe none)."""
-    re_h = float(np.max(np.real(eval_h(c, interior))))
-    g_max = max(float(np.max(np.abs(eval_g(c, z)), initial=0.0)) for z in (interior, boundary))
+    (at least one), and max |g| over them and the boundary points (maybe none).
+    h is summed once on the interior points and serves both claims."""
+    interior = np.asarray(interior, dtype=complex)
+    h = eval_h(c, interior)
+    re_h = float(np.max(np.real(h)))
+    g_max = max(
+        float(np.max(np.abs(g), initial=0.0))
+        for g in (_g_from_h(c, interior, h), eval_g(c, boundary))
+    )
     return re_h, g_max
 
 

@@ -20,6 +20,7 @@ residual and the two split-functional bounds for a family of members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,21 +321,23 @@ def permanence_report(
     """Finite-scale permanence evidence for theta over (E, W, g_E).
 
     Builds the degree-0..3 members s = theta conj(zeta p g_E W), computes
-    the model-space membership residual for k <= 32, splits the base
-    transform into the complement piece u1 and the carrier piece u2, and
+    the model-space membership residual for k <= 32 from q and theta's
+    coefficients, splits the base transform (the one member whose samples
+    are formed) into the complement piece u1 and the carrier piece u2, and
     fits the functional constants  max_j |u1_j| sqrt(alpha_j)  (boundedness
-    against the dual weighted norm) and  max_j |u2_j| / ||sqrt(w)||
-    (boundedness against the weighted boundary norm) over the degree windows
-    PERMANENCE_DEGREES.  With the singular support on E both families of
-    constants stabilize; an atom inside a gap degrades the u1 family, which
-    is reported, not thresholded.
+    against the dual weighted norm) and  max_j |u2_j| / ||sqrt(w)||, with w
+    the weight of W (boundedness against the weighted boundary norm), over
+    the degree windows PERMANENCE_DEGREES.  With the singular support on E
+    both families of constants stabilize; an atom inside a gap degrades the
+    u1 family, which is reported, not thresholded.
 
     When ``alpha`` is None a weight sequence is constructed from the first
     4096 coefficients of u1, reducing the polynomial order from 4 until the
     construction fits that range.
     """
-    # theta's samples and coefficients are computed once for all four members.
-    members = ingredients.members([monomial(j) for j in range(4)], theta)
+    # theta's coefficients are computed once for all four members, and its
+    # samples only for the split of the first.
+    members = [ingredients.member(monomial(j), theta) for j in range(4)]
     if theta.is_trivial:
         # Model space of theta = 1 is trivial; all functionals vanish.
         resid = _max_orthogonality(members, 32, min(orth_band, 4096))
@@ -343,7 +346,7 @@ def permanence_report(
     resid = _max_orthogonality(members, 32, orth_band)
 
     top = max(PERMANENCE_DEGREES)
-    split = split_transform(members[0], weight_values=ingredients.outer.weight.values)
+    split = split_transform(members[0])
     u1 = split.u1.coeffs
 
     orders = 0
@@ -363,7 +366,11 @@ def permanence_report(
 
     c1_vals = np.abs(u1[: top + 1]) * np.sqrt(alpha.alpha[: top + 1])
     c1, s1 = _fitted_constants(c1_vals, PERMANENCE_DEGREES)
-    c2, s2 = _fitted_constants(split.u2_functional_constants, PERMANENCE_DEGREES)
+    # ||z^k sqrt(w)||_{L^2(E)} is independent of k; <z^k, u2> = conj(u2_k).
+    w = ingredients.outer.weight
+    wnorm = math.sqrt(float(np.sum(w.values[w.mask])) / members[0].size)
+    c2_vals = np.abs(split.u2.coeffs[: top + 1]) / max(wnorm, 1e-300)
+    c2, s2 = _fitted_constants(c2_vals, PERMANENCE_DEGREES)
     return PermanenceReport(
         orthogonality_residual=resid,
         degrees=PERMANENCE_DEGREES,

@@ -44,13 +44,12 @@ _NOISE_FLOOR_FACTOR = 32 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class KMember:
-    """Boundary samples of one member s, with its analytic part q kept
-    separate (s = theta * conj(q); theta = 1 for family K), both read-only.
+    """One member s = theta * conj(q) (theta = 1 for family K), held as the
+    read-only grid samples of its analytic part q and its inner factor theta.
     ``e_mask`` is the outer weight's own read-only mask of E (None for family
     K1)."""
 
     family: str
-    samples: np.ndarray
     q_samples: np.ndarray
     grid_log2: int
     theta: InnerFunction | None
@@ -59,6 +58,17 @@ class KMember:
     @property
     def size(self) -> int:
         return 1 << self.grid_log2
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """The boundary samples of s, formed on first read (theta sampled on
+        this grid) and read-only.  The model-space residual reads only q and
+        theta's coefficients, so a K2 member may never form them."""
+        s = np.conj(self.q_samples)
+        if self.theta is not None:
+            np.multiply(self.theta.boundary_samples(self.grid_log2), s, out=s)
+        s.flags.writeable = False
+        return s
 
     @property
     def integration_mask(self) -> np.ndarray:
@@ -107,14 +117,14 @@ def build_member(
     theta: InnerFunction | None = None,
     grid_log2: int | None = None,
     cutoff_samples: np.ndarray | None = None,
-    theta_samples: np.ndarray | None = None,
 ) -> KMember:
-    """Assemble the boundary samples of one family member.
+    """Assemble one family member: the boundary samples of q = zeta p g W
+    (W = 1 for family K1) and theta; s itself is formed on first read.
 
     The cut-off must belong to the same set as the outer weight (families K,
     K2); family K1 instead needs a measure-zero carrier and no outer factor.
-    Precomputed boundary samples of the cut-off and of theta may be passed
-    when several members share one grid.
+    Precomputed boundary samples of the cut-off may be passed when several
+    members share one grid.
     """
     if family not in ("K", "K1", "K2"):
         raise IngredientMismatch(f"unknown family {family!r}")
@@ -149,17 +159,10 @@ def build_member(
         if outer.grid_log2 != grid_log2:
             raise IngredientMismatch("outer factor sampled on a different grid")
         q *= outer.boundary
-    s = np.conj(q)
-    if theta is not None:
-        if theta_samples is None:
-            theta_samples = theta.boundary_samples(grid_log2)
-        np.multiply(theta_samples, s, out=s)
-    s.flags.writeable = False
     q.flags.writeable = False
 
     return KMember(
         family=family,
-        samples=s,
         q_samples=q,
         grid_log2=grid_log2,
         theta=theta,
@@ -171,7 +174,8 @@ def build_member(
 class MemberIngredients:
     """What the family-K and K2 members over E share: E, the outer factor W of
     a weight on E and the cut-off g of E, with g's samples on W's grid
-    (read-only)."""
+    (read-only).  Each member takes its own theta and forms theta's samples
+    only if its own samples are read."""
 
     E: BeurlingCarlesonSet
     outer: OuterFunction
@@ -185,20 +189,10 @@ class MemberIngredients:
 
     def member(self, p: AnalyticSeries, theta: InnerFunction | None) -> KMember:
         """The family-K member s = conj(zeta p g W) for theta None, else K2's theta s."""
-        return self.members([p], theta)[0]
-
-    def members(self, ps, theta: InnerFunction | None) -> list[KMember]:
-        """:meth:`member` for each p in ``ps``, on one sampling of theta."""
-        grid_log2 = self.outer.grid_log2
-        theta_samples = None if theta is None else theta.boundary_samples(grid_log2)
-        return [
-            build_member(
-                "K" if theta is None else "K2", p, cutoff=self.cutoff, cutoff_set=self.E,
-                outer=self.outer, theta=theta, cutoff_samples=self.cutoff_samples,
-                theta_samples=theta_samples,
-            )
-            for p in ps
-        ]
+        return build_member(
+            "K" if theta is None else "K2", p, cutoff=self.cutoff, cutoff_set=self.E,
+            outer=self.outer, theta=theta, cutoff_samples=self.cutoff_samples,
+        )
 
 
 def _decay_slope(coeffs: np.ndarray, window: tuple[int, int]) -> float:
@@ -393,38 +387,16 @@ def model_space_orthogonality(member: KMember, max_k: int = 32, band: int = 8192
 class SplitResult:
     u1: AnalyticSeries
     u2: AnalyticSeries
-    additivity_residual: float
-    u1_decay: float
-    u2_functional_constants: np.ndarray  # |<z^k, u2>| / ||z^k sqrt(w)||, per k
 
 
-def split_transform(member: KMember, weight_values: np.ndarray | None = None) -> SplitResult:
-    """Split C_s = u1 + u2 into the complement piece and the E piece, on the
-    coefficients 0..size/2-1.
-
-    u1 = C_{s 1_{T \\ E}} is the smooth part (decay slope fitted over 64..1024);
-    u2 = C_{s 1_E} generates the functional bounded against the weighted
-    boundary norm (constants for k = 0..32, given the weight).  Each piece is
-    its own FFT; the additivity residual compares u1 + u2 with C_s read from
-    ``member.spectrum`` (the K2 integration mask is the whole circle).
-    """
+def split_transform(member: KMember) -> SplitResult:
+    """Split C_s = u1 + u2 into the complement piece u1 = C_{s 1_{T \\ E}}
+    and the E piece u2 = C_{s 1_E}, on the coefficients 0..size/2-1, each
+    its own FFT of the member's samples."""
     if member.family != "K2":
         raise IngredientMismatch("split applies to family K2")
-    n = member.size
     mask = member.e_mask
-    u2 = analytic_coefficients(member.samples, mask=mask)
-    u1 = analytic_coefficients(member.samples, mask=~mask)
-    resid = float(np.max(np.abs(u1.coeffs + u2.coeffs - member.spectrum[: n // 2])))
-    slope = _decay_slope(u1.coeffs, (64, 1024))
-    consts = np.array([])
-    if weight_values is not None:
-        # ||z^k sqrt(w)||_{L^2(E)} is independent of k; <z^k, u2> = conj(u2_k).
-        wnorm = math.sqrt(float(np.sum(weight_values[mask])) / n)
-        consts = np.abs(u2.coeffs[:33]) / max(wnorm, 1e-300)
     return SplitResult(
-        u1=u1,
-        u2=u2,
-        additivity_residual=resid,
-        u1_decay=slope,
-        u2_functional_constants=consts,
+        u1=analytic_coefficients(member.samples, mask=~mask),
+        u2=analytic_coefficients(member.samples, mask=mask),
     )

@@ -25,6 +25,7 @@ from bcct.cutoff import (
     boundary_samples,
     build_cutoff,
     certify_decay,
+    closure_extrema,
     eval_g,
     eval_h,
 )
@@ -121,6 +122,30 @@ class TestEvalG:
         boundary = np.exp(1j * rng.uniform(0, TWO_PI, 5000))
         assert np.max(np.abs(eval_g(cut, z))) <= 1.0 + 1e-12
         assert np.max(np.abs(eval_g(cut, boundary))) <= 1.0 + 1e-12
+
+    def test_closure_extrema_sums_the_interior_once(self, cut, monkeypatch):
+        # h on the interior points serves both Re h and |g|: one pole sum per
+        # point set, and the bits of eval_h and eval_g called apart; the gap
+        # endpoints among the points take the endpoint zero rule
+        rng = np.random.default_rng(6)
+        ends = np.exp(1j * np.asarray(cut.boundary_angles))
+        interior = np.concatenate((disk_points(rng, 500), ends))
+        boundary = np.concatenate((ends, np.exp(1j * rng.uniform(0, TWO_PI, 500))))
+        want = (
+            float(np.max(np.real(eval_h(cut, interior)))),
+            max(float(np.max(np.abs(eval_g(cut, z)), initial=0.0)) for z in (interior, boundary)),
+        )
+        sizes = []
+        pole_sum = bcct.cutoff.pole_sum
+
+        def counted(poles, weights, z, *args, **kwargs):
+            sizes.append(np.size(z))
+            return pole_sum(poles, weights, z, *args, **kwargs)
+
+        monkeypatch.setattr(bcct.cutoff, "pole_sum", counted)
+        got = closure_extrema(cut, interior, boundary)
+        assert sizes == [len(interior), len(boundary)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_zero_free_inside(self, cut):
         rng = np.random.default_rng(4)

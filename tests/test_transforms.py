@@ -123,15 +123,14 @@ class TestBuildMember:
             assert np.array_equal(got.q_samples, want.q_samples)
         assert ingredients.cutoff_samples is ingredients.cutoff_samples
 
-    def test_members_sample_theta_once(self, E, monkeypatch):
-        # members() hands build_member theta's samples, formed once for all
-        # of them; each member is bitwise the one build_member forms alone
+    def test_samples_formed_on_first_read(self, E, monkeypatch):
+        # a K2 member holds q and theta; theta is sampled on the first read of
+        # s and never again, and s is bitwise the eager conj(q) times theta's
+        # samples
         W = outer_from_weight(taper_weight(E, G))
         g = build_cutoff(E, k_max=6)
         ingredients = MemberIngredients(E, W, g)
         theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
-        ps = [monomial(j) for j in range(4)]
-        want = [build_member("K2", p, cutoff=g, cutoff_set=E, outer=W, theta=theta) for p in ps]
         calls = []
         sample = InnerFunction.boundary_samples
 
@@ -140,11 +139,34 @@ class TestBuildMember:
             return sample(th, grid_log2)
 
         monkeypatch.setattr(InnerFunction, "boundary_samples", counted)
-        got = ingredients.members(ps, theta)
-        assert calls == [G]
-        for a, b in zip(got, want, strict=True):
-            assert np.array_equal(a.samples, b.samples)
-            assert np.array_equal(a.q_samples, b.q_samples)
+        builds = (
+            lambda: ingredients.member(monomial(1), theta),
+            lambda: build_member("K2", monomial(1), cutoff=g, cutoff_set=E, outer=W, theta=theta),
+        )
+        for build in builds:
+            calls.clear()
+            m = build()
+            assert calls == []
+            s = m.samples
+            assert calls == [G]
+            assert m.samples is s
+            assert calls == [G]
+            assert not s.flags.writeable
+            eager = np.conj(m.q_samples)
+            np.multiply(sample(theta, G), eager, out=eager)
+            assert np.array_equal(s, eager)
+
+    def test_residual_samples_nothing(self, E, monkeypatch):
+        # the model-space residual reads q and theta's coefficients only
+        k2 = Scale(E, 12, 8).ingredients.member(monomial(0), InnerFunction(
+            (), SingularMeasure((endpoint_atom(E),))))
+        k1 = standard_member("K1", monomial(0), 12, k_max=8)
+        calls = []
+        monkeypatch.setattr(InnerFunction, "boundary_samples",
+                            lambda th, grid_log2: calls.append(grid_log2))
+        for m in (k2, k1):
+            model_space_orthogonality(m, max_k=32, band=4096)
+        assert calls == []
 
     def test_monomial_member_takes_no_inverse_fft(self, E, monkeypatch):
         # zeta z^k has one term, so q is formed from root tables; a p with
@@ -273,7 +295,9 @@ class TestFlip:
     def test_negative_control_mean_offset(self, E, member_k):
         from dataclasses import replace
 
-        bad = replace(member_k, samples=member_k.samples + 0.05)
+        # for family K, conj(q + 0.05) is conj(q) + 0.05 bit for bit
+        bad = replace(member_k, q_samples=member_k.q_samples + 0.05)
+        assert np.array_equal(bad.samples, member_k.samples + 0.05)
         assert flip_check(bad) > 1e-2
 
     def test_family_guard(self):
@@ -358,7 +382,8 @@ def _permanence_members(grid_log2):
     # the four K2 members of the permanence check, p = z^0..z^3, on one theta
     E = two_gap()
     theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
-    return Scale(E, grid_log2, 8).ingredients.members([monomial(j) for j in range(4)], theta)
+    ingredients = Scale(E, grid_log2, 8).ingredients
+    return [ingredients.member(monomial(j), theta) for j in range(4)]
 
 
 def _lag_sum_residual(members, max_k, band):
@@ -483,18 +508,22 @@ class TestSplit:
     def test_additivity(self, E):
         m = standard_member("K2", monomial(0), G, k_max=12)
         res = split_transform(m)
-        assert res.additivity_residual <= 1e-10
+        n = m.size
+        whole = np.fft.fft(m.samples)[: n // 2] / n
+        assert np.max(np.abs(res.u1.coeffs + res.u2.coeffs - whole)) <= 1e-10
 
     def test_smooth_piece_decay(self):
         m = standard_member("K2", monomial(0), 16, k_max=14)
         res = split_transform(m)
-        assert res.u1_decay <= -3.0
+        assert bcct.transforms._decay_slope(res.u1.coeffs, (64, 1024)) <= -3.0
 
     def test_u2_functional_constants(self, E):
         w = taper_weight(E, G)
         m = standard_member("K2", monomial(0), G, k_max=12)
-        res = split_transform(m, weight_values=w.values)
-        consts = res.u2_functional_constants
+        res = split_transform(m)
+        # ||z^k sqrt(w)||_{L^2(E)} is independent of k; <z^k, u2> = conj(u2_k)
+        wnorm = math.sqrt(float(np.sum(w.values[w.mask])) / m.size)
+        consts = np.abs(res.u2.coeffs[:33]) / wnorm
         assert len(consts) == 33
         # fitted constants stabilize: later maxima do not outgrow early ones
         assert np.max(consts[9:]) <= 2.0 * np.max(consts[:9])
