@@ -12,12 +12,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -267,10 +264,10 @@ def whitney_residuals(E: BeurlingCarlesonSet, k_max: int) -> list[tuple[int, flo
 
 def whitney_exactness(E: BeurlingCarlesonSet, k_max: int) -> tuple[float, float]:
     """Residuals of the two Whitney rules over ``whitney_decompose(E, k_max)``:
-    the largest |length - |A| / (3 * 2**|k|)| and the largest
-    |dist(arc, E) - length|."""
+    the largest |arc length - |A| / (3 * 2**|k|)|, the length measured
+    between the arc's own endpoints, and the largest |dist(arc, E) - length|."""
     arcs = whitney_decompose(E, k_max)
-    length = max(abs(w.length - _rank_length(E.gaps[w.parent].length, w.rank)) for w in arcs)
+    length = max(abs(w.arc.length - _rank_length(E.gaps[w.parent].length, w.rank)) for w in arcs)
     distance = max(abs(dist_arc_to_set(w.arc, E) - w.length) for w in arcs)
     return length, distance
 
@@ -313,37 +310,6 @@ def assign_lambdas(arcs: Sequence[WhitneyArc]) -> list[WhitneyArc]:
         raise DegenerateArc("Whitney arc of normalized length >= 1")
     lam = _lambda_rule(_whitney_mass(lengths))
     return [replace(w, lam=float(l)) for w, l in zip(arcs, lam)]
-
-
-# ---------------------------------------------------------------------------
-# external interfaces
-# ---------------------------------------------------------------------------
-
-def _read_json(path):
-    """The JSON file at ``path``, parsed."""
-    return json.loads(Path(path).read_text())
-
-
-def gaps_from_json(path) -> list[Arc]:
-    """Read ``{"gaps": [{"start": rad, "end": rad}, ...]}`` from the JSON file
-    at ``path``, each gap moved by a multiple of 2 pi so that it starts in
-    [0, 2 pi); a gap that already does is kept as written."""
-    obj = _read_json(path)
-    return [_wrapped_arc(float(g["start"]), float(g["end"])) for g in obj["gaps"]]
-
-
-def _wrapped_arc(s: float, e: float) -> Arc:
-    start = wrap_angle(s)
-    return Arc(start, e if start == s else start + (e - s))
-
-
-def whitney_to_csv(arcs: Iterable[WhitneyArc], path) -> None:
-    """Dump a Whitney system as CSV (parent, rank, start, end, length, lambda)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parent", "rank", "start", "end", "length", "lambda"])
-        for w in arcs:
-            writer.writerow([w.parent, w.rank, w.arc.start, w.arc.end, w.length, w.lam])
 
 
 def point_carrier(angle: float) -> BeurlingCarlesonSet:

@@ -22,25 +22,24 @@ import numpy as np
 from . import fixtures
 from .boundary_calculus import AnalyticSeries
 from .circle_sets import (
+    Arc,
     BeurlingCarlesonSet,
-    _read_json,
     _whitney_mass,
     assign_lambdas,
-    gaps_from_json,
     validate_set,
     whitney_decompose,
     whitney_exactness,
     whitney_residuals,
-    whitney_to_csv,
+    wrap_angle,
 )
 from .cutoff import certify_decay, closure_extrema
 from .dbr import divisor_psd, permanence_report
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, ResolutionError, ToolkitError
 from .factors import (
+    Atom,
     InnerFunction,
     SingularMeasure,
     certify_W_derivatives,
-    measure_from_json,
     outer_from_weight,
 )
 from .spaces import annihilator_residuals, rapid_weight
@@ -64,8 +63,53 @@ class _Run:
     coeffs: AnalyticSeries
 
 
-def _read_set(source) -> BeurlingCarlesonSet:
-    return validate_set(gaps_from_json(source))
+# ---------------------------------------------------------------------------
+# files: every file the package reads or writes has its format here
+# ---------------------------------------------------------------------------
+
+def _read_json(path):
+    """The JSON file at ``path``, parsed."""
+    return json.loads(Path(path).read_text())
+
+
+def _read_set(path) -> BeurlingCarlesonSet:
+    """The set ``{"gaps": [{"start": rad, "end": rad}, ...]}`` in the JSON
+    file at ``path``, each gap moved by a multiple of 2 pi so that it starts
+    in [0, 2 pi); a gap that already does is kept as written."""
+    gaps = []
+    for g in _read_json(path)["gaps"]:
+        s, e = float(g["start"]), float(g["end"])
+        start = wrap_angle(s)
+        gaps.append(Arc(start, e if start == s else start + (e - s)))
+    return validate_set(gaps)
+
+
+def _read_measure(path) -> SingularMeasure:
+    """The measure ``{"atoms": [{"angle":.., "mass":.., "part":"C"|"K"}, ...]}``
+    in the JSON file at ``path``, each angle reduced modulo 2 pi."""
+    atoms = [Atom(float(a["angle"]), float(a["mass"]), str(a.get("part", "C")))
+             for a in _read_json(path)["atoms"]]
+    return SingularMeasure(tuple(Atom(wrap_angle(a.angle), a.mass, a.part) for a in atoms))
+
+
+def _read_coeffs_csv(path) -> AnalyticSeries:
+    """Coefficient CSV: either one value per line or rows (k, value), the
+    value last.  A first line whose last field is not a number is a header;
+    the other values and the sum of their squares must be finite numbers."""
+    rows = [r for r in Path(path).read_text().strip().splitlines() if r]
+    vals = []
+    for i, r in enumerate(rows):
+        try:
+            vals.append(float(r.split(",")[-1]))
+        except ValueError:
+            if i:
+                raise
+    if not vals:
+        raise ValueError("no coefficient values")
+    # Python floats overflow to inf silently, where numpy would warn.
+    if not math.isfinite(sum(v * v for v in vals)):
+        raise ValueError("coefficient values and the sum of their squares must be finite")
+    return AnalyticSeries(np.asarray(vals, dtype=complex))
 
 
 def _parse_input(kind: str, parse, source):
@@ -90,14 +134,21 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_round17(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _check(name: str, value, threshold, ok) -> dict:
-    return {"name": name, "value": value, "threshold": threshold, "pass": bool(ok)}
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
 # suites: each takes the run and returns its checks (plus any extra entries);
 # run_suite adds the suite name and the verdict
 # ---------------------------------------------------------------------------
+
+def _check(name: str, value, threshold, ok) -> dict:
+    return {"name": name, "value": value, "threshold": threshold, "pass": bool(ok)}
+
 
 def suite_whitney(run: _Run) -> dict:
     E, k_max = run.scale.E, run.scale.k_max
@@ -106,7 +157,8 @@ def suite_whitney(run: _Run) -> dict:
     c = _whitney_mass(np.array([w.length for w in arcs]))
     lam = np.array([w.lam for w in arcs])
     bound = 2.0 * math.sqrt(c.sum()) + c.sum()
-    whitney_to_csv(arcs, run.out_dir / "whitney.csv")
+    _write_csv(run.out_dir / "whitney.csv", ["parent", "rank", "start", "end", "length", "lambda"],
+               ([w.parent, w.rank, w.arc.start, w.arc.end, w.length, w.lam] for w in arcs))
     residuals = whitney_residuals(E, k_max)
     checks = [
         _check("length_rule", len_resid, 1e-12, len_resid <= 1e-12),
@@ -167,41 +219,21 @@ def suite_transform(run: _Run) -> dict:
     for k in (0, 1, 3):
         member = run.scale.member(k)
         res = smooth_transform(member, fit_window=(64, hi))
-        rows.append((k, res))
+        rows += ([k, i, f"{c:.17g}"] for i, c in enumerate(np.abs(res.series.coeffs[: hi + 1])))
         checks.append(_check(f"nonzero_p{k}", res.series.norm_h2(), 0.0, res.nonzero))
         if k == 0:
             flip = flip_check(member)
             back = max(backshift_identity(member, j) for j in range(1, 5))
             checks.append(_check("flip", flip, 1e-2, flip <= 1e-2))
             checks.append(_check("backshift", back, 1e-10, back <= 1e-10))
-        checks.append(_check(f"decay_slope_p{k}", res.decay_fit, None, True))
-    with open(run.out_dir / "transform_spectrum.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["p", "n", "abs_S_n"])
-        for k, res in rows:
-            for i, cval in enumerate(np.abs(res.series.coeffs[: hi + 1])):
-                wr.writerow([k, i, f"{cval:.17g}"])
-    return {"checks": checks}
-
-
-def _read_coeffs_csv(path) -> AnalyticSeries:
-    """Coefficient CSV: either one value per line or rows (k, value), the
-    value last.  A first line whose last field is not a number is a header;
-    the other values and the sum of their squares must be finite numbers."""
-    rows = [r for r in Path(path).read_text().strip().splitlines() if r]
-    vals = []
-    for i, r in enumerate(rows):
+        # a report: a band too short for the fit says so in its entry
         try:
-            vals.append(float(r.split(",")[-1]))
-        except ValueError:
-            if i:
-                raise
-    if not vals:
-        raise ValueError("no coefficient values")
-    # Python floats overflow to inf silently, where numpy would warn.
-    if not math.isfinite(sum(v * v for v in vals)):
-        raise ValueError("coefficient values and the sum of their squares must be finite")
-    return AnalyticSeries(np.asarray(vals, dtype=complex))
+            slope = res.decay_fit
+        except ResolutionError as exc:
+            slope = str(exc)
+        checks.append(_check(f"decay_slope_p{k}", slope, None, True))
+    _write_csv(run.out_dir / "transform_spectrum.csv", ["p", "n", "abs_S_n"], rows)
+    return {"checks": checks}
 
 
 def suite_weights(run: _Run) -> dict:
@@ -209,11 +241,8 @@ def suite_weights(run: _Run) -> dict:
     seq = rapid_weight(coeffs, 4)
     total = float(np.sum(seq.alpha * np.abs(coeffs.coeffs) ** 2))
     budget = coeffs.norm_h2() ** 2 + 2.0
-    with open(run.out_dir / "weights_alpha.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["k", "alpha_k"])
-        for i, a in enumerate(seq.alpha):
-            wr.writerow([i, f"{a:.17g}"])
+    _write_csv(run.out_dir / "weights_alpha.csv", ["k", "alpha_k"],
+               ([i, f"{a:.17g}"] for i, a in enumerate(seq.alpha)))
     checks = [
         _check("nondecreasing", seq.increasing, True, seq.increasing),
         _check("weighted_mass", total, budget, total <= budget),
@@ -245,7 +274,7 @@ def suite_permanence(run: _Run) -> dict:
 
 
 def suite_dbr_psd(run: _Run) -> dict:
-    b, b_n = fixtures.dbr_divisor_pair(min(run.scale.grid_log2, 14))
+    b, b_n = fixtures.dbr_divisor_pair(run.scale.E, run.measure, min(run.scale.grid_log2, 14))
     min_eig, swap_failed = divisor_psd(b, b_n)
     checks = [
         _check("psd_min_eig", min_eig, -1e-10, min_eig >= -1e-10),
@@ -314,7 +343,7 @@ def _run_from(args, suites) -> _Run:
     for kind, ref, parse in (
         ("set", args.set_json, _read_set),
         ("coefficient", args.coeffs_csv, _read_coeffs_csv),
-        ("measure", args.measure_json, measure_from_json),
+        ("measure", args.measure_json, _read_measure),
     ):
         if ref is None:
             continue

@@ -35,7 +35,7 @@ from .boundary_calculus import (
     herglotz_at_nodes,
     indicator_mask,
 )
-from .circle_sets import BeurlingCarlesonSet, _read_json, dist_to_set, wrap_angle
+from .circle_sets import BeurlingCarlesonSet, dist_to_set
 from .errors import ResolutionError, WeightNotLogIntegrable
 
 # Largest ratio of fitted constants on consecutive dyadic levels that the
@@ -505,15 +505,3 @@ def certify_theta_derivatives(
         orders_m,
         grid_log2,
     )
-
-
-# ---------------------------------------------------------------------------
-# external interfaces
-# ---------------------------------------------------------------------------
-
-def measure_from_json(path) -> SingularMeasure:
-    """Read ``{"atoms": [{"angle":.., "mass":.., "part":"C"|"K"}, ...]}`` from
-    the JSON file at ``path``, each angle reduced modulo 2 pi."""
-    obj = _read_json(path)
-    atoms = [Atom(float(a["angle"]), float(a["mass"]), str(a.get("part", "C"))) for a in obj["atoms"]]
-    return SingularMeasure(tuple(Atom(wrap_angle(a.angle), a.mass, a.part) for a in atoms))

@@ -16,6 +16,7 @@ from .boundary_calculus import AnalyticSeries, grid_angles, monomial
 from .circle_sets import TWO_PI, Arc, BeurlingCarlesonSet, point_carrier, validate_set, wrap_angle
 from .cutoff import CutoffFunction, build_cutoff
 from .dbr import build_symbol, restricted_symbol
+from .errors import DegenerateArc
 from .factors import Atom, BoundaryWeight, InnerFunction, OuterFunction, SingularMeasure
 from .factors import boundary_weight, outer_from_weight
 from .transforms import KMember, MemberIngredients, build_member
@@ -166,24 +167,28 @@ def standard_member(
 
 
 def e_arc_subset(E: BeurlingCarlesonSet, index: int = 0) -> BeurlingCarlesonSet:
-    """One closed arc of E as a set of its own (complement = a single gap)."""
-    a, span = _e_arcs(E)[index]
-    return validate_set([Arc(a + span, a + TWO_PI)])
+    """One closed arc of E as a set of its own: its complement is the one gap
+    from the arc's end round to its start, both taken in [0, 2 pi), so a gap
+    below the resolution of angles near 2 pi is kept.  A one-point set has
+    no such arc: :class:`DegenerateArc`."""
+    arcs = _e_arcs(E)
+    if not arcs:
+        raise DegenerateArc("a one-point set has no arc of positive length")
+    a, span = arcs[index]
+    b = wrap_angle(a + span)
+    return validate_set([Arc(b, a if a > b else a + TWO_PI)])
 
 
-def dbr_symbol(grid_log2: int):
-    """Extreme symbol on the two-gap set: |b| = 0.5 on E, an atom of mass 0.1
-    at a gap endpoint (a point of E), tagged as the part vanishing on
-    measure-zero carriers."""
-    E = two_gap()
-    theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
-    return build_symbol(theta, const_weight(E, grid_log2))
+def dbr_symbol(E: BeurlingCarlesonSet, nu: SingularMeasure, grid_log2: int):
+    """Extreme symbol b = theta u on E: |u| = 0.5 on E and 1 off it, and
+    theta the singular inner function of nu."""
+    return build_symbol(InnerFunction((), nu), const_weight(E, grid_log2))
 
 
-def dbr_divisor_pair(grid_log2: int):
-    """(b, b_n) of the contractive-containment recipe: b_n keeps |b| only on
-    one arc of E and drops the singular atom."""
-    b = dbr_symbol(grid_log2)
+def dbr_divisor_pair(E: BeurlingCarlesonSet, nu: SingularMeasure, grid_log2: int):
+    """(b, b_n) of the contractive-containment recipe, b = :func:`dbr_symbol`:
+    b_n keeps |b| only on one arc of E and drops the singular factor."""
+    b = dbr_symbol(E, nu, grid_log2)
     sub = e_arc_subset(b.support, 0)
     b_n = restricted_symbol(b, sub, inner_part=InnerFunction())
     return b, b_n

@@ -90,12 +90,19 @@ class KMember:
 
 @dataclass(frozen=True)
 class TransformResult:
+    """A transform's coefficients; their decay slope is fitted on first read."""
+
     series: AnalyticSeries
-    decay_fit: float
+    fit_window: tuple[int, int]
 
     @property
     def nonzero(self) -> bool:
         return self.series.norm_h2() > 0.0
+
+    @cached_property
+    def decay_fit(self) -> float:
+        """Raises :class:`ResolutionError` when the band cannot hold the fit."""
+        return _decay_slope(self.series.coeffs, self.fit_window)
 
 
 def _same_set(a: BeurlingCarlesonSet, b: BeurlingCarlesonSet) -> bool:
@@ -222,14 +229,13 @@ def smooth_transform(
     fit_window: tuple[int, int] = (64, 1024),
 ) -> TransformResult:
     """Coefficients 0..size/2-1 of the member's Cauchy transform, read from
-    ``member.spectrum``, plus a decay slope fit over ``fit_window``.
+    ``member.spectrum``, with their decay slope over ``fit_window``
+    (``decay_fit``, fitted on first read).
 
     For family K2, :func:`split_transform` gives the complement/carrier
     split (u1, u2) of the same transform.
     """
-    series = AnalyticSeries(member.spectrum[: member.size // 2])
-    slope = _decay_slope(series.coeffs, fit_window)
-    return TransformResult(series=series, decay_fit=slope)
+    return TransformResult(AnalyticSeries(member.spectrum[: member.size // 2]), fit_window)
 
 
 def interior_lattice(n_points: int, radius: float) -> np.ndarray:

@@ -264,7 +264,10 @@ def test_criterion_9_model_space_membership():
 
 
 def test_criterion_10_kernel_psd():
-    min_eig, swapped = divisor_psd(*dbr_divisor_pair(14))
+    E = two_gap()
+    min_eig, swapped = divisor_psd(
+        *dbr_divisor_pair(E, SingularMeasure((endpoint_atom(E, 0.1, "K"),)), 14)
+    )
     ok = min_eig >= -1e-10 and swapped
     verdict(10, ok, f"kernel difference PSD: min eigenvalue {min_eig:.2e} on the "
                     f"32-point lattice; swapped control {'fails' if swapped else 'PASSES'}")

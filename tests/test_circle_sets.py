@@ -1,24 +1,24 @@
-import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcct import circle_sets
 from bcct.circle_sets import (
     TWO_PI,
     Arc,
     assign_lambdas,
     dist_arc_to_set,
     dist_to_set,
-    gaps_from_json,
     point_carrier,
     rotate_set,
     validate_set,
     whitney_decompose,
+    whitney_exactness,
     wrap_angle,
-    whitney_to_csv,
     _tail_lambda,
 )
 from bcct.errors import DegenerateArc, OverlapError
@@ -149,6 +149,19 @@ class TestWhitney:
             assert abs(w.length - expect) <= 1e-12
             assert abs(dist_arc_to_set(w.arc, E) - w.length) <= 1e-12
 
+    def test_length_rule_reads_the_arcs(self, monkeypatch):
+        # the length rule is checked against each arc's own endpoints, so a
+        # decomposition whose arcs end 1e-9 rad past the rule fails it
+        E = validate_set([Arc(0.3, 0.3 + TWO_PI * 0.21), Arc(4.0, 4.9)])
+        assert whitney_exactness(E, 10)[0] <= 1e-12
+        exact = circle_sets.whitney_decompose
+        monkeypatch.setattr(circle_sets, "whitney_decompose", lambda E, k_max: [
+            replace(w, arc=Arc(w.arc.start, w.arc.end + 1e-9)) for w in exact(E, k_max)
+        ])
+        length, _ = whitney_exactness(E, 10)
+        assert length > 1e-12
+        assert length == pytest.approx(1e-9 / TWO_PI, rel=1e-3)
+
 
 class TestDistances:
     def test_gap_midpoint(self):
@@ -202,31 +215,6 @@ class TestLambdas:
                          midpoint=1.0 + 0j, radius=2.0)
         with pytest.raises(DegenerateArc):
             assign_lambdas([bad])
-
-
-class TestInterfaces:
-    def test_json_round_trip(self, tmp_path):
-        E = validate_set([Arc(0.25, 1.0), Arc(2.0, 2.75)])
-        path = tmp_path / "set.json"
-        path.write_text(json.dumps({"gaps": [{"start": g.start, "end": g.end} for g in E.gaps]}))
-        gaps = gaps_from_json(path)
-        E2 = validate_set(gaps)
-        assert E2.entropy == pytest.approx(E.entropy, abs=1e-15)
-
-    def test_json_from_string(self, tmp_path):
-        path = tmp_path / "set.json"
-        path.write_text('{"gaps": [{"start": 0.0, "end": 1.0}]}')
-        gaps = gaps_from_json(path)
-        assert len(gaps) == 1 and gaps[0].end == 1.0
-
-    def test_whitney_csv(self, tmp_path):
-        E = validate_set([Arc(0.0, 1.0)])
-        arcs = assign_lambdas(whitney_decompose(E, 3))
-        path = tmp_path / "whitney.csv"
-        whitney_to_csv(arcs, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "parent,rank,start,end,length,lambda"
-        assert len(lines) == len(arcs) + 1
 
 
 class TestResiduals:

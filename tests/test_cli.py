@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 
 import bcct.cli
@@ -17,8 +19,11 @@ import bcct.cutoff
 import bcct.factors
 import bcct.fixtures
 import bcct.transforms
-from bcct.circle_sets import wrap_angle
-from bcct.cli import SUITES, _read_coeffs_csv, main
+from bcct.circle_sets import Arc, assign_lambdas, validate_set, whitney_decompose, wrap_angle
+from bcct.cli import SUITES, _read_coeffs_csv, _read_measure, _read_set, main
+from bcct.factors import SingularMeasure
+from bcct.spaces import rapid_weight
+from bcct.transforms import smooth_transform
 
 # ---------------------------------------------------------------------------
 # The command-line contract, one row per case: exit 2 on any malformed input,
@@ -92,6 +97,24 @@ def _slope_report(d, out):
     names = {c["name"] for c in _json(d, "out/transform.json")["checks"]}
     assert {"decay_slope_p0", "decay_slope_p1", "decay_slope_p3"} <= names
     assert (d / "out/transform_spectrum.csv").exists()
+
+
+def _slopes_say_why_at_grid_8(d, out):
+    # the band is too short for the slope fit: each slope entry says so, and
+    # the nonzero, flip and backshift checks still run
+    checks = {c["name"]: c for c in _json(d, "out/transform.json")["checks"]}
+    assert all(checks[f"nonzero_p{k}"]["pass"] for k in (0, 1, 3))
+    assert checks["flip"]["pass"] is False and checks["backshift"]["pass"] is True
+    for k in (0, 1, 3):
+        assert checks[f"decay_slope_p{k}"]["value"] == "fit window is empty at this band"
+
+
+def _dbr_psd_reads_the_set(d, out):
+    # the divisor pair is built on the run's set, not on the default one
+    one, default = ({c["name"]: c for c in _json(d, f"{o}/dbr-psd.json")["checks"]}
+                    for o in ("out", "default"))
+    assert all(c["pass"] for c in one.values())
+    assert one["psd_min_eig"]["value"] != default["psd_min_eig"]["value"]
 
 
 def _six_decay_levels(d, out):
@@ -178,6 +201,16 @@ CONTRACT = [
         files=ONE_GAP, check=_whitney_on_one_gap),
     Row("transform_suite_emits_slope_report",
         "verify --suite transform --grid 13 --kmax 8 --out out", 0, check=_slope_report),
+    Row("transform_suite_at_grid_8", "verify --suite transform --grid 8 --out out", 1,
+        check=_slopes_say_why_at_grid_8),
+    Row("dbr_psd_on_one_gap", "verify --suite dbr-psd --set one_gap.json --out out", 0,
+        files=ONE_GAP, before=("verify --suite dbr-psd --out default",),
+        check=_dbr_psd_reads_the_set),
+    # a one-point set has no arc of E for the divisor to keep
+    Row("dbr_psd_on_a_point", "verify --suite dbr-psd --set p.json --out out", 1,
+        files={"p.json": _gap(1.0, 1.0 + 2.0 * math.pi)},
+        check=lambda d, out: _execution_in(d, ("dbr-psd",),
+                                           "a one-point set has no arc of positive length")),
     Row("cutoff_suite_writes_six_decay_levels",
         "verify --suite cutoff --grid 13 --kmax 8 --out out", 0, check=_six_decay_levels),
     # malformed input files and flags out of range
@@ -427,8 +460,9 @@ class TestVerify:
     def test_swap_control_can_fail(self, tmp_path, monkeypatch):
         # a symbol paired with itself divides both ways round, so the dbr-psd
         # suite's swap control fails and the run exits 1
-        b = bcct.fixtures.dbr_divisor_pair(12)[0]
-        monkeypatch.setattr(bcct.fixtures, "dbr_divisor_pair", lambda grid_log2: (b, b))
+        E = bcct.fixtures.two_gap()
+        b = bcct.fixtures.dbr_symbol(E, SingularMeasure((bcct.fixtures.endpoint_atom(E),)), 12)
+        monkeypatch.setattr(bcct.fixtures, "dbr_divisor_pair", lambda E, nu, grid_log2: (b, b))
         out = tmp_path / "out"
         assert main(["verify", "--suite", "dbr-psd", "--out", str(out)]) == 1
         checks = {c["name"]: c for c in json.loads((out / "dbr-psd.json").read_text())["checks"]}
@@ -479,6 +513,85 @@ def test_headerless_coeffs_keep_first_value(tmp_path, first):
     # a first line that parses as a number is data, whatever its first character
     p = _input_file(tmp_path, "c.csv", f"{first}\n0.25\n0.125\n0.0625\n")
     assert list(_read_coeffs_csv(p).coeffs) == [0.5, 0.25, 0.125, 0.0625]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestFileFormats:
+    """The readers and writers of the files a run reads and writes."""
+
+    def test_json_round_trip(self, tmp_path):
+        E = validate_set([Arc(0.25, 1.0), Arc(2.0, 2.75)])
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"gaps": [{"start": g.start, "end": g.end} for g in E.gaps]}))
+        E2 = _read_set(path)
+        assert E2.entropy == pytest.approx(E.entropy, abs=1e-15)
+
+    def test_json_from_string(self, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text('{"gaps": [{"start": 0.0, "end": 1.0}]}')
+        E = _read_set(path)
+        assert len(E.gaps) == 1 and E.gaps[0].end == 1.0
+
+    def test_whitney_csv(self, tmp_path):
+        set_json = _input_file(tmp_path, "set.json", _gap(0.0, 1.0))
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", "whitney", "--kmax", "3", "--set", set_json,
+                     "--out", str(out)]) == 0
+        arcs = assign_lambdas(whitney_decompose(validate_set([Arc(0.0, 1.0)]), 3))
+        lines = (out / "whitney.csv").read_text().strip().splitlines()
+        assert lines[0] == "parent,rank,start,end,length,lambda"
+        assert len(lines) == len(arcs) + 1
+
+    def test_measure_schema(self, tmp_path):
+        p = tmp_path / "nu.json"
+        p.write_text(
+            '{"atoms": [{"angle": 0.5, "mass": 0.1, "part": "C"},'
+            ' {"angle": 2.0, "mass": 0.2, "part": "K"}]}'
+        )
+        nu = _read_measure(p)
+        assert [(a.angle, a.mass, a.part) for a in nu.atoms] == [(0.5, 0.1, "C"), (2.0, 0.2, "K")]
+
+    def test_measure_file(self, tmp_path):
+        p = tmp_path / "nu.json"
+        p.write_text(json.dumps({"atoms": [{"angle": 1.0, "mass": 0.5}]}))
+        nu = _read_measure(p)
+        assert nu.atoms[0].part == "C"
+
+    def test_csv_values_round_trip(self, tmp_path):
+        # each CSV of a run reads back, bit for bit, to the array it was
+        # written from: the Whitney floats as repr, the others as .17g
+        coeffs_csv = _input_file(tmp_path, "c.csv", "k,value\n" + "\n".join(
+            f"{k},{2.0 ** -k:.17g}" for k in range(64)))
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", "whitney", "--suite", "transform", "--suite", "weights",
+                     "--grid", "12", "--kmax", "8", "--coeffs", coeffs_csv,
+                     "--out", str(out)]) == 0
+        scale = bcct.fixtures.Scale(bcct.fixtures.two_gap(), 12, 8)
+
+        def read(name, header, floats, fmt):
+            with open(out / name, newline="") as fh:
+                first, *rows = csv.reader(fh)
+            assert first == header
+            for row in rows:
+                assert row[-floats:] == [fmt(float(v)) for v in row[-floats:]]
+            return np.array([[float(v) for v in row] for row in rows])
+
+        got = read("whitney.csv", ["parent", "rank", "start", "end", "length", "lambda"], 4, repr)
+        want = [[w.parent, w.rank, w.arc.start, w.arc.end, w.length, w.lam]
+                for w in assign_lambdas(whitney_decompose(scale.E, 8))]
+        assert np.array_equal(_bits(got), _bits(want))
+
+        got = read("transform_spectrum.csv", ["p", "n", "abs_S_n"], 1, lambda v: f"{v:.17g}")
+        want = [[k, n, c] for k in (0, 1, 3)
+                for n, c in enumerate(np.abs(smooth_transform(scale.member(k)).series.coeffs[:1025]))]
+        assert np.array_equal(_bits(got), _bits(want))
+
+        got = read("weights_alpha.csv", ["k", "alpha_k"], 1, lambda v: f"{v:.17g}")
+        alpha = rapid_weight(_read_coeffs_csv(coeffs_csv), 4).alpha
+        assert np.array_equal(_bits(got), _bits([[k, a] for k, a in enumerate(alpha)]))
 
 
 class TestSubcommands:

@@ -36,6 +36,10 @@ from bcct.fixtures import (
 from bcct.transforms import MemberIngredients, interior_lattice
 
 G = 13
+# the symbol's inputs at the CLI's defaults: the two-gap set and an atom of
+# mass 0.1 at one of its gap endpoints
+TWO_GAP = two_gap()
+NU = SingularMeasure((endpoint_atom(TWO_GAP),))
 
 
 class TestKernel:
@@ -51,7 +55,7 @@ class TestKernel:
         assert kernel_eval(K, 0.0, 0.3) == pytest.approx(1.0, abs=1e-15)
 
     def test_hermitian_symmetry(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         K = b.eval
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -61,7 +65,7 @@ class TestKernel:
             assert left == pytest.approx(right, abs=1e-12)
 
     def test_diagonal_nonnegative_and_matches_formula(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         K = b.eval
         rng = np.random.default_rng(1)
         z = 0.9 * np.sqrt(rng.uniform(0, 1, 1000)) * np.exp(1j * rng.uniform(0, TWO_PI, 1000))
@@ -72,7 +76,7 @@ class TestKernel:
         assert np.max(np.abs(diag - expect)) <= 1e-10
 
     def test_symbol_invariants(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         assert b.extreme_flagged
         assert np.max(np.abs(b.delta**2 + np.abs(b.boundary) ** 2 - 1.0)) <= 1e-10
         assert np.max(np.abs(b.boundary)) <= 1.0 + 1e-12
@@ -80,22 +84,22 @@ class TestKernel:
 
 class TestKernelDifference:
     def test_same_symbol_zero_matrix(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         assert abs(kernel_difference_psd(b, b)) <= 1e-12
 
     def test_divisor_recipe_psd(self):
-        b, b_n = dbr_divisor_pair(G)
+        b, b_n = dbr_divisor_pair(TWO_GAP, NU, G)
         assert kernel_difference_psd(b, b_n) >= -1e-10
 
     def test_outer_only_divisor(self):
         # divisor that keeps the atom but restricts the outer modulus
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         sub = e_arc_subset(b.support, 1)
         b_n = restricted_symbol(b, sub)
         assert kernel_difference_psd(b, b_n) >= -1e-10
 
     def test_points_outside_open_disk_rejected(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         with pytest.raises(OutsideDomain):
             kernel_eval(b.eval, np.array([0.5, 1.0 + 0j]), 0.5)
 
@@ -103,7 +107,7 @@ class TestKernelDifference:
         # Entry (i, j) of the Gram difference is
         # (conj(b_n(z_i)) b_n(z_j) - conj(b(z_i)) b(z_j)) / (1 - conj(z_i) z_j),
         # rebuilt at 40 digits from the same symbol values.
-        b, b_n = dbr_divisor_pair(14)
+        b, b_n = dbr_divisor_pair(TWO_GAP, NU, 14)
         pts = interior_lattice(32, 0.85)
         with mpmath.workdps(40):
             z = [mpmath.mpc(p) for p in pts]
@@ -118,14 +122,14 @@ class TestKernelDifference:
         assert abs(kernel_difference_psd(b, b_n) - oracle) <= 1e-13
 
     def test_swapped_roles_fail(self):
-        b, b_n = dbr_divisor_pair(G)
+        b, b_n = dbr_divisor_pair(TWO_GAP, NU, G)
         with pytest.raises(NotADivisor):
             kernel_difference_psd(b_n, b)
 
     def test_swap_control_passes_a_pair_that_divides_both_ways(self):
         # b divides itself, so the swapped pair is not refused: the control
         # reads False, and the least eigenvalue is that of the zero matrix
-        b = dbr_divisor_pair(12)[0]
+        b = dbr_divisor_pair(TWO_GAP, NU, 12)[0]
         assert divisor_psd(b, b) == (0.0, False)
 
     def test_pointwise_convergence_proxy(self):
@@ -158,7 +162,7 @@ class TestKernelDifference:
 
 class TestJRelation:
     def test_fejer_tuple_residuals(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         rep = j_relation_check(b, lam=0.3, k_max=32)
         assert rep.annihilator_residual <= 1e-8
         assert rep.direct_residual <= 1e-8
@@ -178,7 +182,7 @@ class TestJRelation:
         assert direct <= 1e-8
 
     def test_zero_tuple(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         n = b.size
         ann, direct = j_relation_residuals(
             b.boundary, b.delta, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex),
@@ -187,7 +191,7 @@ class TestJRelation:
         assert ann == 0.0 and direct == 0.0
 
     def test_tuple_construction_consistency(self):
-        b = dbr_symbol(G)
+        b = dbr_symbol(TWO_GAP, NU, G)
         n = b.size
         bc = np.fft.fft(b.boundary)[: n // 8 + 1] / n
         f, g = kernel_tuple(bc, b.delta, 0.25, b.grid_log2)

@@ -1,6 +1,5 @@
 import functools
 import inspect
-import json
 import math
 import multiprocessing
 import os
@@ -39,7 +38,6 @@ from bcct.factors import (
     certify_W_derivatives,
     herglotz_exp,
     inner_singular_eval,
-    measure_from_json,
     outer_from_weight,
 )
 from bcct.fixtures import _e_arcs, const_weight, geometric_gaps, taper_weight, two_gap
@@ -618,26 +616,14 @@ class TestThetaDerivatives:
 
 
 class TestJsonInterfaces:
-    def test_measure_schema(self, tmp_path):
-        p = tmp_path / "nu.json"
-        p.write_text(
-            '{"atoms": [{"angle": 0.5, "mass": 0.1, "part": "C"},'
-            ' {"angle": 2.0, "mass": 0.2, "part": "K"}]}'
-        )
-        nu = measure_from_json(p)
-        assert [(a.angle, a.mass, a.part) for a in nu.atoms] == [(0.5, 0.1, "C"), (2.0, 0.2, "K")]
+    """What an atom of a measure file must be; tests/test_cli.py reads the
+    files themselves."""
 
     @pytest.mark.parametrize("angle, mass", [(0.0, math.nan), (0.0, math.inf), (math.inf, 0.1),
                                              (math.nan, 0.1), (0.0, 0.0)])
     def test_atom_needs_finite_angle_and_positive_finite_mass(self, angle, mass):
         with pytest.raises(ValueError):
             Atom(angle, mass)
-
-    def test_measure_file(self, tmp_path):
-        p = tmp_path / "nu.json"
-        p.write_text(json.dumps({"atoms": [{"angle": 1.0, "mass": 0.5}]}))
-        nu = measure_from_json(p)
-        assert nu.atoms[0].part == "C"
 
 
 # ---------------------------------------------------------------------------
