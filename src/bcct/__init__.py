@@ -55,9 +55,7 @@ from .spaces import (
 )
 from .dbr import (
     SymbolB,
-    build_symbol,
     j_relation_check,
-    kernel_difference_psd,
     kernel_eval,
     permanence_functional_check,
     permanence_report,

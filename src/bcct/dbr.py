@@ -5,8 +5,9 @@ The kernel of the space attached to a symbol b is
     k_b(lam, z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z).
 
 When b_n divides b (|b/b_n| <= 1 on the disk), k_b - k_{b_n} is again a
-positive definite kernel; :func:`kernel_difference_psd` certifies this on a
-finite point lattice.  The J-embedding identities are checked in a fully
+positive definite kernel; :func:`divisor_psd` certifies this on a finite
+point lattice, with the swapped pair as its control, from one evaluation of
+each symbol per lattice.  The J-embedding identities are checked in a fully
 discrete, self-consistent way: the symbol is replaced by a Fejer polynomial
 approximant b_F (sup norm still at most 1) and Delta is defined on the grid
 by Delta^2 = 1 - |b_F|^2, which makes the defining relation
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,24 +64,44 @@ PERMANENCE_DEGREES = (8, 16, 24, 32)
 
 @dataclass(frozen=True)
 class SymbolB:
-    """Bounded symbol b = theta * u with |b| < 1 exactly on the carrier E.
+    """Bounded symbol b = theta * u: the inner factor theta and the modulus of
+    the outer factor u (``modulus`` on its carrier E, 1 elsewhere).
 
-    ``delta`` is sqrt(1 - |b|^2) on the grid; off E it vanishes identically,
-    which is what flags the symbol as an extreme point (log(delta) is not
-    integrable over the complement).
+    ``boundary``, b's grid samples, and ``delta``, sqrt(1 - |b|^2) on the
+    grid, are formed on first read and read-only; the divisor certificate
+    reads neither.  Off E, delta vanishes identically, which is what flags
+    the symbol as an extreme point (log(delta) is not integrable over the
+    complement).
     """
 
     inner: InnerFunction
-    grid_log2: int
-    boundary: np.ndarray
-    delta: np.ndarray
-    log_modulus: np.ndarray
-    support: BeurlingCarlesonSet
-    extreme_flagged: bool
+    modulus: BoundaryWeight
+
+    @property
+    def grid_log2(self) -> int:
+        return self.modulus.grid_log2
 
     @property
     def size(self) -> int:
         return 1 << self.grid_log2
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        b = self.inner.boundary_samples(self.grid_log2) * outer_from_weight(self.modulus).boundary
+        b.flags.writeable = False
+        return b
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        delta = np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.boundary) ** 2))
+        delta.flags.writeable = False
+        return delta
+
+    @property
+    def extreme_flagged(self) -> bool:
+        """Whether delta is exactly 0 at some grid point off the carrier,
+        where log(delta) = -inf makes its quadrature diverge."""
+        return bool(np.any(self.delta[~self.modulus.mask] == 0.0))
 
     def eval(self, z) -> complex | np.ndarray:
         """Interior evaluation theta(z) * exp(Herglotz of log|u|).
@@ -87,30 +109,8 @@ class SymbolB:
         The Herglotz factor comes from :func:`herglotz_exp`: one FFT and the
         spectral Cauchy sum, at |z| <= 1 - 1e-6; nearer the circle it raises
         :class:`OutsideDomain` before theta is evaluated."""
-        outer = herglotz_exp(self.log_modulus, z)
+        outer = herglotz_exp(self.modulus.log_values, z)
         return self.inner.eval(z) * outer
-
-
-def build_symbol(inner: InnerFunction, modulus: BoundaryWeight) -> SymbolB:
-    """Assemble b = theta * u from the inner part and the modulus of the
-    outer part on its carrier (modulus 1 elsewhere).  The symbol is flagged
-    extreme when delta is exactly 0 at some grid point off the carrier, where
-    log(delta) = -inf makes its quadrature diverge."""
-    u = outer_from_weight(modulus)
-    theta_b = inner.boundary_samples(modulus.grid_log2)
-    b = theta_b * u.boundary
-    delta2 = np.maximum(0.0, 1.0 - np.abs(b) ** 2)
-    delta = np.sqrt(delta2)
-    extreme = bool(np.any(delta[~modulus.mask] == 0.0))
-    return SymbolB(
-        inner=inner,
-        grid_log2=modulus.grid_log2,
-        boundary=b,
-        delta=delta,
-        log_modulus=u.log_modulus,
-        support=modulus.support,
-        extreme_flagged=extreme,
-    )
 
 
 def restricted_symbol(
@@ -124,19 +124,25 @@ def restricted_symbol(
     elsewhere; the inner part must divide the original one (pass the subset
     of atoms/zeros to keep).  The quotient b/b_n is then a self-map of the
     disk and the kernel difference is positive definite.  The modulus is
-    read from the outer factor (equal to |b| almost everywhere and free of
+    read from b's log-modulus (equal to log|b| almost everywhere and free of
     the removable zeros at exact atom hits).
     """
     mask_n = indicator_mask(sub_support, b.grid_log2)
-    vals = np.where(mask_n, np.exp(b.log_modulus), 1.0)
+    vals = np.where(mask_n, np.exp(b.modulus.log_values), 1.0)
     modulus_n = boundary_weight(sub_support, vals, b.grid_log2)
     theta_n = inner_part if inner_part is not None else b.inner
-    return build_symbol(theta_n, modulus_n)
+    return SymbolB(theta_n, modulus_n)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
+
+def _kernel(b_lam, b_z, lam, z) -> np.ndarray:
+    """k_b(lam, z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z) from the
+    values b(lam) and b(z)."""
+    return (1.0 - np.conj(b_lam) * b_z) / (1.0 - np.conj(lam) * z)
+
 
 def kernel_eval(b, lam, z) -> complex | np.ndarray:
     """k_b(lam, z) for the callable b, such as ``SymbolB.eval`` (b = 0 gives
@@ -148,44 +154,36 @@ def kernel_eval(b, lam, z) -> complex | np.ndarray:
     z = np.asarray(z, dtype=complex)
     if not (np.all(np.abs(lam) < 1.0) and np.all(np.abs(z) < 1.0)):  # NaN fails too
         raise OutsideDomain("kernel arguments must lie in the open disk")
-    blam = np.asarray(b(lam), dtype=complex)
-    bz = np.asarray(b(z), dtype=complex)
-    out = (1.0 - np.conj(blam) * bz) / (1.0 - np.conj(lam) * z)
+    out = _kernel(np.asarray(b(lam), dtype=complex), np.asarray(b(z), dtype=complex), lam, z)
     return out if out.shape else complex(out)
 
 
-def kernel_difference_psd(b: SymbolB, b_n: SymbolB) -> float:
+def divisor_psd(b: SymbolB, b_n: SymbolB) -> tuple[float, bool]:
     """Least eigenvalue of the Gram matrix [k_b - k_{b_n}] on the 32-point
-    golden-angle lattice of radius 0.85.
+    golden-angle lattice of radius 0.85, and its swap control: whether the
+    swapped pair fails the divisor test (it must if |b| < |b_n| somewhere).
 
     The divisor property |b/b_n| <= 1 + 1e-8 is sampled first, on the
-    1024-point golden-angle lattice of radius 0.95 (both symbols are
-    genuine analytic functions of the same discrete data, so the positive
-    semidefiniteness is structural once the quotient is a self-map).
+    1024-point golden-angle lattice of radius 0.95, and :class:`NotADivisor`
+    is raised when it fails (both symbols are genuine analytic functions of
+    the same discrete data, so the positive semidefiniteness is structural
+    once the quotient is a self-map).  The swap control is the same sampled
+    ratio taken the other way.  Each symbol is evaluated once per lattice.
     """
     sample_pts = interior_lattice(1024, 0.95)
-    qb = np.asarray(b.eval(sample_pts), dtype=complex)
-    qn = np.asarray(b_n.eval(sample_pts), dtype=complex)
-    ratio = np.abs(qb) / np.maximum(np.abs(qn), 1e-300)
-    worst = float(np.max(ratio))
+    qb = np.abs(np.asarray(b.eval(sample_pts), dtype=complex))
+    qn = np.abs(np.asarray(b_n.eval(sample_pts), dtype=complex))
+    worst = float(np.max(qb / np.maximum(qn, 1e-300)))
     if worst > 1.0 + 1e-8:
         raise NotADivisor(f"sampled |b/b_n| reaches {worst}")
+    swap_failed = float(np.max(qn / np.maximum(qb, 1e-300))) > 1.0 + 1e-8
     points = interior_lattice(32, 0.85)
     lam, z = points[:, None], points[None, :]
-    G = kernel_eval(b.eval, lam, z) - kernel_eval(b_n.eval, lam, z)
+    vb = np.asarray(b.eval(points), dtype=complex)
+    vn = np.asarray(b_n.eval(points), dtype=complex)
+    G = _kernel(vb[:, None], vb[None, :], lam, z) - _kernel(vn[:, None], vn[None, :], lam, z)
     G = 0.5 * (G + G.conj().T)
-    return float(np.min(np.linalg.eigvalsh(G)))
-
-
-def divisor_psd(b: SymbolB, b_n: SymbolB) -> tuple[float, bool]:
-    """:func:`kernel_difference_psd` of (b, b_n), and its swap control: whether
-    the swapped pair is refused as :class:`NotADivisor` (it must be if |b| < |b_n|)."""
-    min_eig = kernel_difference_psd(b, b_n)
-    try:
-        kernel_difference_psd(b_n, b)
-    except NotADivisor:
-        return min_eig, True
-    return min_eig, False
+    return float(np.min(np.linalg.eigvalsh(G))), swap_failed
 
 
 # ---------------------------------------------------------------------------

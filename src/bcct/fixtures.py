@@ -15,7 +15,7 @@ import numpy as np
 from .boundary_calculus import AnalyticSeries, grid_angles, monomial
 from .circle_sets import TWO_PI, Arc, BeurlingCarlesonSet, point_carrier, validate_set, wrap_angle
 from .cutoff import CutoffFunction, build_cutoff
-from .dbr import build_symbol, restricted_symbol
+from .dbr import SymbolB, restricted_symbol
 from .errors import DegenerateArc
 from .factors import Atom, BoundaryWeight, InnerFunction, OuterFunction, SingularMeasure
 from .factors import boundary_weight, outer_from_weight
@@ -182,13 +182,11 @@ def e_arc_subset(E: BeurlingCarlesonSet, index: int = 0) -> BeurlingCarlesonSet:
 def dbr_symbol(E: BeurlingCarlesonSet, nu: SingularMeasure, grid_log2: int):
     """Extreme symbol b = theta u on E: |u| = 0.5 on E and 1 off it, and
     theta the singular inner function of nu."""
-    return build_symbol(InnerFunction((), nu), const_weight(E, grid_log2))
+    return SymbolB(InnerFunction((), nu), const_weight(E, grid_log2))
 
 
 def dbr_divisor_pair(E: BeurlingCarlesonSet, nu: SingularMeasure, grid_log2: int):
     """(b, b_n) of the contractive-containment recipe, b = :func:`dbr_symbol`:
     b_n keeps |b| only on one arc of E and drops the singular factor."""
     b = dbr_symbol(E, nu, grid_log2)
-    sub = e_arc_subset(b.support, 0)
-    b_n = restricted_symbol(b, sub, inner_part=InnerFunction())
-    return b, b_n
+    return b, restricted_symbol(b, e_arc_subset(E, 0), inner_part=InnerFunction())

@@ -440,8 +440,8 @@ class TestVerify:
 
     def test_run_builds_each_ingredient_once(self, tmp_path, monkeypatch):
         # the suites share one cut-off, its grid samples and the taper
-        # weight's outer factor (the outer and dbr-psd suites build outer
-        # factors of other weights)
+        # weight's outer factor (the outer suite builds outer factors of
+        # other weights)
         tapers = _spy(monkeypatch, bcct.fixtures.taper_weight)
         cutoffs = _spy(monkeypatch, bcct.cutoff.build_cutoff)
         samples = _spy(monkeypatch, bcct.cutoff.boundary_samples)
@@ -456,6 +456,22 @@ class TestVerify:
         tapers = _spy(monkeypatch, bcct.fixtures.taper_weight)
         assert main(["verify", "--suite", "cutoff", "--out", str(tmp_path / "out")]) == 0
         assert tapers == []
+
+    def test_dbr_psd_samples_nothing_on_the_grid(self, tmp_path, monkeypatch):
+        # the divisor certificate reads its symbols' interior values only:
+        # no outer factor is built and theta is never sampled on the grid
+        outers = _spy(monkeypatch, bcct.factors.outer_from_weight)
+        thetas = []
+        sample = bcct.factors.InnerFunction.boundary_samples
+
+        def counting(theta, grid_log2):
+            thetas.append(grid_log2)
+            return sample(theta, grid_log2)
+
+        monkeypatch.setattr(bcct.factors.InnerFunction, "boundary_samples", counting)
+        assert main(["verify", "--suite", "dbr-psd", "--out", str(tmp_path / "out")]) == 0
+        assert outers == []
+        assert thetas == []
 
     def test_swap_control_can_fail(self, tmp_path, monkeypatch):
         # a symbol paired with itself divides both ways round, so the dbr-psd

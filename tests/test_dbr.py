@@ -7,11 +7,10 @@ import pytest
 from bcct.boundary_calculus import _spectrum
 from bcct.circle_sets import TWO_PI
 from bcct.dbr import (
-    build_symbol,
+    SymbolB,
     divisor_psd,
     j_relation_check,
     j_relation_residuals,
-    kernel_difference_psd,
     kernel_eval,
     kernel_tuple,
     PermanenceReport,
@@ -81,22 +80,33 @@ class TestKernel:
         assert np.max(np.abs(b.delta**2 + np.abs(b.boundary) ** 2 - 1.0)) <= 1e-10
         assert np.max(np.abs(b.boundary)) <= 1.0 + 1e-12
 
+    def test_symbol_is_its_inner_factor_and_modulus(self):
+        assert [f.name for f in fields(SymbolB)] == ["inner", "modulus"]
+
+    def test_symbol_arrays_formed_once_and_read_only(self):
+        b = dbr_symbol(TWO_GAP, NU, G)
+        for name in ("boundary", "delta"):
+            values = getattr(b, name)
+            assert getattr(b, name) is values
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
 
 class TestKernelDifference:
     def test_same_symbol_zero_matrix(self):
         b = dbr_symbol(TWO_GAP, NU, G)
-        assert abs(kernel_difference_psd(b, b)) <= 1e-12
+        assert abs(divisor_psd(b, b)[0]) <= 1e-12
 
     def test_divisor_recipe_psd(self):
         b, b_n = dbr_divisor_pair(TWO_GAP, NU, G)
-        assert kernel_difference_psd(b, b_n) >= -1e-10
+        assert divisor_psd(b, b_n)[0] >= -1e-10
 
     def test_outer_only_divisor(self):
         # divisor that keeps the atom but restricts the outer modulus
         b = dbr_symbol(TWO_GAP, NU, G)
-        sub = e_arc_subset(b.support, 1)
+        sub = e_arc_subset(b.modulus.support, 1)
         b_n = restricted_symbol(b, sub)
-        assert kernel_difference_psd(b, b_n) >= -1e-10
+        assert divisor_psd(b, b_n)[0] >= -1e-10
 
     def test_points_outside_open_disk_rejected(self):
         b = dbr_symbol(TWO_GAP, NU, G)
@@ -119,12 +129,37 @@ class TestKernelDifference:
                     num = mpmath.conj(vn[i]) * vn[j] - mpmath.conj(vb[i]) * vb[j]
                     gram[i, j] = num / (1 - mpmath.conj(z[i]) * z[j])
             oracle = float(min(mpmath.eigh(gram, eigvals_only=True)))
-        assert abs(kernel_difference_psd(b, b_n) - oracle) <= 1e-13
+        assert abs(divisor_psd(b, b_n)[0] - oracle) <= 1e-13
+
+    def test_gram_matrix_is_the_kernel_difference(self):
+        # one evaluation per lattice gives the bits of kernel_eval's b(lam) on
+        # (32, 1) and b(z) on (1, 32)
+        b, b_n = dbr_divisor_pair(TWO_GAP, NU, G)
+        pts = interior_lattice(32, 0.85)
+        lam, z = pts[:, None], pts[None, :]
+        gram = kernel_eval(b.eval, lam, z) - kernel_eval(b_n.eval, lam, z)
+        want = float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
+        assert divisor_psd(b, b_n) == (want, True)
+
+    def test_each_symbol_evaluated_once_per_lattice(self, monkeypatch):
+        # the divisor test, its swap control and the Gram matrix read the
+        # values of b and b_n on the 1024-point and the 32-point lattice
+        b, b_n = dbr_divisor_pair(TWO_GAP, NU, G)
+        calls = []
+        evaluate = SymbolB.eval
+
+        def counting(symbol, z):
+            calls.append(("b" if symbol is b else "b_n", np.shape(z)))
+            return evaluate(symbol, z)
+
+        monkeypatch.setattr(SymbolB, "eval", counting)
+        divisor_psd(b, b_n)
+        assert calls == [("b", (1024,)), ("b_n", (1024,)), ("b", (32,)), ("b_n", (32,))]
 
     def test_swapped_roles_fail(self):
         b, b_n = dbr_divisor_pair(TWO_GAP, NU, G)
         with pytest.raises(NotADivisor):
-            kernel_difference_psd(b_n, b)
+            divisor_psd(b_n, b)
 
     def test_swap_control_passes_a_pair_that_divides_both_ways(self):
         # b divides itself, so the swapped pair is not refused: the control
@@ -137,7 +172,7 @@ class TestKernelDifference:
         E = geometric_gaps(3)
         nu = SingularMeasure((endpoint_atom(E, 0.08, "K"),))
         theta = InnerFunction((), nu)
-        b = build_symbol(theta, const_weight(E, G, 0.5))
+        b = SymbolB(theta, const_weight(E, G, 0.5))
         pts = interior_lattice(20, 0.7)
         gaps = []
         from bcct.fixtures import _e_arcs
@@ -171,7 +206,7 @@ class TestJRelation:
         # inner symbol: the relation reduces to membership in the model space
         E = two_gap()
         theta = InnerFunction((0.5, -0.3 + 0.2j))
-        b = build_symbol(theta, const_weight(E, G, 1.0))
+        b = SymbolB(theta, const_weight(E, G, 1.0))
         # unimodular up to rounding; the square root amplifies eps to ~1e-8
         assert np.max(b.delta) <= 1e-7
         # the raw boundary samples of b, its coefficients up to size/4

@@ -24,7 +24,7 @@ from bcct.boundary_calculus import (
 )
 from bcct.circle_sets import TWO_PI, Arc, distances_to_set, point_carrier, rotate_set, validate_set
 from bcct.cutoff import _g_and_h_derivs, build_cutoff, eval_g, eval_h
-from bcct.dbr import build_symbol, kernel_eval
+from bcct.dbr import SymbolB, kernel_eval
 from bcct.errors import OutsideDomain, ResolutionError, WeightNotLogIntegrable
 from bcct.factors import (
     _LAGUERRE_CHUNK,
@@ -240,7 +240,7 @@ class TestHerglotzExp:
     def _evaluator(name):
         w = taper_weight(two_gap(), 10)
         W = outer_from_weight(w)
-        b = build_symbol(InnerFunction((0.3,)), w)
+        b = SymbolB(InnerFunction((0.3,)), w)
         return {
             "herglotz_exp": lambda z: herglotz_exp(W.log_modulus, z),
             "outer_eval": W.eval,
