@@ -114,7 +114,6 @@ def rapid_weight(S: AnalyticSeries, n_max: int) -> WeightSequence:
         lo = k_of_n[N]
         hi = k_of_n[N + 1] if N < n_max else d + 1
         alpha[lo:hi] = k[lo:hi] ** N
-    alpha[k_of_n[n_max] :] = k[k_of_n[n_max] :] ** n_max
     alpha[0] = 1.0
 
     cap = k**np.sqrt(k)
@@ -193,7 +192,7 @@ def annihilator_check(
     negative controls.
     """
     n = member.size
-    mask = member.integration_mask
+    mask = member.e_mask
     coeffs = member.spectrum[: n // 2]
     if perturbation is not None:
         coeffs = coeffs.copy()

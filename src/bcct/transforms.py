@@ -10,10 +10,13 @@ inner function theta (zeta denotes the coordinate function on the circle):
 For family K the transform C_{s 1_E} is smooth because s 1_E is globally
 smooth (g kills every derivative at the edge of E); the flip identity, the
 backward-shift identity and the annihilating functionals are all checked
-numerically here or in :mod:`bcct.spaces`.  For K1/K2 the transforms lie in
-the model space of theta; the orthogonality residual is computed in
-coefficient space against exact inner-function coefficients, which keeps the
-slowly decaying spectrum of an atomic inner factor from polluting the check.
+numerically here or in :mod:`bcct.spaces`.  A member's one grid spectrum
+is that E side (``KMember.spectrum``); K2's transform is read through the
+split C_s = u1 + u2 into its complement side u1 and that E side u2.  For
+K1/K2 the transforms lie in the model space of theta; the orthogonality
+residual is computed in coefficient space against exact inner-function
+coefficients, which keeps the slowly decaying spectrum of an atomic inner
+factor from polluting the check.
 """
 
 from __future__ import annotations
@@ -41,13 +44,17 @@ from .factors import InnerFunction, OuterFunction
 
 _NOISE_FLOOR_FACTOR = 32 * np.finfo(float).eps
 
+# The factor rule, per family: whether it takes an outer factor W and an
+# inner factor theta.
+_FACTORS = {"K": (True, False), "K1": (False, True), "K2": (True, True)}
+
 
 @dataclass(frozen=True)
 class KMember:
     """One member s = theta * conj(q) (theta = 1 for family K), held as the
     read-only grid samples of its analytic part q and its inner factor theta.
     ``e_mask`` is the outer weight's own read-only mask of E (None for family
-    K1)."""
+    K1, which has no E)."""
 
     family: str
     q_samples: np.ndarray
@@ -70,22 +77,15 @@ class KMember:
         s.flags.writeable = False
         return s
 
-    @property
-    def integration_mask(self) -> np.ndarray:
-        """Support of the transform integrand: E for family K, all of the
-        circle for K1/K2 (whose transforms are full Cauchy transforms)."""
-        if self.family == "K":
-            return self.e_mask
-        return np.ones(self.size, dtype=bool)
-
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Grid Fourier coefficients of the transform integrand,
-        fft(samples * integration_mask) / size, computed on first use (in the
-        masked product's own buffer) and read-only.  Index r < size/2 is
-        coefficient r of the member's Cauchy transform; the certificates below
-        all read this one array."""
-        return _spectrum(self.samples, self.integration_mask)
+        """The E side: grid Fourier coefficients fft(samples * e_mask) / size,
+        computed on first use (in the masked product's own buffer) and
+        read-only; unmasked only for family K1.  Index r < size/2 is
+        coefficient r of C_{s 1_E}: family K's transform, and K2's carrier
+        piece u2 of :func:`split_transform`.  The certificates below all read
+        this one array; the complement side is formed where it is read."""
+        return _spectrum(self.samples, self.e_mask)
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,6 @@ class TransformResult:
         return _decay_slope(self.series.coeffs, self.fit_window)
 
 
-def _same_set(a: BeurlingCarlesonSet, b: BeurlingCarlesonSet) -> bool:
-    if len(a.gaps) != len(b.gaps):
-        return False
-    return all(
-        abs(x - y) <= 1e-12
-        for x, y in zip(sorted(a.boundary_angles), sorted(b.boundary_angles))
-    )
-
-
 def build_member(
     family: str,
     p: AnalyticSeries,
@@ -128,33 +119,30 @@ def build_member(
     """Assemble one family member: the boundary samples of q = zeta p g W
     (W = 1 for family K1) and theta; s itself is formed on first read.
 
-    The cut-off must belong to the same set as the outer weight (families K,
-    K2); family K1 instead needs a measure-zero carrier and no outer factor.
+    Family K takes an outer factor and no theta, K1 theta and no outer
+    factor, K2 both.  With an outer factor, the cut-off's set must equal the
+    outer weight's support; family K1 instead needs a measure-zero carrier.
     Precomputed boundary samples of the cut-off may be passed when several
     members share one grid.
     """
-    if family not in ("K", "K1", "K2"):
+    if family not in _FACTORS:
         raise IngredientMismatch(f"unknown family {family!r}")
     if grid_log2 is None:
         if outer is None:
             raise IngredientMismatch("grid_log2 required when no outer factor is given")
         grid_log2 = outer.grid_log2
 
-    if family == "K":
-        if outer is None or theta is not None:
-            raise IngredientMismatch("family K takes an outer factor and no inner factor")
-        if not _same_set(cutoff_set, outer.weight.support):
-            raise IngredientMismatch("cut-off and outer weight live on different sets")
-    elif family == "K1":
-        if theta is None or outer is not None:
-            raise IngredientMismatch("family K1 takes an inner factor and no outer factor")
+    takes_outer, takes_theta = _FACTORS[family]
+    if (outer is not None, theta is not None) != (takes_outer, takes_theta):
+        raise IngredientMismatch(
+            f"family {family} takes {'an' if takes_outer else 'no'} outer factor"
+            f" and {'an' if takes_theta else 'no'} inner factor"
+        )
+    if outer is None:
         if cutoff_set.measure > 1e-12:
             raise IngredientMismatch("family K1 needs a measure-zero carrier")
-    else:
-        if theta is None or outer is None:
-            raise IngredientMismatch("family K2 takes inner and outer factors")
-        if not _same_set(cutoff_set, outer.weight.support):
-            raise IngredientMismatch("cut-off and outer weight live on different sets")
+    elif cutoff_set != outer.weight.support:
+        raise IngredientMismatch("cut-off and outer weight live on different sets")
 
     if cutoff_samples is None:
         cutoff_samples = cutoff_boundary_samples(cutoff, grid_log2)
@@ -228,12 +216,13 @@ def smooth_transform(
     member: KMember,
     fit_window: tuple[int, int] = (64, 1024),
 ) -> TransformResult:
-    """Coefficients 0..size/2-1 of the member's Cauchy transform, read from
-    ``member.spectrum``, with their decay slope over ``fit_window``
-    (``decay_fit``, fitted on first read).
+    """Coefficients 0..size/2-1 of C_{s 1_E}, read from ``member.spectrum``,
+    with their decay slope over ``fit_window`` (``decay_fit``, fitted on
+    first read).
 
-    For family K2, :func:`split_transform` gives the complement/carrier
-    split (u1, u2) of the same transform.
+    For family K this is the member's smooth transform.  For family K2 it is
+    the carrier piece u2 of :func:`split_transform`, not certified smooth:
+    at an endpoint atom its coefficients decay only like n^-0.78.
     """
     return TransformResult(AnalyticSeries(member.spectrum[: member.size // 2]), fit_window)
 
@@ -281,7 +270,7 @@ def backshift_identity(member: KMember, k: int) -> float:
     shifted = synthesize_analytic(monomial(k), member.grid_log2)
     np.conjugate(shifted, out=shifted)
     shifted *= member.samples
-    right = analytic_coefficients(shifted, mask=member.integration_mask).coeffs[: len(left)]
+    right = analytic_coefficients(shifted, mask=member.e_mask).coeffs[: len(left)]
     return float(np.max(np.abs(left - right)))
 
 
@@ -397,12 +386,12 @@ class SplitResult:
 
 def split_transform(member: KMember) -> SplitResult:
     """Split C_s = u1 + u2 into the complement piece u1 = C_{s 1_{T \\ E}}
-    and the E piece u2 = C_{s 1_E}, on the coefficients 0..size/2-1, each
-    its own FFT of the member's samples."""
+    and the E piece u2 = C_{s 1_E}, on the coefficients 0..size/2-1.  u2 is
+    read from ``member.spectrum``; u1 is the one FFT formed here, of the
+    samples off E, and is not kept on the member."""
     if member.family != "K2":
         raise IngredientMismatch("split applies to family K2")
-    mask = member.e_mask
     return SplitResult(
-        u1=analytic_coefficients(member.samples, mask=~mask),
-        u2=analytic_coefficients(member.samples, mask=mask),
+        u1=analytic_coefficients(member.samples, mask=~member.e_mask),
+        u2=AnalyticSeries(member.spectrum[: member.size // 2]),
     )

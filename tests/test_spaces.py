@@ -248,9 +248,17 @@ class TestGram:
         E = two_gap()
         w = taper_weight(E, 12)
         seq = rapid_weight(AnalyticSeries(2.0 ** -np.arange(40, dtype=float)), 4)
-        Gm = d_space_gram(1.0 / seq.alpha, w, 16)
+        alpha_inv = 1.0 / seq.alpha
+        Gm = d_space_gram(alpha_inv, w, 16)
+        # T: the L^2(w) Gram matrix of z^0..z^16, summed directly on the grid
+        n = 1 << w.grid_log2
+        zeta = np.exp(1j * TWO_PI * np.arange(n) / n)
+        Z = zeta[:, None] ** np.arange(17)[None, :]
+        T = (Z.T * np.where(w.mask, w.values, 0.0)) @ np.conj(Z) / n
+        assert np.max(np.abs(Gm - np.diag(alpha_inv[:17]) - T)) <= 1e-14
+        # Weyl: lambda_min(D + T) >= lambda_min(D) + lambda_min(T)
         eigs = np.linalg.eigvalsh(Gm)
-        assert eigs.min() > 0.0
+        assert eigs.min() >= alpha_inv[:17].min() + np.linalg.eigvalsh(T).min() - 1e-12
 
     def test_h2_embedding_reproduces_coefficients(self):
         E = two_gap()

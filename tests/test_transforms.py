@@ -82,6 +82,29 @@ class TestBuildMember:
         with pytest.raises(IngredientMismatch):
             build_member("K", monomial(0), cutoff=g_other, cutoff_set=other, outer=W)
 
+    def test_set_check_is_exact(self, E):
+        # the cut-off's set must equal W's support: a rotation by 1e-13 is
+        # another set
+        W = outer_from_weight(taper_weight(E, G))
+        near = rotate_set(E, 1e-13)
+        g_near = build_cutoff(near, k_max=6)
+        with pytest.raises(IngredientMismatch, match="different sets"):
+            build_member("K", monomial(0), cutoff=g_near, cutoff_set=near, outer=W)
+
+    @pytest.mark.parametrize("family, with_outer, with_theta", [
+        ("K", False, False), ("K", True, True), ("K", False, True),
+        ("K1", False, False), ("K1", True, True), ("K1", True, False),
+        ("K2", False, True), ("K2", True, False), ("K2", False, False),
+    ])
+    def test_factor_rule(self, E, family, with_outer, with_theta):
+        # K takes W and no theta, K1 theta and no W, K2 both
+        W = outer_from_weight(taper_weight(E, 10))
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+        with pytest.raises(IngredientMismatch, match=f"family {family} takes"):
+            build_member(family, monomial(0), cutoff=build_cutoff(E, k_max=4), cutoff_set=E,
+                         outer=W if with_outer else None,
+                         theta=theta if with_theta else None, grid_log2=10)
+
     def test_k1_needs_measure_zero_carrier(self, E):
         g = build_cutoff(E, k_max=6)
         theta = InnerFunction((), SingularMeasure((Atom(1.0, 0.1),)))
@@ -527,6 +550,26 @@ class TestSplit:
         assert len(consts) == 33
         # fitted constants stabilize: later maxima do not outgrow early ones
         assert np.max(consts[9:]) <= 2.0 * np.max(consts[:9])
+
+    def test_u2_is_the_member_spectrum(self, monkeypatch):
+        # u2 = C_{s 1_E} is read from the member's E-side spectrum; the split
+        # takes one FFT of its own, for the complement side u1
+        m = standard_member("K2", monomial(0), 12, k_max=8)
+        n = m.size
+        m.spectrum
+        calls = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        res = split_transform(m)
+        assert calls == [(n,)]
+        assert np.shares_memory(res.u2.coeffs, m.spectrum)
+        want = fft(m.samples * m.e_mask)[: n // 2] / n
+        assert np.array_equal(res.u2.coeffs, want)
 
     def test_family_guard(self, member_k):
         with pytest.raises(IngredientMismatch):
