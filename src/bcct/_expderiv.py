@@ -17,13 +17,16 @@ derivatives of exp(psi) follow from the complete Bell recurrence
 
 :func:`_dyadic_level_points` evaluates them on the dyadic distance windows
 off a set, where the derivative-growth and decay certificates are fitted.
+
+:func:`split_rows` runs a large pass whose rows do not depend on one another,
+a pole sum among them, on two threads; it is the package's one use of them.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -38,15 +41,72 @@ from .errors import ResolutionError
 # memory on every pass, and their 32 MB temporaries set the peak RSS of runs
 # on small grids.
 _BLOCK_ENTRIES = 1 << 15
-# A pole sum of at least this many point x pole entries (128 blocks) splits
-# its rows between the calling thread and a second one when the process may
-# run on two CPUs; numpy releases the GIL inside the block's ufuncs and sums.
-# Splitting every sum of the default 2^14-grid run raised its CPU time and
-# left its wall time unchanged.  The sums that split are g's grid samples at
-# 2^18 points and more.
-_SPLIT_ENTRIES = 1 << 22
+# A pass of at least this many entries splits its rows between the calling
+# thread and a second one (:func:`split_rows`) when the process may run on two
+# CPUs; numpy releases the GIL inside the block's ufuncs and sums.  An entry is
+# a point x pole term of a pole sum (other passes below).  g's grid samples on
+# two_gap at k_max 12 (50 poles), per call, medians on 2 cores (KVM vCPUs),
+# serial against split (wall, and CPU of both threads):
+#
+#     grid    entries    serial    split wall    split CPU
+#     2^14     819200    7.9 ms        7.1 ms      11.0 ms
+#     2^15    1638400   18.6 ms       12.4 ms      19.8 ms
+#     2^16    3276800   27.5 ms       21.3 ms      34.2 ms
+#     2^18   13107200    105 ms         63 ms       113 ms
+#
+# Below about 2^20 entries the split saves a millisecond or less and costs
+# about 40 % more CPU.  So the default 2^14-grid run, whose largest sum is
+# 16384 x 42 = 688128 entries, stays serial, and the 2^16 sums of criteria 9
+# and 11 split.
+_SPLIT_ENTRIES = 1 << 20
+# Entries per element of the other passes.  A complex exp took 40 ns, 3 to 4
+# pole sum entries, so an exp of 2^18 points (10 ms serial, 5 ms split)
+# splits.  A window dot's real multiply-add took about 1 ns, but its split is
+# one einsum per thread, where a pole sum's threads hand the GIL over at each
+# of their blocks: 33 dots of 2^17 terms split (6.0 ms serial, 3.8 ms split),
+# and 33 of 2^15 (1.1 ms either way) stay serial.
+_EXP_ENTRIES = 4
+_DOT_ENTRIES = 0.5
 # (os.sched_getaffinity is Linux's; elsewhere every CPU counts.)
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def split_rows(rows: int, step: int, entries: float, part) -> None:
+    """Run a pass over ``rows`` rows whose outputs do not depend on one
+    another, on two threads when it has at least ``_SPLIT_ENTRIES`` entries
+    and the process may use two CPUs, else on this one.
+
+    ``part(lo, hi)`` is called in this thread: it allocates whatever rows
+    lo..hi-1 need and returns the function that does their work.  That
+    function allocates nothing, so no array comes from the second thread's
+    malloc arena.  A split runs the rows below ``cut``, the multiple of
+    ``step`` nearest below the middle, on this thread and the rest on a
+    second one.  That thread is joined before this returns and then holds no
+    reference, so every array is allocated and freed by this thread, in the
+    same order on every run (heap placement, and so peak RSS, stays put).
+    What the second thread raised is re-raised here.
+    """
+    if _CPUS < 2 or entries < _SPLIT_ENTRIES:
+        part(0, rows)()
+        return
+    cut = rows // 2 // step * step
+    second, first = part(cut, rows), part(0, cut)
+    failed = []
+
+    def run_second():
+        try:
+            second()
+        except BaseException as exc:  # re-raised in the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def pole_sum(poles: np.ndarray, weights: np.ndarray, z, m_max: int = 0) -> list[np.ndarray]:
@@ -54,42 +114,42 @@ def pole_sum(poles: np.ndarray, weights: np.ndarray, z, m_max: int = 0) -> list[
 
     F^(k)(z) = k! sum_j w_j / (p_j - z)^(k+1); each row is reduced with
     ``np.sum``, in blocks of at most ``_BLOCK_ENTRIES`` point x pole entries
-    (:func:`_pole_rows`).  A sum of at least ``_SPLIT_ENTRIES`` entries runs
-    its rows from the block boundary nearest below the middle on a second
-    thread; the blocks and every row's arithmetic stay the same, so the
-    output is bit-identical to the serial loop.  The results have the shape
-    of ``z``.
+    (:func:`_pole_rows`).  The rows split at a block boundary
+    (:func:`split_rows`); the blocks and every row's arithmetic stay the
+    same, so the output is bit-identical to the serial loop.  The results
+    have the shape of ``z``.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    out = [np.empty(flat.shape, dtype=complex) for _ in range(m_max + 1)]
-    if _CPUS < 2 or len(flat) * len(poles) < _SPLIT_ENTRIES:
-        _pole_rows(poles, weights, flat, out, m_max, _block_buffers(len(flat), len(poles)))
-        return [o.reshape(z.shape) for o in out]
-    step = _block_rows(len(poles))
-    cut = len(flat) // 2 // step * step
-    # The second thread allocates nothing, and once joined it holds no
-    # reference, so every array is allocated and freed by this thread in the
-    # same order on every run (heap placement, and so peak RSS, stays put).
-    second_buffers = _block_buffers(len(flat) - cut, len(poles))
-    failed = []
-
-    def second_half():
-        try:
-            _pole_rows(poles, weights, flat[cut:], [o[cut:] for o in out], m_max, second_buffers)
-        except BaseException as exc:  # re-raised in the calling thread
-            failed.append(exc)
-
-    worker = threading.Thread(target=second_half)
-    worker.start()
-    try:
-        _pole_rows(poles, weights, flat[:cut], [o[:cut] for o in out], m_max,
-                   _block_buffers(cut, len(poles)))
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    out = [np.empty(z.size, dtype=complex) for _ in range(m_max + 1)]
+    _pole_sum_into(poles, weights, z.reshape(-1), out, m_max)
     return [o.reshape(z.shape) for o in out]
+
+
+def _pole_sum_into(poles, weights, points: np.ndarray, out: list[np.ndarray], m_max: int,
+                   then=None) -> None:
+    """:func:`pole_sum` of the 1-d ``points`` into the caller's arrays ``out``;
+    ``then(rows)``, if given, runs on each part's slices ``rows`` of ``out``
+    once they are summed, on the part's thread, and must allocate nothing."""
+
+    def part(lo, hi):
+        buffers = _block_buffers(hi - lo, len(poles))
+        rows = [o[lo:hi] for o in out]
+
+        def work():
+            _pole_rows(poles, weights, points[lo:hi], rows, m_max, buffers)
+            if then is not None:
+                then(rows)
+
+        return work
+
+    split_rows(len(points), _block_rows(len(poles)), len(points) * len(poles), part)
+
+
+def _exp_in_place(a: np.ndarray) -> None:
+    """``np.exp(a, out=a)`` for a 1-d array, split as a pass of
+    ``_EXP_ENTRIES`` entries per element (:func:`split_rows`)."""
+    split_rows(len(a), 1, len(a) * _EXP_ENTRIES,
+               lambda lo, hi: partial(np.exp, a[lo:hi], out=a[lo:hi]))
 
 
 def _block_rows(n_poles: int) -> int:

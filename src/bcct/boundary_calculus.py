@@ -312,9 +312,13 @@ def evaluate_in_disk(series: AnalyticSeries, z) -> complex | np.ndarray:
     # written so that a NaN point fails it too
     if not np.all(np.abs(z) <= 1.0 - 1e-6):
         raise OutsideDomain("evaluate_in_disk needs |z| <= 1 - 1e-6")
-    acc = np.zeros_like(z)
+    # acc * z + c in two buffers, allocating nothing per term.  (An in-place
+    # acc *= z is not these bits: on a single point numpy's complex multiply
+    # then takes z * acc, which rounds differently.)
+    acc, prod = np.zeros_like(z), np.empty_like(z)
     for c in series.coeffs[::-1]:
-        acc = acc * z + c
+        np.multiply(acc, z, out=prod)
+        np.add(prod, c, out=acc)
     return acc if acc.shape else complex(acc)
 
 

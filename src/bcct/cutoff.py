@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._expderiv import _dyadic_level_points, pole_sum
+from ._expderiv import _dyadic_level_points, _pole_sum_into, pole_sum
 from .boundary_calculus import _closed_disk, grid_points
 from .circle_sets import (
     ANGLE_SLACK,
@@ -156,12 +156,13 @@ def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
     The grid points lie on the circle, so the pole sum takes them without
     :func:`eval_h`'s domain check.  The grid cell is far wider than
     ANGLE_SLACK, so only the grid points next to b n / 2pi can lie within it
-    of an endpoint b.
+    of an endpoint b.  Each part of a split sum takes the exp of its own h
+    in place, on its own thread.
     """
     n = 1 << log2_size
     z = grid_points(log2_size)
-    h = pole_sum(c.poles, -c.weights, z)[0]
-    vals = np.exp(h, out=h)
+    vals = np.empty(n, dtype=complex)
+    _pole_sum_into(c.poles, -c.weights, z, [vals], 0, then=lambda h: np.exp(h[0], out=h[0]))
     for b in c.boundary_angles:
         m = round(b * n / TWO_PI)
         _zero_endpoint_hits(z, vals, np.arange(m - 1, m + 2) % n, b)

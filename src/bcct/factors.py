@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._expderiv import _dyadic_level_points, pole_sum
+from ._expderiv import _dyadic_level_points, _exp_in_place, pole_sum
 from .boundary_calculus import (
     _cauchy_sum,
     _closed_disk,
@@ -135,7 +135,7 @@ def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
     boundary = np.empty(len(u), dtype=complex)
     boundary.real = u
     boundary.imag = conjugate_function(u)
-    np.exp(boundary, out=boundary)
+    _exp_in_place(boundary)
     boundary.flags.writeable = False
     return OuterFunction(weight=w, boundary=boundary, log_modulus=u)
 

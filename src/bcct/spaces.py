@@ -198,13 +198,16 @@ def annihilator_check(
         coeffs = coeffs.copy()
         p = perturbation.coeffs
         coeffs[: len(p)] += p
-    c_samples = synthesize_analytic(AnalyticSeries(coeffs), member.grid_log2)
+    conj_c = np.conj(synthesize_analytic(AnalyticSeries(coeffs), member.grid_log2))
+    conj_s = np.conj(member.samples)
     zeta_k = np.ones(n, dtype=complex)
     phase = grid_points(member.grid_log2)
+    # the conjugates are the products' first operands: numpy's complex
+    # multiply is not bitwise commutative
     out = np.empty(k_max + 1)
     for k in range(k_max + 1):
-        left = np.sum(zeta_k * np.conj(c_samples)) / n
-        right = np.sum((zeta_k * np.conj(member.samples))[mask]) / n
+        left = np.sum(conj_c * zeta_k) / n
+        right = np.sum((conj_s * zeta_k)[mask]) / n
         out[k] = abs(-left + right)
         zeta_k = zeta_k * phase
     return out

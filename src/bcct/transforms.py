@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._expderiv import _DOT_ENTRIES, split_rows
 from .boundary_calculus import (
     AnalyticSeries,
     _cauchy_sum,
@@ -305,14 +306,26 @@ def _window_dots(x: np.ndarray, u: np.ndarray, rows: int) -> np.ndarray:
     no window of it is cast to complex; a complex x takes numpy's matmul of
     the strided windows.  Neither calls BLAS, whose dots sum in an order
     that follows its thread count: the residual's last digits stay the same
-    on any number of CPUs.
+    on any number of CPUs.  Each row is one dot, so a real x's rows split
+    between two threads (:func:`split_rows`) with the same bits; matmul's
+    loop holds the GIL, so a complex x stays on this thread.
     """
     windows = sliding_window_view(x, len(u))[:rows]
     if np.iscomplexobj(x):
         return windows @ u
     out = np.empty(rows, dtype=complex)
-    out.real = np.einsum("ij,j->i", windows, np.ascontiguousarray(u.real))
-    out.imag = np.einsum("ij,j->i", windows, np.ascontiguousarray(u.imag))
+    u_re, u_im = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
+
+    def part(lo, hi):
+        w, re, im = windows[lo:hi], out.real[lo:hi], out.imag[lo:hi]
+
+        def dots():
+            np.einsum("ij,j->i", w, u_re, out=re)
+            np.einsum("ij,j->i", w, u_im, out=im)
+
+        return dots
+
+    split_rows(rows, 1, rows * len(u) * _DOT_ENTRIES, part)
     return out
 
 
@@ -349,7 +362,7 @@ def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
         # C_s = conj(q_0), so r_0 = conj(q_0) and every other r_k is 0.
         return float(np.max(np.abs([q[0] for q in q_hats])))
     q_len = len(q_hats[0])
-    phi, a = first.theta.coefficient_frame(band + q_len)
+    phi, a = first.theta.coefficient_frame(band + q_len - 1)  # a_0..a_{M0 + K + q_band}
     K = min(max_k, band)
     m0 = band - K
     A = _fft_correlate(a[: m0 + 1], a, q_len + K)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bcct.transforms
 from bcct import _expderiv, factors
 from bcct._expderiv import _BLOCK_ENTRIES, _SPLIT_ENTRIES, _block_buffers, _pole_rows, pole_sum
 from bcct.boundary_calculus import (
@@ -23,7 +24,7 @@ from bcct.boundary_calculus import (
     herglotz_at_nodes,
 )
 from bcct.circle_sets import TWO_PI, Arc, distances_to_set, point_carrier, rotate_set, validate_set
-from bcct.cutoff import _g_and_h_derivs, build_cutoff, eval_g, eval_h
+from bcct.cutoff import _g_and_h_derivs, boundary_samples, build_cutoff, eval_g, eval_h
 from bcct.dbr import SymbolB, kernel_eval
 from bcct.errors import OutsideDomain, ResolutionError, WeightNotLogIntegrable
 from bcct.factors import (
@@ -830,6 +831,44 @@ def test_pole_sum_raises_what_the_second_thread_raised(monkeypatch):
     assert threading.active_count() == threads  # joined
 
 
+def test_split_rows_raises_what_the_second_thread_raised(monkeypatch):
+    # the shared helper: both parts are prepared on the calling thread, the
+    # first part runs to its end, and the second thread's error is re-raised
+    # here after the join
+    monkeypatch.setattr(_expderiv, "_CPUS", 2)
+    prepared, done = [], []
+
+    def part(lo, hi):
+        prepared.append((lo, hi, threading.current_thread() is threading.main_thread()))
+
+        def work():
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("second part")
+            done.append((lo, hi))
+
+        return work
+
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="second part"):
+        _expderiv.split_rows(1000, 7, _SPLIT_ENTRIES, part)
+    assert threading.active_count() == threads  # joined
+    assert prepared == [(497, 1000, True), (0, 497, True)]  # 497 = 1000 // 2 // 7 * 7
+    assert done == [(0, 497)]
+
+
+def test_split_rows_stays_serial_below_the_threshold_or_on_one_cpu(monkeypatch):
+    ran = []
+
+    def part(lo, hi):
+        return lambda: ran.append((lo, hi, threading.current_thread() is threading.main_thread()))
+
+    for cpus, entries in ((2, _SPLIT_ENTRIES - 1), (1, _SPLIT_ENTRIES)):
+        ran.clear()
+        monkeypatch.setattr(_expderiv, "_CPUS", cpus)
+        _expderiv.split_rows(1000, 7, entries, part)
+        assert ran == [(0, 1000, True)]
+
+
 def test_pole_sum_worker_count_is_not_a_setting():
     # a second thread only where the process may use two CPUs; no parameter
     # or environment variable chooses it
@@ -865,6 +904,108 @@ def test_pole_sum_from_many_threads():
     assert not any(t.is_alive() for t in threads)
     for g, e in zip(got, expect):
         assert all(np.array_equal(a, b) for a, b in zip(g, e))
+
+
+# ---------------------------------------------------------------------------
+# the other passes that split, on one CPU against two
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def second_parts(monkeypatch):
+    """Record the rows (lo, hi) of every part that ran on a second thread."""
+    rows = []
+    split = _expderiv.split_rows
+
+    def recorded(n, step, entries, part):
+        def spied(lo, hi):
+            work = part(lo, hi)
+
+            def run():
+                if threading.current_thread() is not threading.main_thread():
+                    rows.append((lo, hi))
+                work()
+
+            return run
+
+        split(n, step, entries, spied)
+
+    monkeypatch.setattr(_expderiv, "split_rows", recorded)
+    monkeypatch.setattr(bcct.transforms, "split_rows", recorded)
+    return rows
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("k_max, log2, splits", [(12, 15, True), (10, 14, False)],
+                         ids=["32768x50", "16384x42_default_grid"])
+def test_split_threshold_at_workload_sizes(second_parts, monkeypatch, k_max, log2, splits):
+    # the 2^16 sums of the model-space run split and the default grid's
+    # largest sum, 16384 x 42 = 688128 entries, stays serial
+    c = build_cutoff(two_gap(), k_max=k_max)
+    monkeypatch.setattr(_expderiv, "_CPUS", 2)
+    pole_sum(c.poles, -c.weights, grid_points(log2))
+    assert bool(second_parts) == splits
+
+
+def test_boundary_samples_same_bits_on_one_and_two_cpus(second_parts, monkeypatch):
+    c = build_cutoff(two_gap(), k_max=12)  # 2^15 x 50 entries
+    log2, n = 15, 1 << 15
+    # two_gap's endpoints sit on grid points: 0 and n/8 before the cut,
+    # n/2 and n/2 + 3n/32 after it
+    hits = [round(b * n / TWO_PI) % n for b in two_gap().boundary_angles]
+    monkeypatch.setattr(_expderiv, "_CPUS", 1)
+    serial = boundary_samples(c, log2)
+    assert not second_parts
+    monkeypatch.setattr(_expderiv, "_CPUS", 2)
+    split = boundary_samples(c, log2)
+    (cut, _), = second_parts
+    assert sorted(hits) == [0, n // 8, n // 2, n // 2 + 3 * n // 32]
+    assert [m < cut for m in sorted(hits)] == [True, True, False, False]
+    assert np.array_equal(_bits(split), _bits(serial))
+    assert all(split[m] == 0 for m in hits)
+    h = pole_sum(c.poles, -c.weights, grid_points(log2))[0]
+    assert np.array_equal(np.delete(split, hits), np.delete(np.exp(h), hits))
+
+
+def test_outer_boundary_same_bits_on_one_and_two_cpus(second_parts, monkeypatch):
+    w = taper_weight(two_gap(), 18)  # 2^18 complex exps split
+    monkeypatch.setattr(_expderiv, "_CPUS", 1)
+    serial = outer_from_weight(w).boundary
+    assert not second_parts
+    monkeypatch.setattr(_expderiv, "_CPUS", 2)
+    split = outer_from_weight(w).boundary
+    assert second_parts == [(1 << 17, 1 << 18)]
+    assert np.array_equal(_bits(split), _bits(serial))
+    u = w.log_values
+    assert np.array_equal(_bits(split), _bits(np.exp(u + 1j * conjugate_function(u))))
+
+
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+def test_window_dots_same_bits_on_one_and_two_cpus(second_parts, monkeypatch, complex_x):
+    # K2's shape at band 2^20: 33 rows of 2^17-term dots
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=1 << 17) + 1j * rng.normal(size=1 << 17)
+    x = rng.normal(size=(1 << 17) + 40)
+    if complex_x:
+        x = x + 1j * rng.normal(size=len(x))
+    windows = np.lib.stride_tricks.sliding_window_view(x, len(u))[:33]
+    if complex_x:
+        ref = windows @ u
+    else:
+        ref = np.empty(33, dtype=complex)
+        ref.real = np.einsum("ij,j->i", windows, u.real.copy())
+        ref.imag = np.einsum("ij,j->i", windows, u.imag.copy())
+    monkeypatch.setattr(_expderiv, "_CPUS", 1)
+    serial = bcct.transforms._window_dots(x, u, 33)
+    assert not second_parts
+    monkeypatch.setattr(_expderiv, "_CPUS", 2)
+    split = bcct.transforms._window_dots(x, u, 33)
+    # matmul holds the GIL, so a complex x is not split
+    assert second_parts == ([] if complex_x else [(16, 33)])
+    assert np.array_equal(_bits(split), _bits(serial))
+    assert np.array_equal(_bits(split), _bits(ref))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

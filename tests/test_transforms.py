@@ -491,8 +491,9 @@ class TestAutocorrelationResidual:
 
         monkeypatch.setattr(bcct.transforms, "_fft_correlate", counted)
         _max_orthogonality(members, 32, 4096)
-        # theta's autocorrelation over m <= band - 32, lags 0..q_band + 32
-        assert calls == [(4096 - 32 + 1, 4096 + 2047 + 2, 2047 + 33)]
+        # theta's autocorrelation over m <= band - 32, lags 0..q_band + 32,
+        # of theta's coefficients 0..band + q_band: the last lag reads no further
+        assert calls == [(4096 - 32 + 1, 4096 + 2047 + 1, 2047 + 33)]
 
     def test_residual_does_not_follow_blas_threads(self):
         # q_band + 1 = 2^15 terms per window dot: a BLAS dot this long sums in
