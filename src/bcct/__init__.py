@@ -28,7 +28,6 @@ from .factors import (
     boundary_weight,
     certify_theta_derivatives,
     certify_W_derivatives,
-    inner_singular_eval,
     outer_from_weight,
 )
 from .transforms import (

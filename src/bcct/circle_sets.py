@@ -168,16 +168,6 @@ def distances_to_set(angles: np.ndarray, E: BeurlingCarlesonSet) -> np.ndarray:
     return out
 
 
-def dist_arc_to_set(arc: Arc, E: BeurlingCarlesonSet) -> float:
-    """Distance between a closed subarc of a gap and the set.
-
-    Valid whenever the arc lies inside one gap (the Whitney case): the
-    distance function is piecewise linear there and attains its minimum at an
-    endpoint of the arc.
-    """
-    return float(distances_to_set(np.array([arc.start, arc.end]), E).min())
-
-
 # ---------------------------------------------------------------------------
 # Whitney decomposition
 # ---------------------------------------------------------------------------
@@ -207,9 +197,15 @@ class WhitneyArc:
     rank: int
     arc: Arc
     length: float
-    midpoint: complex
-    radius: float
     lam: float = 1.0
+
+    @property
+    def midpoint(self) -> complex:
+        return self.arc.midpoint
+
+    @property
+    def radius(self) -> float:
+        return 1.0 + self.length
 
     @property
     def pole(self) -> complex:
@@ -248,8 +244,7 @@ def whitney_decompose(E: BeurlingCarlesonSet, k_max: int) -> list[WhitneyArc]:
                 raise ResolutionError(
                     f"gap {n}: the rank {k} Whitney arc is below double-precision resolution"
                 )
-            sub = Arc(start, end)
-            arcs.append(WhitneyArc(n, k, sub, ell, sub.midpoint, radius=1.0 + ell))
+            arcs.append(WhitneyArc(n, k, Arc(start, end), ell))
     return arcs
 
 
@@ -265,10 +260,12 @@ def whitney_residuals(E: BeurlingCarlesonSet, k_max: int) -> list[tuple[int, flo
 def whitney_exactness(E: BeurlingCarlesonSet, k_max: int) -> tuple[float, float]:
     """Residuals of the two Whitney rules over ``whitney_decompose(E, k_max)``:
     the largest |arc length - |A| / (3 * 2**|k|)|, the length measured
-    between the arc's own endpoints, and the largest |dist(arc, E) - length|."""
+    between the arc's own endpoints, and the largest |dist(arc, E) - length|,
+    the distance of its nearer endpoint (it is piecewise linear in a gap)."""
     arcs = whitney_decompose(E, k_max)
     length = max(abs(w.arc.length - _rank_length(E.gaps[w.parent].length, w.rank)) for w in arcs)
-    distance = max(abs(dist_arc_to_set(w.arc, E) - w.length) for w in arcs)
+    ends = distances_to_set(np.array([(w.arc.start, w.arc.end) for w in arcs]), E)
+    distance = float(np.max(np.abs(ends.min(axis=1) - [w.length for w in arcs])))
     return length, distance
 
 

@@ -105,11 +105,15 @@ class OuterFunction:
 
     weight: BoundaryWeight
     boundary: np.ndarray        # samples of W on the grid
-    log_modulus: np.ndarray     # u = log|W| samples (real, 0 off the carrier)
 
     @property
     def grid_log2(self) -> int:
         return self.weight.grid_log2
+
+    @property
+    def log_modulus(self) -> np.ndarray:
+        """u = log|W| samples, the weight's ``log_values`` (0 off the carrier)."""
+        return self.weight.log_values
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -137,7 +141,7 @@ def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
     boundary.imag = conjugate_function(u)
     _exp_in_place(boundary)
     boundary.flags.writeable = False
-    return OuterFunction(weight=w, boundary=boundary, log_modulus=u)
+    return OuterFunction(weight=w, boundary=boundary)
 
 
 def herglotz_exp(log_modulus: np.ndarray, z) -> complex | np.ndarray:
@@ -196,23 +200,6 @@ class SingularMeasure:
             for a in self.atoms:
                 if a.part == "C" and dist_to_set(a.angle, self.carrier_C) > 1e-12:
                     raise ValueError("a C-tagged atom lies outside carrier_C")
-
-
-def inner_singular_eval(nu: SingularMeasure, z) -> complex | np.ndarray:
-    """S_nu(z) = exp(-sum_a mass_a (zeta_a + z)/(zeta_a - z)); radial limit 0
-    at the atoms themselves."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.zeros(z.shape, dtype=complex)
-    hit = np.zeros(z.shape, dtype=bool)
-    for a in nu.atoms:
-        diff = a.point - z
-        near = np.abs(diff) < 1e-15
-        hit |= near
-        safe = np.where(near, 1.0, diff)
-        acc += a.mass * (a.point + z) / safe
-    out = np.exp(-acc)
-    out = np.where(hit, 0.0, out)
-    return out if out.shape else complex(out)
 
 
 def _atomic_inner_coefficients(mass: float, band: int) -> np.ndarray:
@@ -322,11 +309,22 @@ class InnerFunction:
     def is_trivial(self) -> bool:
         return not self.blaschke_zeros and not self.singular.atoms
 
+    @cached_property
+    def _atom_poles(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(zeta, w, c) with log S_nu(z) = c + sum_a w_a / (zeta_a - z): the
+        atom points, w_a = -2 mass_a zeta_a and c = sum_a mass_a."""
+        zeta = np.array([atom.point for atom in self.singular.atoms], dtype=complex)
+        mass = np.array([atom.mass for atom in self.singular.atoms])
+        return zeta, -2.0 * mass * zeta, float(np.sum(mass))
+
     def eval(self, z) -> complex | np.ndarray:
         """theta at points of the closed disk |z| <= 1 + 1e-12; a point
-        outside it, NaN included, raises :class:`OutsideDomain`."""
+        outside it, NaN included, raises :class:`OutsideDomain`.  A point
+        within 1e-15 of an atom gives 0; it enters the pole sum as z = 0."""
         z = _closed_disk(z, "theta")
-        out = np.asarray(inner_singular_eval(self.singular, z), dtype=complex)
+        zeta, w, c = self._atom_poles
+        hit = np.any(np.abs(zeta - z[..., None]) < 1e-15, axis=-1)
+        out = np.where(hit, 0.0, np.exp(c + pole_sum(zeta, w, np.where(hit, 0.0, z))[0]))
         out = self._times_blaschke(out, z)
         return out if out.shape else complex(out)
 
@@ -403,17 +401,15 @@ class InnerFunction:
     def log_z_derivs(self, z: np.ndarray, m_max: int) -> list[np.ndarray]:
         """d^k/dz^k log(theta) for k = 1..m_max, from two pole sums.
 
-        The atoms contribute -sum_a mass_a (zeta_a + z)/(zeta_a - z), a pole
-        sum with weights -2 mass_a zeta_a up to a constant.  A Blaschke zero
-        a contributes (log B_a)' = -1/(a - z) + 1/(1/conj(a) - z), the second
-        pole only when a != 0, so its orders 0..m_max-1 are orders 1..m_max
-        of log B_a.
+        The atoms contribute the pole sum of :attr:`_atom_poles`, whose
+        constant has no derivative.  A Blaschke zero a contributes
+        (log B_a)' = -1/(a - z) + 1/(1/conj(a) - z), the second pole only
+        when a != 0, so its orders 0..m_max-1 are orders 1..m_max of log B_a.
         """
         if m_max == 0:
             return []
-        zeta = np.array([atom.point for atom in self.singular.atoms], dtype=complex)
-        mass = np.array([atom.mass for atom in self.singular.atoms])
-        out = pole_sum(zeta, -2.0 * mass * zeta, z, m_max)[1:]
+        zeta, w, _ = self._atom_poles
+        out = pole_sum(zeta, w, z, m_max)[1:]
         zeros = list(self.blaschke_zeros)
         outside = [1.0 / np.conj(a) for a in zeros if a != 0]
         poles = np.array(zeros + outside, dtype=complex)

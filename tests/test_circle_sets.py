@@ -11,8 +11,8 @@ from bcct.circle_sets import (
     TWO_PI,
     Arc,
     assign_lambdas,
-    dist_arc_to_set,
     dist_to_set,
+    distances_to_set,
     point_carrier,
     rotate_set,
     validate_set,
@@ -99,7 +99,8 @@ class TestWhitney:
     def test_distance_equals_length(self):
         E = validate_set([Arc(0.3, 0.3 + TWO_PI * 0.21), Arc(4.0, 4.9)])
         for w in whitney_decompose(E, 10):
-            assert abs(dist_arc_to_set(w.arc, E) - w.length) <= 1e-12
+            ends = distances_to_set(np.array([w.arc.start, w.arc.end]), E)
+            assert abs(ends.min() - w.length) <= 1e-12
 
     def test_kmax_zero_is_middle_third(self):
         E = validate_set([Arc(0.0, 1.2), Arc(2.0, 2.9)])
@@ -147,7 +148,7 @@ class TestWhitney:
         for w in whitney_decompose(E, k_max):
             expect = E.gaps[w.parent].length / (3.0 * 2.0 ** abs(w.rank))
             assert abs(w.length - expect) <= 1e-12
-            assert abs(dist_arc_to_set(w.arc, E) - w.length) <= 1e-12
+        assert whitney_exactness(E, k_max)[1] <= 1e-12
 
     def test_length_rule_reads_the_arcs(self, monkeypatch):
         # the length rule is checked against each arc's own endpoints, so a
@@ -161,6 +162,20 @@ class TestWhitney:
         length, _ = whitney_exactness(E, 10)
         assert length > 1e-12
         assert length == pytest.approx(1e-9 / TWO_PI, rel=1e-3)
+
+    def test_distance_rule_reads_the_arcs(self, monkeypatch):
+        # the distance rule is checked against each arc's own endpoints, so a
+        # decomposition whose arcs are moved 1e-9 rad along the circle fails
+        # it while their lengths still pass
+        E = validate_set([Arc(0.3, 0.3 + TWO_PI * 0.21), Arc(4.0, 4.9)])
+        assert whitney_exactness(E, 10)[1] <= 1e-12
+        exact = circle_sets.whitney_decompose
+        monkeypatch.setattr(circle_sets, "whitney_decompose", lambda E, k_max: [
+            replace(w, arc=Arc(w.arc.start + 1e-9, w.arc.end + 1e-9)) for w in exact(E, k_max)
+        ])
+        length, distance = whitney_exactness(E, 10)
+        assert length <= 1e-12
+        assert distance > 1e-12
 
 
 class TestDistances:
@@ -211,8 +226,7 @@ class TestLambdas:
     def test_degenerate_arc_rejected(self):
         from bcct.circle_sets import WhitneyArc
 
-        bad = WhitneyArc(parent=0, rank=0, arc=Arc(0.0, TWO_PI), length=1.0,
-                         midpoint=1.0 + 0j, radius=2.0)
+        bad = WhitneyArc(parent=0, rank=0, arc=Arc(0.0, TWO_PI), length=1.0)
         with pytest.raises(DegenerateArc):
             assign_lambdas([bad])
 

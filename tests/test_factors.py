@@ -38,7 +38,6 @@ from bcct.factors import (
     certify_theta_derivatives,
     certify_W_derivatives,
     herglotz_exp,
-    inner_singular_eval,
     outer_from_weight,
 )
 from bcct.fixtures import _e_arcs, const_weight, geometric_gaps, taper_weight, two_gap
@@ -367,18 +366,18 @@ class TestWDerivatives:
 class TestSingularInner:
     def test_value_at_center(self):
         nu = SingularMeasure((Atom(0.3, 0.2), Atom(2.0, 0.05, "K")))
-        assert inner_singular_eval(nu, 0.0) == pytest.approx(math.exp(-0.25), abs=1e-14)
+        assert InnerFunction((), nu).eval(0.0) == pytest.approx(math.exp(-0.25), abs=1e-14)
 
     def test_single_atom_on_real_axis(self):
         nu = SingularMeasure((Atom(0.0, 0.3),))
         for x in (-0.5, 0.0, 0.25, 0.9):
             expect = math.exp(-0.3 * (1 + x) / (1 - x))
-            assert inner_singular_eval(nu, x) == pytest.approx(expect, rel=1e-13)
+            assert InnerFunction((), nu).eval(x) == pytest.approx(expect, rel=1e-13)
 
     def test_radial_limit_away_from_atom(self):
         nu = SingularMeasure((Atom(0.0, 0.1),))
         z = (1.0 - 1e-6) * np.exp(1j * np.linspace(0.5, TWO_PI - 0.5, 64))
-        vals = np.abs(inner_singular_eval(nu, z))
+        vals = np.abs(InnerFunction((), nu).eval(z))
         assert np.min(vals) >= 1.0 - 1e-3
 
     def test_bounded_and_multiplicative(self):
@@ -387,9 +386,9 @@ class TestSingularInner:
         both = SingularMeasure(nu1.atoms + nu2.atoms)
         rng = np.random.default_rng(2)
         z = 0.97 * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(1j * rng.uniform(0, TWO_PI, 400))
-        v1 = np.asarray(inner_singular_eval(nu1, z))
-        v2 = np.asarray(inner_singular_eval(nu2, z))
-        v = np.asarray(inner_singular_eval(both, z))
+        v1 = np.asarray(InnerFunction((), nu1).eval(z))
+        v2 = np.asarray(InnerFunction((), nu2).eval(z))
+        v = np.asarray(InnerFunction((), both).eval(z))
         assert np.max(np.abs(v)) <= 1.0
         assert np.max(np.abs(v - v1 * v2)) <= 1e-10
 
@@ -450,6 +449,35 @@ class TestInnerFunction:
         rng = np.random.default_rng(3)
         z = 0.99 * np.sqrt(rng.uniform(0, 1, 1000)) * np.exp(1j * rng.uniform(0, TWO_PI, 1000))
         assert np.max(np.abs(theta.eval(z))) <= 1.0 + 1e-12
+
+    def test_eval_against_mpmath(self):
+        # theta's closed form in 40 digits, at theta's own double atom points:
+        # next to an atom the phase moves by about 3e5 per unit of zeta, so
+        # the rounding of cos/sin of the angle is not theta's error
+        atoms = (Atom(0.7, 0.15), Atom(2.5, 0.05))
+        zeros = (0.3 + 0.2j, 0.0)
+        theta = InnerFunction(zeros, SingularMeasure(atoms))
+
+        def oracle(z):
+            with mpmath.workdps(40):
+                z = mpmath.mpc(z)
+                acc = -mpmath.fsum(a.mass * (mpmath.mpc(a.point) + z) / (mpmath.mpc(a.point) - z)
+                                   for a in atoms)
+                out = mpmath.exp(acc) * z
+                a = mpmath.mpc(zeros[0])
+                out *= (abs(a) / a) * (a - z) / (1 - mpmath.conj(a) * z)
+                return complex(out)
+
+        rng = np.random.default_rng(11)
+        z = 0.99 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(1j * rng.uniform(0, TWO_PI, 200))
+        ref = np.array([oracle(p) for p in z])
+        assert np.max(np.abs(theta.eval(z) - ref) / np.abs(ref)) <= 1e-14
+        near = (1.0 - 1e-6) * np.exp(1j * (0.7 + np.array([-1e-3, 1e-4, 1e-3, 1e-2])))
+        ref = np.array([oracle(p) for p in near])
+        assert np.max(np.abs(theta.eval(near) - ref)) <= 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert theta.eval(atoms[0].point) == 0.0
 
     def test_coefficients_match_evaluation(self):
         theta = InnerFunction((0.3 - 0.1j,), SingularMeasure((Atom(0.9, 0.12),)))
