@@ -44,20 +44,22 @@ _BLOCK_ENTRIES = 1 << 15
 # A pass of at least this many entries splits its rows between the calling
 # thread and a second one (:func:`split_rows`) when the process may run on two
 # CPUs; numpy releases the GIL inside the block's ufuncs and sums.  An entry is
-# a point x pole term of a pole sum (other passes below).  g's grid samples on
-# two_gap at k_max 12 (50 poles), per call, medians on 2 cores (KVM vCPUs),
-# serial against split (wall, and CPU of both threads):
+# a point x pole term of a pole sum (other passes below).  pole_sum at the
+# grid points, two_gap's cut-off at k_max 12 (50 poles), per call, medians of
+# 31 calls on 2 cores (KVM vCPUs, shared), serial against split (wall, and CPU
+# of both threads):
 #
 #     grid    entries    serial    split wall    split CPU
-#     2^14     819200    7.9 ms        7.1 ms      11.0 ms
-#     2^15    1638400   18.6 ms       12.4 ms      19.8 ms
-#     2^16    3276800   27.5 ms       21.3 ms      34.2 ms
-#     2^18   13107200    105 ms         63 ms       113 ms
+#     2^14     819200    9.7 ms        5.9 ms      10.1 ms
+#     2^15    1638400   15.3 ms       10.9 ms      18.9 ms
+#     2^16    3276800   27.4 ms       16.2 ms      30.2 ms
+#     2^18   13107200    110 ms         68 ms       124 ms
 #
-# Below about 2^20 entries the split saves a millisecond or less and costs
-# about 40 % more CPU.  So the default 2^14-grid run, whose largest sum is
-# 16384 x 42 = 688128 entries, stays serial, and the 2^16 sums of criteria 9
-# and 11 split.
+# Repeats moved the 2^14 split by 1 to 2 ms.  Below about 2^20 entries the
+# split saves a few milliseconds at most and costs up to 40 % more CPU, so a
+# pole sum over the default 2^14 grid (16384 x 42 = 688128 entries) stays
+# serial.  (g's grid samples take no pole sum: boundary_calculus's
+# pole_sum_on_grid.)
 _SPLIT_ENTRIES = 1 << 20
 # Entries per element of the other passes.  A complex exp took 40 ns, 3 to 4
 # pole sum entries, so an exp of 2^18 points (10 ms serial, 5 ms split)
@@ -120,29 +122,16 @@ def pole_sum(poles: np.ndarray, weights: np.ndarray, z, m_max: int = 0) -> list[
     have the shape of ``z``.
     """
     z = np.asarray(z, dtype=complex)
+    points = z.reshape(-1)
     out = [np.empty(z.size, dtype=complex) for _ in range(m_max + 1)]
-    _pole_sum_into(poles, weights, z.reshape(-1), out, m_max)
-    return [o.reshape(z.shape) for o in out]
-
-
-def _pole_sum_into(poles, weights, points: np.ndarray, out: list[np.ndarray], m_max: int,
-                   then=None) -> None:
-    """:func:`pole_sum` of the 1-d ``points`` into the caller's arrays ``out``;
-    ``then(rows)``, if given, runs on each part's slices ``rows`` of ``out``
-    once they are summed, on the part's thread, and must allocate nothing."""
 
     def part(lo, hi):
         buffers = _block_buffers(hi - lo, len(poles))
         rows = [o[lo:hi] for o in out]
-
-        def work():
-            _pole_rows(poles, weights, points[lo:hi], rows, m_max, buffers)
-            if then is not None:
-                then(rows)
-
-        return work
+        return partial(_pole_rows, poles, weights, points[lo:hi], rows, m_max, buffers)
 
     split_rows(len(points), _block_rows(len(poles)), len(points) * len(poles), part)
+    return [o.reshape(z.shape) for o in out]
 
 
 def _exp_in_place(a: np.ndarray) -> None:

@@ -156,14 +156,24 @@ def dist_to_set(t: float, E: BeurlingCarlesonSet) -> float:
 
 
 def distances_to_set(angles: np.ndarray, E: BeurlingCarlesonSet) -> np.ndarray:
-    """:func:`dist_to_set` at each of an array of angles."""
+    """:func:`dist_to_set` at each of an array of angles.
+
+    A point can lie only in the gap with the last wrapped start at or below
+    its own wrapped angle (the last gap, which may wrap past 0, when none
+    is), found by one sorted lookup; the distance rule is applied to that
+    gap and, against rounding at its start, to the next one.
+    """
     t = np.asarray(angles, dtype=float)
+    gaps = sorted(E.gaps, key=lambda g: wrap_angle(g.start))
+    start = np.array([g.start for g in gaps])
+    span = np.array([g.end - g.start for g in gaps])
+    wrapped = [wrap_angle(g.start) for g in gaps]
+    found = np.searchsorted(wrapped, np.mod(t, TWO_PI), side="right") - 1
     out = np.zeros_like(t)
-    for g in E.gaps:
-        u = np.mod(t - g.start, TWO_PI)
-        span = g.end - g.start
-        inside = (u > ANGLE_SLACK) & (u < span - ANGLE_SLACK)
-        d = np.minimum(u, span - u) / TWO_PI
+    for j in (found, (found + 1) % len(gaps)):  # found = -1 is the last gap
+        u = np.mod(t - start[j], TWO_PI)
+        inside = (u > ANGLE_SLACK) & (u < span[j] - ANGLE_SLACK)
+        d = np.minimum(u, span[j] - u) / TWO_PI
         out = np.where(inside, d, out)
     return out
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._expderiv import _dyadic_level_points, _pole_sum_into, pole_sum
-from .boundary_calculus import _closed_disk, grid_points
+from ._expderiv import _dyadic_level_points, pole_sum
+from .boundary_calculus import _closed_disk, _unit_roots, pole_sum_on_grid
 from .circle_sets import (
     ANGLE_SLACK,
     TWO_PI,
@@ -132,7 +132,7 @@ def _g_from_h(c: CutoffFunction, z: np.ndarray, h) -> np.ndarray:
     flat_z, flat_vals = z.reshape(-1), vals.reshape(-1)  # views of z and vals
     for b in c.boundary_angles:
         near = np.flatnonzero(np.abs(flat_z - np.exp(1j * b)) <= 1e-11)
-        _zero_endpoint_hits(flat_z, flat_vals, near, b)
+        _zero_endpoint_hits(flat_z[near], flat_vals, near, b)
     return vals
 
 
@@ -151,29 +151,32 @@ def closure_extrema(c: CutoffFunction, interior, boundary) -> tuple[float, float
 
 
 def boundary_samples(c: CutoffFunction, log2_size: int) -> np.ndarray:
-    """g sampled on the uniform grid e^{i t_m}, equal to :func:`eval_g` there.
+    """g sampled on the uniform grid e^{i t_m}: the exp, in place, of h's
+    grid samples from its exact aliased spectrum
+    (:func:`bcct.boundary_calculus.pole_sum_on_grid`), with :func:`eval_g`'s
+    endpoint zeros.  The values are g's at the exact nodes, within 1e-11 of
+    max |g|; on criterion 3's grid they are as close to :func:`eval_g`,
+    whose nodes are rounded.
 
-    The grid points lie on the circle, so the pole sum takes them without
-    :func:`eval_h`'s domain check.  The grid cell is far wider than
-    ANGLE_SLACK, so only the grid points next to b n / 2pi can lie within it
-    of an endpoint b.  Each part of a split sum takes the exp of its own h
-    in place, on its own thread.
+    The grid cell is far wider than ANGLE_SLACK, so only the grid points next
+    to b n / 2pi can lie within it of an endpoint b; only those three points
+    are formed.
     """
     n = 1 << log2_size
-    z = grid_points(log2_size)
-    vals = np.empty(n, dtype=complex)
-    _pole_sum_into(c.poles, -c.weights, z, [vals], 0, then=lambda h: np.exp(h[0], out=h[0]))
+    vals = pole_sum_on_grid(c.poles, -c.weights, log2_size)
+    np.exp(vals, out=vals)
     for b in c.boundary_angles:
         m = round(b * n / TWO_PI)
-        _zero_endpoint_hits(z, vals, np.arange(m - 1, m + 2) % n, b)
+        idx = np.arange(m - 1, m + 2) % n
+        _zero_endpoint_hits(_unit_roots(idx, n), vals, idx, b)
     return vals
 
 
 def _zero_endpoint_hits(z: np.ndarray, vals: np.ndarray, idx: np.ndarray, b: float) -> None:
-    """Set vals[idx] to 0 where z[idx] is on the circle within ANGLE_SLACK in
-    angle of e^{ib}."""
-    d = np.mod(np.angle(z[idx]) - b, TWO_PI)
-    on_circle = np.abs(np.abs(z[idx]) - 1.0) < 1e-12
+    """Set vals[idx] to 0 where the point z (of the same length as idx) is
+    on the circle within ANGLE_SLACK in angle of e^{ib}."""
+    d = np.mod(np.angle(z) - b, TWO_PI)
+    on_circle = np.abs(np.abs(z) - 1.0) < 1e-12
     vals[idx[on_circle & (np.minimum(d, TWO_PI - d) <= ANGLE_SLACK)]] = 0.0
 
 

@@ -39,6 +39,22 @@ def geometric_gaps(m: int = 4) -> BeurlingCarlesonSet:
     return validate_set(gaps)
 
 
+def cantor_set(depth: int) -> BeurlingCarlesonSet:
+    """A truncated Cantor-type set with 2^depth gaps: one gap of normalized
+    length 1e-3 from angle 0, and on the rest of the circle, at each level
+    j < depth, a middle gap of length 0.25 L / (2^j + 1) cut from each of the
+    2^j intervals of length L that the levels before leave.  Its endpoints
+    are not dyadic."""
+    length, starts = 1.0 - 1e-3, [1e-3]
+    gaps = [Arc(0.0, TWO_PI * 1e-3)]
+    for j in range(depth):
+        cut = 0.25 * length / (2**j + 1)
+        length = (length - cut) / 2.0
+        gaps += [Arc(TWO_PI * (a + length), TWO_PI * (a + length + cut)) for a in starts]
+        starts = [b for a in starts for b in (a, a + length + cut)]
+    return validate_set(gaps)
+
+
 def _e_arcs(E: BeurlingCarlesonSet) -> list[tuple[float, float]]:
     """The closed arcs of E between consecutive gaps, as (start, span)."""
     gaps = sorted(E.gaps, key=lambda g: wrap_angle(g.start))

@@ -22,6 +22,7 @@ from bcct.circle_sets import (
     _tail_lambda,
 )
 from bcct.errors import DegenerateArc, OverlapError
+from bcct.fixtures import cantor_set
 
 
 def disjoint_gaps(rng, count):
@@ -188,6 +189,64 @@ class TestDistances:
         assert dist_to_set(0.5, E) == 0.0
         assert dist_to_set(1.0, E) == 0.0  # endpoint belongs to the set
         assert dist_to_set(2.0, E) == 0.0
+
+    @pytest.mark.parametrize("depth", [1, 6, 10], ids=["2_gaps", "64_gaps", "1024_gaps"])
+    @pytest.mark.parametrize("phi", [0.0, 5.9, -3.0], ids=["unrotated", "wrapped", "negative"])
+    def test_sorted_lookup_is_the_loop_over_gaps(self, depth, phi):
+        # one searchsorted finds each point's gap; the bits are those of the
+        # rule applied gap by gap, on random angles, on the Whitney endpoints,
+        # and next to the gap endpoints up to 1e5 periods away, where t - start
+        # and the wrapped angle round apart (the next gap's pass covers that),
+        # with a gap through angle 0 when rotated
+        E = cantor_set(depth) if phi == 0.0 else rotate_set(cantor_set(depth), phi)
+        assert len(E.gaps) == 1 << depth
+        rng = np.random.default_rng(depth)
+        ends = np.array([(w.arc.start, w.arc.end) for w in whitney_decompose(E, 4)])
+        turns = rng.integers(-100_000, 100_000, 20_000)
+        far = rng.choice(np.ravel([(g.start, g.end) for g in E.gaps]), turns.size) + TWO_PI * turns
+        far += rng.uniform(-1e-12, 1e-12, turns.size) * (1 + np.abs(turns))
+        for t in (rng.uniform(-20.0, 20.0, 5000), ends, far):
+            got = distances_to_set(t, E)
+            assert got.shape == t.shape
+            assert np.array_equal(got.view(np.int64), _distances_gap_by_gap(t, E).view(np.int64))
+        assert np.count_nonzero(distances_to_set(ends, E)) == ends.size
+
+
+def _distances_gap_by_gap(angles, E):
+    """The distance rule applied to every gap in turn (the reference)."""
+    t = np.asarray(angles, dtype=float)
+    out = np.zeros_like(t)
+    for g in E.gaps:
+        u = np.mod(t - g.start, TWO_PI)
+        span = g.end - g.start
+        inside = (u > circle_sets.ANGLE_SLACK) & (u < span - circle_sets.ANGLE_SLACK)
+        out = np.where(inside, np.minimum(u, span - u) / TWO_PI, out)
+    return out
+
+
+class TestCantorSet:
+    @pytest.mark.parametrize("depth", [0, 1, 4, 6, 8])
+    def test_measure_and_entropy(self, depth):
+        # level j keeps 1 - 0.25 / (2^j + 1) of each interval and cuts 2^j
+        # gaps of 0.25 L_j / (2^j + 1), L_j = (1 - 1e-3) prod_{i<j} (1 -
+        # 0.25 / (2^i + 1)) / 2^j; the extra gap has length 1e-3
+        E = cantor_set(depth)
+        keep = [1.0 - 0.25 / (2**j + 1) for j in range(depth)]
+        lengths = [1e-3] + [
+            0.25 * (1.0 - 1e-3) * math.prod(keep[:j]) / 2**j / (2**j + 1)
+            for j in range(depth) for _ in range(2**j)
+        ]
+        assert len(E.gaps) == 1 << depth
+        assert E.measure == pytest.approx((1.0 - 1e-3) * math.prod(keep), rel=1e-13)
+        assert sorted(g.length for g in E.gaps) == pytest.approx(sorted(lengths), rel=1e-12)
+        assert E.entropy == pytest.approx(math.fsum(-L * math.log(L) for L in lengths), rel=1e-13)
+
+    def test_the_many_gap_table(self):
+        # entropy sums and smallest gaps at depths 4, 6 and 8
+        for depth, entropy, smallest in ((4, 0.818, 1e-3), (6, 0.945, 1.726e-4), (8, 0.989, 1.091e-5)):
+            E = cantor_set(depth)
+            assert E.entropy == pytest.approx(entropy, abs=1e-3)
+            assert min(g.length for g in E.gaps) == pytest.approx(smallest, rel=1e-3)
 
 
 class TestLambdas:

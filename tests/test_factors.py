@@ -1,11 +1,14 @@
 import functools
+import hashlib
 import inspect
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -969,32 +972,41 @@ def _bits(a):
 @pytest.mark.parametrize("k_max, log2, splits", [(12, 15, True), (10, 14, False)],
                          ids=["32768x50", "16384x42_default_grid"])
 def test_split_threshold_at_workload_sizes(second_parts, monkeypatch, k_max, log2, splits):
-    # the 2^16 sums of the model-space run split and the default grid's
-    # largest sum, 16384 x 42 = 688128 entries, stays serial
+    # a pole sum of 2^15 points and 50 poles splits, and one on the default
+    # grid with its 42 poles, 16384 x 42 = 688128 entries, stays serial
     c = build_cutoff(two_gap(), k_max=k_max)
     monkeypatch.setattr(_expderiv, "_CPUS", 2)
     pole_sum(c.poles, -c.weights, grid_points(log2))
     assert bool(second_parts) == splits
 
 
-def test_boundary_samples_same_bits_on_one_and_two_cpus(second_parts, monkeypatch):
-    c = build_cutoff(two_gap(), k_max=12)  # 2^15 x 50 entries
-    log2, n = 15, 1 << 15
-    # two_gap's endpoints sit on grid points: 0 and n/8 before the cut,
-    # n/2 and n/2 + 3n/32 after it
-    hits = [round(b * n / TWO_PI) % n for b in two_gap().boundary_angles]
-    monkeypatch.setattr(_expderiv, "_CPUS", 1)
-    serial = boundary_samples(c, log2)
-    assert not second_parts
-    monkeypatch.setattr(_expderiv, "_CPUS", 2)
-    split = boundary_samples(c, log2)
-    (cut, _), = second_parts
-    assert sorted(hits) == [0, n // 8, n // 2, n // 2 + 3 * n // 32]
-    assert [m < cut for m in sorted(hits)] == [True, True, False, False]
-    assert np.array_equal(_bits(split), _bits(serial))
-    assert all(split[m] == 0 for m in hits)
-    h = pole_sum(c.poles, -c.weights, grid_points(log2))[0]
-    assert np.array_equal(np.delete(split, hits), np.delete(np.exp(h), hits))
+def test_boundary_samples_same_bits_on_one_and_two_cpus():
+    # g's grid samples take their spectrum from one real BLAS product
+    # (pole_sum_on_grid), on OpenBLAS's threads: the bits must follow neither
+    # its thread count nor the CPUs the process may use (one CPU as under
+    # taskset), at 2^10, 2^16 and criterion 3's 2^21, and match this process.
+    code = (
+        "import hashlib, os, sys\n"
+        "if sys.argv[1] == 'one-cpu':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from bcct.cutoff import boundary_samples, build_cutoff\n"
+        "from bcct.fixtures import two_gap\n"
+        "c = build_cutoff(two_gap(), k_max=16)\n"
+        "print([hashlib.sha256(boundary_samples(c, k).tobytes()).hexdigest() for k in (10, 16, 21)])\n"
+    )
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(bcct.__file__).parents[1])
+    runs = [("threads", {"OPENBLAS_NUM_THREADS": "1"}), ("threads", {"OPENBLAS_NUM_THREADS": "2"})]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("one-cpu", {}))
+    hashes = {
+        subprocess.run([sys.executable, "-c", code, mode], env=dict(base, **env), capture_output=True,
+                       text=True, check=True).stdout
+        for mode, env in runs
+    }
+    c = build_cutoff(two_gap(), k_max=16)
+    here = [hashlib.sha256(boundary_samples(c, k).tobytes()).hexdigest() for k in (10, 16, 21)]
+    assert hashes == {f"{here}\n"}
 
 
 def test_outer_boundary_same_bits_on_one_and_two_cpus(second_parts, monkeypatch):
