@@ -327,18 +327,22 @@ def evaluate_in_disk(series: AnalyticSeries, z) -> complex | np.ndarray:
     return acc if acc.shape else complex(acc)
 
 
-def _cauchy_sum(c: np.ndarray, z):
+def _cauchy_sum(c: np.ndarray, z, shift: int = 0):
     """Trapezoid Cauchy sum at interior points of the grid values v, taken
     from their spectrum c = fft(v)/n (no FFT here):
 
         (1/n) sum_m v_m / (1 - z conj(zeta_m)) = (1 - z^n)^{-1} sum_{r<n} c_r z^r,
 
-    with zeta_m = exp(2 pi i m/n): expand the kernel as a geometric series
-    in z conj(zeta_m) and fold the powers modulo n.  The polynomial is
-    truncated at R = min(n, R_eps) terms, R_eps the least R
+    with zeta_m = exp(2 pi i m/n), n = len(c): expand the kernel as a
+    geometric series in z conj(zeta_m) and fold the powers modulo n.  The
+    polynomial is truncated at R = min(n, R_eps) terms, R_eps the least R
     with |z|^R / (1 - |z|) <= eps/4 at the largest |z|, so the dropped tail
     stays below eps/4 * max|c| (378 terms at |z| = 0.9, 789 at 0.95).
     With R = n the sum is exact.
+
+    With ``shift`` k the values are conj(zeta_m)^k v_m, whose spectrum is
+    c_{(r + k) mod n} (the DFT shift theorem): the R terms are read from
+    index k on, and gathered round to c_0 only when k + R > n.
     """
     n = len(c)
     z = np.asarray(z, dtype=complex)
@@ -350,7 +354,10 @@ def _cauchy_sum(c: np.ndarray, z):
     if r_max > 0.0:
         eps = np.finfo(float).eps
         terms = min(n, math.ceil(math.log(eps / 4 * (1.0 - r_max)) / math.log(r_max)))
-    return evaluate_in_disk(AnalyticSeries(c[:terms]), z) / (1.0 - z**n)
+    head = c[shift : shift + terms]
+    if len(head) < terms:
+        head = np.concatenate((head, c[: terms - len(head)]))
+    return evaluate_in_disk(AnalyticSeries(head), z) / (1.0 - z**n)
 
 
 def indicator_mask(E: BeurlingCarlesonSet, log2_size: int) -> np.ndarray:

@@ -11,8 +11,12 @@ For family K the transform C_{s 1_E} is smooth because s 1_E is globally
 smooth (g kills every derivative at the edge of E); the flip identity, the
 backward-shift identity and the annihilating functionals are all checked
 numerically here or in :mod:`bcct.spaces`.  A member's one grid spectrum
-is that E side (``KMember.spectrum``); K2's transform is read through the
-split C_s = u1 + u2 into its complement side u1 and that E side u2.  For
+is that E side (``KMember.spectrum``); the flip check and K2's split
+C_s = u1 + u2 also read the complement side (``KMember.sides``).  The
+family-K members p = z^k built from one outer factor and one array of g's
+samples share both sides: on the grid s_k = conj(zeta)^k s_0, so by the DFT
+shift theorem each is the p = 1 member's read from index k on
+(:class:`SpectrumPair`), and those members take no FFT of their own.  For
 K1/K2 the transforms lie in the model space of theta; the orthogonality
 residual is computed in coefficient space against exact inner-function
 coefficients, which keeps the slowly decaying spectrum of an atomic inner
@@ -22,7 +26,8 @@ factor from polluting the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,43 +55,96 @@ _NOISE_FLOOR_FACTOR = 32 * np.finfo(float).eps
 _FACTORS = {"K": (True, False), "K1": (False, True), "K2": (True, True)}
 
 
+@dataclass(frozen=True, eq=False)
+class SpectrumPair:
+    """The E side fft(s_0 1_E) / n and the complement side
+    fft(s_0 1_{T \\ E}) / n of family K's member s_0 = conj(zeta g W), p = 1,
+    formed together on first read (``sides``) and read-only.
+
+    The member p = z^k has s_k = conj(zeta)^k s_0 on the grid, so by the DFT
+    shift theorem its coefficient r on either side is entry (r + k) mod n of
+    s_0's: every such member reads this one pair.  The pair holds W and g's
+    samples, from which it is formed, and nothing that holds it."""
+
+    outer: OuterFunction
+    cutoff_samples: np.ndarray
+
+    @cached_property
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        s = _analytic_part(monomial(0), self.cutoff_samples, self.outer, self.outer.grid_log2)
+        np.conjugate(s, out=s)
+        mask = self.outer.weight.mask
+        return _spectrum(s, mask), _spectrum(s, ~mask)
+
+
 @dataclass(frozen=True)
 class KMember:
     """One member s = theta * conj(q) (theta = 1 for family K), held as the
     read-only grid samples of its analytic part q and its inner factor theta.
     ``e_mask`` is the outer weight's own read-only mask of E (None for family
-    K1, which has no E)."""
+    K1, which has no E).
+
+    ``pair`` and ``shift`` are set by :func:`build_member` for a family-K
+    member p = z^k that shares its spectra: it reads the pair at shift k.
+    They are not init fields, so a copy made by ``dataclasses.replace`` forms
+    its own spectra."""
 
     family: str
     q_samples: np.ndarray
     grid_log2: int
     theta: InnerFunction | None
     e_mask: np.ndarray | None
+    pair: SpectrumPair | None = field(default=None, init=False, repr=False, compare=False)
+    shift: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return 1 << self.grid_log2
 
-    @cached_property
+    @property
     def samples(self) -> np.ndarray:
-        """The boundary samples of s, formed on first read (theta sampled on
-        this grid) and read-only.  The model-space residual reads only q and
+        """The boundary samples of s, read-only.  Family K's s = conj(q) is
+        one pass, formed at each read, so the member holds one grid array of
+        its own; K1's and K2's are formed on first read (theta sampled on
+        this grid) and kept.  The model-space residual reads only q and
         theta's coefficients, so a K2 member may never form them."""
-        s = np.conj(self.q_samples)
         if self.theta is not None:
-            np.multiply(self.theta.boundary_samples(self.grid_log2), s, out=s)
+            return self._theta_samples
+        s = np.conj(self.q_samples)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def _theta_samples(self) -> np.ndarray:
+        s = np.conj(self.q_samples)
+        np.multiply(self.theta.boundary_samples(self.grid_log2), s, out=s)
         s.flags.writeable = False
         return s
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """The E side: grid Fourier coefficients fft(samples * e_mask) / size,
-        computed on first use (in the masked product's own buffer) and
         read-only; unmasked only for family K1.  Index r < size/2 is
         coefficient r of C_{s 1_E}: family K's transform, and K2's carrier
-        piece u2 of :func:`split_transform`.  The certificates below all read
-        this one array; the complement side is formed where it is read."""
+        piece u2 of :func:`split_transform`.  A member that shares a pair
+        reads a view of its E side from index ``shift`` on (size - shift
+        entries; every reader takes at most the first size/2); any other
+        member computes its own on first use, in the masked product's own
+        buffer."""
+        if self.pair is not None:
+            return self.pair.sides[0][self.shift :]
         return _spectrum(self.samples, self.e_mask)
+
+    def sides(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The E side and the complement side fft(samples * ~e_mask) / size
+        as whole grid spectra, and the shift k at which they hold this
+        member: its coefficient r is their entry (r + k) mod size.  A member
+        that shares a pair reads the pair's, at its ``shift``; any other has
+        k = 0, its ``spectrum`` and a complement side formed here and not
+        kept."""
+        if self.pair is not None:
+            return (*self.pair.sides, self.shift)
+        return self.spectrum, _spectrum(self.samples, ~self.e_mask), 0
 
 
 @dataclass(frozen=True)
@@ -118,13 +176,16 @@ def build_member(
     cutoff_samples: np.ndarray | None = None,
 ) -> KMember:
     """Assemble one family member: the boundary samples of q = zeta p g W
-    (W = 1 for family K1) and theta; s itself is formed on first read.
+    (W = 1 for family K1) and theta; s itself is formed where it is read.
 
     Family K takes an outer factor and no theta, K1 theta and no outer
     factor, K2 both.  With an outer factor, the cut-off's set must equal the
     outer weight's support; family K1 instead needs a measure-zero carrier.
     Precomputed boundary samples of the cut-off may be passed when several
-    members share one grid.
+    members share one grid.  The family-K members p = z^k built from one
+    outer factor and one such array share one :class:`SpectrumPair`, formed
+    on the first read of a spectrum; the array is made read-only, since the
+    pair is formed from it.  Every other member forms its own spectra.
     """
     if family not in _FACTORS:
         raise IngredientMismatch(f"unknown family {family!r}")
@@ -144,26 +205,63 @@ def build_member(
             raise IngredientMismatch("family K1 needs a measure-zero carrier")
     elif cutoff_set != outer.weight.support:
         raise IngredientMismatch("cut-off and outer weight live on different sets")
+    elif outer.grid_log2 != grid_log2:
+        raise IngredientMismatch("outer factor sampled on a different grid")
 
+    k = _unit_power(p) if family == "K" and cutoff_samples is not None else None
+    pair = None if k is None else _shared_pair(outer, cutoff_samples)
     if cutoff_samples is None:
         cutoff_samples = cutoff_boundary_samples(cutoff, grid_log2)
-    zeta_p = AnalyticSeries(np.concatenate(([0.0], p.coeffs)))
-    # q is this member's own array, so the factors multiply into it in place
-    q = synthesize_analytic(zeta_p, grid_log2)
-    q *= cutoff_samples
-    if outer is not None:
-        if outer.grid_log2 != grid_log2:
-            raise IngredientMismatch("outer factor sampled on a different grid")
-        q *= outer.boundary
+    q = _analytic_part(p, cutoff_samples, outer, grid_log2)
     q.flags.writeable = False
 
-    return KMember(
+    member = KMember(
         family=family,
         q_samples=q,
         grid_log2=grid_log2,
         theta=theta,
         e_mask=outer.weight.mask if outer is not None else None,
     )
+    if pair is not None:
+        object.__setattr__(member, "pair", pair)
+        object.__setattr__(member, "shift", k)
+    return member
+
+
+def _analytic_part(
+    p: AnalyticSeries, cutoff_samples: np.ndarray, outer: OuterFunction | None, grid_log2: int
+) -> np.ndarray:
+    """The grid samples of q = zeta p g W (W = 1 without an outer factor),
+    in a new array: the factors multiply into zeta p's samples in place."""
+    zeta_p = AnalyticSeries(np.concatenate(([0.0], p.coeffs)))
+    q = synthesize_analytic(zeta_p, grid_log2)
+    q *= cutoff_samples
+    if outer is not None:
+        q *= outer.boundary
+    return q
+
+
+def _unit_power(p: AnalyticSeries) -> int | None:
+    """k when p is z^k, else None."""
+    terms = np.flatnonzero(p.coeffs)
+    return int(terms[0]) if len(terms) == 1 and p.coeffs[terms[0]] == 1.0 else None
+
+
+# The pair of each (outer factor, array of g's samples), keyed by their
+# identities.  A pair holds both, so the identities stay theirs while it
+# lives; it lives while a member holds it.
+_PAIRS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_pair(outer: OuterFunction, cutoff_samples: np.ndarray) -> SpectrumPair:
+    """The pair of these ingredients, made on first request; the samples are
+    made read-only, since the pair is formed from them."""
+    key = (id(outer), id(cutoff_samples))
+    pair = _PAIRS.get(key)
+    if pair is None:
+        cutoff_samples.flags.writeable = False
+        pair = _PAIRS[key] = SpectrumPair(outer, cutoff_samples)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -171,7 +269,8 @@ class MemberIngredients:
     """What the family-K and K2 members over E share: E, the outer factor W of
     a weight on E and the cut-off g of E, with g's samples on W's grid
     (read-only).  Each member takes its own theta and forms theta's samples
-    only if its own samples are read."""
+    only if its own samples are read.  The family-K members p = z^k built
+    here share one :class:`SpectrumPair`."""
 
     E: BeurlingCarlesonSet
     outer: OuterFunction
@@ -217,9 +316,10 @@ def smooth_transform(
     member: KMember,
     fit_window: tuple[int, int] = (64, 1024),
 ) -> TransformResult:
-    """Coefficients 0..size/2-1 of C_{s 1_E}, read from ``member.spectrum``,
-    with their decay slope over ``fit_window`` (``decay_fit``, fitted on
-    first read).
+    """Coefficients 0..size/2-1 of C_{s 1_E}, a view of ``member.spectrum``
+    (for a member p = z^k that shares a pair, of the pair's E side from
+    index k on), with their decay slope over ``fit_window`` (``decay_fit``,
+    fitted on first read).
 
     For family K this is the member's smooth transform.  For family K2 it is
     the carrier piece u2 of :func:`split_transform`, not certified smooth:
@@ -245,14 +345,17 @@ def flip_check(member: KMember) -> float:
     working negative control.  Each side is a trapezoid Cauchy sum through
     the exact identity (1 - z^n)^{-1} sum_r c_r z^r, truncated once
     |z|^R / (1 - |z|) <= eps/4 (364 terms on this lattice, whose largest |z|
-    is 0.896).  The E side reads ``member.spectrum``; the complement side is
-    its own FFT of the samples off E.
+    is 0.896).  Both sides are read from ``member.sides``: for a member
+    p = z^k that shares a pair, the pair's two spectra from index k on,
+    circularly, with no FFT here; for any other member, its own spectrum and
+    one FFT of the samples off E.
     """
     if member.family != "K":
         raise IngredientMismatch("flip identity applies to family K")
     z = interior_lattice(64, 0.9)
-    a = _cauchy_sum(member.spectrum, z)
-    b = -_cauchy_sum(_spectrum(member.samples, ~member.e_mask), z)
+    e_side, complement, k = member.sides()
+    a = _cauchy_sum(e_side, z, k)
+    b = -_cauchy_sum(complement, z, k)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
 
@@ -262,7 +365,9 @@ def backshift_identity(member: KMember, k: int) -> float:
 
     The left side shifts ``member.spectrum``; the right side is its own FFT
     of the shifted, masked samples, with conj(zeta)^k the conjugate of the
-    grid samples of z^k (:func:`synthesize_analytic`).
+    grid samples of z^k (:func:`synthesize_analytic`).  The right side never
+    reads a shared pair, so this checks the shift that members p = z^k read
+    their spectra through.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -399,12 +504,12 @@ class SplitResult:
 
 def split_transform(member: KMember) -> SplitResult:
     """Split C_s = u1 + u2 into the complement piece u1 = C_{s 1_{T \\ E}}
-    and the E piece u2 = C_{s 1_E}, on the coefficients 0..size/2-1.  u2 is
-    read from ``member.spectrum``; u1 is the one FFT formed here, of the
-    samples off E, and is not kept on the member."""
+    and the E piece u2 = C_{s 1_E}, on the coefficients 0..size/2-1, both
+    read from ``member.sides``: u2 from ``member.spectrum``, u1 from the one
+    FFT formed there, of the samples off E, which is not kept on the
+    member."""
     if member.family != "K2":
         raise IngredientMismatch("split applies to family K2")
-    return SplitResult(
-        u1=analytic_coefficients(member.samples, mask=~member.e_mask),
-        u2=AnalyticSeries(member.spectrum[: member.size // 2]),
-    )
+    e_side, complement, k = member.sides()
+    half = slice(k, k + member.size // 2)
+    return SplitResult(u1=AnalyticSeries(complement[half]), u2=AnalyticSeries(e_side[half]))

@@ -438,6 +438,23 @@ class TestCauchy:
         z = np.array([0.25, -0.3 + 0.1j])
         assert np.max(np.abs(_cauchy_sum(c, z) - z)) <= 1e-12
 
+    @pytest.mark.parametrize("log2, k", [(8, 0), (8, 1), (8, 255), (12, 3), (12, 3900)])
+    def test_shift_reads_the_rolled_spectrum(self, log2, k):
+        # the sum for conj(zeta)^k v from v's own spectrum is the sum of
+        # np.roll(c, -k), bit for bit: its head is read from index k on and
+        # gathered round to c_0 past the end.  At 2^8 every term is kept, so
+        # each k >= 1 wraps; at 2^12, k = 3900 does.
+        rng = np.random.default_rng(log2 + k)
+        n = 1 << log2
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c = _spectrum(vals)
+        z = 0.9 * np.sqrt(rng.uniform(0, 1, 8)) * np.exp(1j * rng.uniform(0, TWO_PI, 8))
+        got = _cauchy_sum(c, z, k)
+        assert np.array_equal(got, _cauchy_sum(np.roll(c, -k), z))
+        # against the explicit kernel, on the sum's own scale mean|v| / (1 - |z|)
+        ref = dense_cauchy_sum(vals * np.exp(-1j * k * grid_angles(log2)), z)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.mean(np.abs(vals)) / (1.0 - 0.9)
+
 
 def dense_cauchy_sum(vals, z):
     """(1/n) sum_m vals_m / (1 - z conj(zeta_m)), summed over the explicit kernel."""

@@ -1,7 +1,11 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -14,6 +18,7 @@ import bcct
 import bcct.transforms
 from bcct.boundary_calculus import (
     AnalyticSeries,
+    _cauchy_sum,
     _fft_convolve,
     _fft_correlate,
     analytic_coefficients,
@@ -42,6 +47,7 @@ from bcct.transforms import (
     smooth_transform,
     split_transform,
     _max_orthogonality,
+    interior_lattice,
     transform_coefficients_exact,
 )
 
@@ -214,6 +220,11 @@ class TestBuildMember:
         theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
         k2 = scale.ingredients.member(monomial(0), theta)
         k1 = standard_member("K1", monomial(0), 12, k_max=8)
+        # a flat build shares the pair too, and makes its array of g's
+        # samples read-only, since the pair is formed from it
+        g_samples = boundary_samples(scale.cutoff, 12)
+        flat = build_member("K", monomial(3), cutoff=scale.cutoff, cutoff_set=E,
+                            outer=scale.outer, cutoff_samples=g_samples)
         arrays = {
             "K samples": scale.member(0).samples,
             "K q_samples": scale.member(0).q_samples,
@@ -222,7 +233,18 @@ class TestBuildMember:
             "K1 samples": k1.samples,
             "outer boundary": scale.outer.boundary,
             "cutoff samples": scale.ingredients.cutoff_samples,
+            "pair E side": scale.member(0).pair.sides[0],
+            "pair complement": scale.member(0).pair.sides[1],
+            "K2 E side": k2.sides()[0],
+            "K2 complement": k2.sides()[1],
+            "flat cutoff samples": g_samples,
+            "flat pair E side": flat.pair.sides[0],
         }
+        for k in (0, 1, 3):
+            arrays[f"K spectrum view, k = {k}"] = scale.member(k).spectrum
+            for side, a in zip(("E side", "complement"), scale.member(k).sides()[:2]):
+                arrays[f"K {side}, k = {k}"] = a
+        arrays["flat spectrum view"] = flat.spectrum
         for name, a in arrays.items():
             assert not a.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
@@ -298,6 +320,158 @@ class TestSpectrum:
         expect = np.exp(-1j * (r + 1) * phi) * base.spectrum[: n // 2]
         err = np.max(np.abs(rot.spectrum[: n // 2] - expect))
         assert err <= 1e-11 * np.max(np.abs(base.spectrum[: n // 2]))
+
+
+def _flat_ingredients(log2, k_max=8):
+    """E, W, g and one array of g's samples, as perfbench's criterion 3 job
+    builds them for :func:`build_member`."""
+    E = two_gap()
+    g = build_cutoff(E, k_max=k_max)
+    return E, outer_from_weight(taper_weight(E, log2)), g, boundary_samples(g, log2)
+
+
+def _count_ffts(monkeypatch):
+    calls = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return calls
+
+
+class TestSharedPair:
+    """The family-K members p = z^k built from one W and one array of g's
+    samples read one E side and one complement side, the p = 1 member's,
+    from index k on (the DFT shift theorem for s_k = conj(zeta)^k s_0)."""
+
+    def test_criterion_3_members_take_two_ffts(self, monkeypatch):
+        # p = 1, z, z^3 as perfbench's criterion 3 job builds and reads them;
+        # with a pair of FFTs per member it took 6
+        E, W, g, g_samples = _flat_ingredients(12)
+        calls = _count_ffts(monkeypatch)
+        for k in (0, 1, 3):
+            m = build_member("K", monomial(k), cutoff=g, cutoff_set=E, outer=W,
+                             cutoff_samples=g_samples)
+            smooth_transform(m)
+            flip_check(m)
+        assert calls == [(1 << 12,)] * 2
+
+    def test_both_builders_reach_the_pair(self, E):
+        scale = Scale(E, 12, 8)
+        pair = scale.member(0).pair
+        assert pair is not None
+        assert all(scale.member(k).pair is pair for k in (1, 3, 17))
+        assert [scale.member(k).shift for k in (0, 1, 3, 17)] == [0, 1, 3, 17]
+        assert scale.ingredients.member(monomial(5), None).pair is pair
+        flat = build_member("K", monomial(2), cutoff=scale.cutoff, cutoff_set=E, outer=scale.outer,
+                            cutoff_samples=scale.ingredients.cutoff_samples)
+        assert flat.pair is pair
+
+    def test_what_keeps_its_own_ffts(self):
+        # a general p, a monomial with another coefficient, K2, and a member
+        # whose g samples are formed in build_member each form their own
+        # spectra; so test_linearity_in_p compares independent computations
+        E, W, g, g_samples = _flat_ingredients(10)
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+        kw = dict(cutoff=g, cutoff_set=E, outer=W)
+        unshared = [
+            build_member("K", AnalyticSeries([1.0, 2.0]), **kw, cutoff_samples=g_samples),
+            build_member("K", AnalyticSeries([0.0, 2.0]), **kw, cutoff_samples=g_samples),
+            build_member("K2", monomial(0), **kw, theta=theta, cutoff_samples=g_samples),
+            build_member("K", monomial(1), **kw),
+        ]
+        assert all(m.pair is None and m.shift == 0 for m in unshared)
+        assert build_member("K", monomial(1), **kw, cutoff_samples=g_samples).pair is not None
+
+    @pytest.mark.parametrize("log2", [8, 12, 16])
+    @pytest.mark.parametrize("k", [0, 1, 3, 17])
+    def test_shift_is_the_members_own_fft(self, log2, k):
+        # At 2^8 the flip's Cauchy sums keep all n terms, so for k >= 1 their
+        # heads wrap round the pair's spectra.  Measured: the sides within
+        # 3.9e-16 max|c| of the member's own FFTs, both Cauchy sums within
+        # 3.6e-16 max|c|, and the flip within 8.1e-15 of the member's own.
+        E, W, g, g_samples = _flat_ingredients(log2)
+        m = build_member("K", monomial(k), cutoff=g, cutoff_set=E, outer=W, cutoff_samples=g_samples)
+        n = m.size
+        e_side, complement, shift = m.sides()
+        assert shift == k
+        assert np.shares_memory(m.spectrum, e_side)
+        z = interior_lattice(64, 0.9)
+        for side, mask in ((e_side, m.e_mask), (complement, ~m.e_mask)):
+            own = np.fft.fft(m.samples * mask) / n
+            tol = 1e-15 * np.max(np.abs(own))
+            assert np.max(np.abs(np.roll(side, -k) - own)) <= tol
+            assert np.max(np.abs(_cauchy_sum(side, z, k) - _cauchy_sum(own, z))) <= tol
+        own_e = np.fft.fft(m.samples * m.e_mask) / n
+        assert np.max(np.abs(m.spectrum[: n // 2] - own_e[: n // 2])) <= 1e-15 * np.max(np.abs(own_e))
+        copy = replace(m)
+        assert copy.pair is None
+        assert abs(flip_check(m) - flip_check(copy)) <= 5e-14
+
+    def test_replace_forms_its_own_spectra(self, monkeypatch):
+        E, W, g, g_samples = _flat_ingredients(10)
+        m = build_member("K", monomial(1), cutoff=g, cutoff_set=E, outer=W, cutoff_samples=g_samples)
+        flip_check(m)
+        copy = replace(m)
+        assert copy.pair is None and copy.shift == 0
+        calls = _count_ffts(monkeypatch)
+        smooth_transform(copy)
+        flip_check(copy)
+        assert len(calls) == 2
+        assert not np.shares_memory(copy.spectrum, m.pair.sides[0])
+
+    def test_pair_is_freed_without_the_collector(self):
+        # The pair holds W and g's samples, and its members hold it; nothing
+        # refers back, so reference counting frees it once they are gone.
+        gc.disable()
+        try:
+            E, W, g, g_samples = _flat_ingredients(10)
+            members = [build_member("K", monomial(k), cutoff=g, cutoff_set=E, outer=W,
+                                    cutoff_samples=g_samples) for k in (0, 1, 3)]
+            for m in members:
+                flip_check(m)
+            pair = weakref.ref(members[0].pair)
+            sides = [weakref.ref(a) for a in pair().sides]
+            del m, members, W, g_samples
+            assert pair() is None
+            assert all(a() is None for a in sides)
+        finally:
+            gc.enable()
+
+    def test_memory_of_the_criterion_3_loop(self):
+        # Criterion 3's loop on 2^16 points, with W and g's samples formed
+        # beforehand, in units of one complex grid array.  Its peak is 4.27,
+        # as it was when each member formed its own spectra (then: a member's
+        # q, s, spectrum and complement side).  Three members kept at once
+        # hold their q and the pair: 5.01, where three grid arrays per
+        # member (q, s and spectrum) held 9.01.
+        E, W, g, g_samples = _flat_ingredients(16, k_max=16)
+        unit = 16 << 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for k in (0, 1, 3):
+                m = build_member("K", monomial(k), cutoff=g, cutoff_set=E, outer=W,
+                                 cutoff_samples=g_samples)
+                smooth_transform(m).decay_fit
+                flip_check(m)
+                np.mean(m.samples)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            del m
+            kept = [build_member("K", monomial(k), cutoff=g, cutoff_set=E, outer=W,
+                                 cutoff_samples=g_samples) for k in (0, 1, 3)]
+            for m in kept:
+                smooth_transform(m)
+                flip_check(m)
+                np.mean(m.samples)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * unit
+        assert held <= 5.25 * unit
 
 
 class TestFlip:
