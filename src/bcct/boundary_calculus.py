@@ -45,9 +45,10 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
   per order.  It serves W's derivative-growth certificate.
 
 Alongside them: the conjugate function, Fejer means, Horner evaluation
-inside the disk, FFT convolution and correlation (their transform length
-is :func:`_fast_length`, the least 11-smooth length that avoids
-wrap-around), the grid angles t_m and points zeta_m (the roots of unity
+inside the disk, FFT convolution (its transform length is
+:func:`_fast_length`, the least 11-smooth length that avoids wrap-around)
+and correlation (in blocks of _fast_length(lags) entries, so its memory
+follows the lags), the grid angles t_m and points zeta_m (the roots of unity
 exp(2 pi i k/n), which the synthesis and power tables take too), the grid
 mask of a set, and the closed-disk domain check of the pole-sum
 evaluators.  The package's grids have 2**log2_size points.
@@ -201,15 +202,41 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _fft_correlate(a: np.ndarray, b: np.ndarray, lags: int) -> np.ndarray:
     """Cross-correlation sum_m conj(a_m) b_{m+l} for l = 0..lags-1, by FFT.
 
-    Terms with m + l >= len(b) are absent.  The transform length is
-    :func:`_fast_length` of max(len(b), len(a) + lags - 1), so no product
-    wraps around into a kept lag.  Two real inputs give the real correlation,
-    from their real FFTs (rfft, irfft) of that length.
+    Terms with m + l >= len(b) are absent.  Sectioned (overlap-save)
+    correlation: a is cut into blocks of B = :func:`_fast_length` (lags)
+    entries, and block j is correlated with b's window b[jB : jB + 2B] by
+    transforms of P = 2B points, so no kept lag wraps around.  With Y_j the
+    zero-padded transform of b's block j, the window's spectrum is
+    Y_j + (-1)^w Y_{j+1}, so each block of b is transformed once, and a block
+    of a that equals b's block (the autocorrelation of a prefix of b) reuses
+    Y_j.  The products are summed in the spectrum and transformed back once.
+    b is read up to index len(a) + lags - 2, the last that a kept lag
+    reaches.  A short a is the loop's one-block case.
+
+    The loop holds two block spectra and one accumulator, so the memory
+    follows the lags, not len(a) or len(b), and the work is about
+    len(a) log(lags).  Two real inputs give the real correlation, from real
+    FFTs (rfft, irfft).
     """
-    n = _fast_length(max(len(b), len(a) + lags - 1))
+    B = _fast_length(lags)
+    P = 2 * B
     if np.isrealobj(a) and np.isrealobj(b):
-        return np.fft.irfft(np.conj(np.fft.rfft(a, n)) * np.fft.rfft(b, n), n)[:lags]
-    return np.fft.ifft(np.conj(np.fft.fft(a, n)) * np.fft.fft(b, n))[:lags]
+        fwd, inv = np.fft.rfft, np.fft.irfft
+    else:
+        fwd, inv = np.fft.fft, np.fft.ifft
+    b = b[: len(a) + lags - 1]
+    y_next = fwd(b[:B], P)
+    acc = np.zeros_like(y_next)
+    for lo in range(0, len(a), B):
+        hi = lo + B
+        y, y_next = y_next, fwd(b[hi : hi + B], P)
+        x = y if np.array_equal(a[lo:hi], b[lo:hi]) else fwd(a[lo:hi], P)
+        window = y_next.copy()
+        window[1::2] *= -1
+        window += y
+        window *= np.conj(x)
+        acc += window
+    return inv(acc, P)[:lags]
 
 
 def conjugate_function(u: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from bcct.boundary_calculus import (
 )
 from bcct.circle_sets import TWO_PI, Arc, validate_set
 from bcct.errors import BandTooLarge, OutsideDomain
+from bcct.factors import _atomic_inner_coefficients
 from bcct.fixtures import taper_weight, two_gap
 
 G = 10  # 1024-point grid for most checks
@@ -286,6 +288,109 @@ class TestFftLengths:
         got = _fft_correlate(a, b, 56)
         ref = np.array([np.dot(a, b[l : l + 20]) for l in range(56)])
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+def _direct_correlation(a, b, lags):
+    """sum_m conj(a_m) b_{m+l} for l < lags, terms past b absent; each lag's
+    real and imaginary parts summed exactly by math.fsum."""
+    out = np.zeros(lags, dtype=complex)
+    for l in range(lags):
+        n = max(0, min(len(a), len(b) - l))
+        terms = np.conj(a[:n]) * b[l : l + n]
+        out[l] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return out
+
+
+class TestBlockCorrelation:
+    """_fft_correlate runs over blocks of B = _fast_length(lags) entries of a."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "la, lb, lags",
+        [
+            (50, 60, 1),  # B = 1: fifty blocks of one entry
+            (50, 80, 7),  # B = 7: eight blocks, the last of one entry
+            (200, 300, 75),  # B = 75, an odd block length; P = 150
+            (31, 45, 9),  # B = 9, odd; four blocks
+            (100, 60, 30),  # b shorter than a: whole blocks of b absent
+            (100, 110, 30),  # len(b) < len(a) + lags - 1: the top lags lose terms
+            (20, 5000, 12),  # b far longer than len(a) + lags
+        ],
+    )
+    def test_blocks_match_direct_sum(self, la, lb, lags, kind):
+        rng = np.random.default_rng(la * lb + lags)
+        if kind == "real":
+            a, b = rng.standard_normal(la), rng.standard_normal(lb)
+        else:
+            a, b = _random_complex(rng, la), _random_complex(rng, lb)
+        got = _fft_correlate(a, b, lags)
+        assert got.shape == (lags,)
+        assert got.dtype == (np.float64 if kind == "real" else np.complex128)
+        ref = _direct_correlation(a, b, lags)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_prefix_matches_direct_sum(self, kind, copy):
+        # a = b[:97] with B = 35: blocks 0 and 1 reuse b's spectra (as views
+        # of b or as an equal copy), the last block of 27 entries does not
+        rng = np.random.default_rng(97)
+        b = rng.standard_normal(140) if kind == "real" else _random_complex(rng, 140)
+        a = b[:97].copy() if copy else b[:97]
+        got = _fft_correlate(a, b, 34)
+        ref = _direct_correlation(a, b, 34)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+
+    def test_prefix_transforms_each_block_of_b_once(self, monkeypatch):
+        # b is read up to len(a) + lags - 1 = 333 entries: blocks 0..9 of
+        # B = 35.  a = b[:300] has eight whole blocks, equal to b's, and a
+        # last block of 20 entries, the one transform of a
+        rng = np.random.default_rng(300)
+        b = rng.standard_normal(400)
+        a, lags, B = b[:300], 34, 35
+        assert _fast_length(lags) == B
+        inputs = []
+        rfft = np.fft.rfft
+
+        def spy(x, n=None, *args, **kwargs):
+            inputs.append(np.array(x))
+            assert n == 2 * B
+            return rfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        _fft_correlate(a, b, lags)
+        blocks = [b[lo : min(lo + B, 333)] for lo in range(0, 333, B)]
+        assert len(blocks) == 10
+        for block in blocks:
+            assert sum(np.array_equal(x, block) for x in inputs) == 1
+        assert len(inputs) == len(blocks) + 1
+        assert any(np.array_equal(x, a[280:]) for x in inputs)
+
+    def test_k2_shape_matches_one_shot(self):
+        # model-space-deep's K2 job: theta's autocorrelation over
+        # m <= 2^20 - 32, lags 0..2^17 + 32, eight blocks of 131220 entries;
+        # the reference is one real transform pair over the whole band
+        a = _atomic_inner_coefficients(0.1, (1 << 20) + (1 << 17) - 1)
+        head, lags = a[: (1 << 20) - 31], 131104
+        got = _fft_correlate(head, a, lags)
+        n = _fast_length(max(len(a), len(head) + lags - 1))
+        ref = np.fft.irfft(np.conj(np.fft.rfft(head, n)) * np.fft.rfft(a, n), n)[:lags]
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.linalg.norm(head) * np.linalg.norm(a)
+
+    def test_memory_follows_the_lags(self):
+        # With the lags fixed, the traced peak does not grow with len(a): the
+        # loop holds a few spectra of 2B points, about 12 MB here.
+        rng = np.random.default_rng(18)
+        lags, peaks = 131104, []
+        for la in ((1 << 18) - 31, (1 << 20) - 31):
+            b = rng.standard_normal(la + lags)
+            tracemalloc.start()
+            try:
+                _fft_correlate(b[:la], b, lags)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * min(peaks)
 
 
 class TestProjection:

@@ -688,6 +688,25 @@ class TestAutocorrelationResidual:
             residuals.add(proc.stdout)
         assert len(residuals) == 1
 
+    def test_residual_memory_follows_the_lags(self):
+        # model-space-deep's K2 job in a fresh interpreter: theta's
+        # autocorrelation over a band of 2^20 runs in blocks of 131220
+        # entries, so the peak RSS grows by about 13 MB across the call; one
+        # transform over the whole band grew it by 33 MB.
+        code = (
+            "import resource; "
+            "from bcct.fixtures import standard_member, monomial; "
+            "from bcct.transforms import model_space_orthogonality as f; "
+            "m = standard_member('K2', monomial(0), 18, k_max=12); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "f(m, 32, 1 << 20); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bcct.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) <= 20 * 1024  # ru_maxrss is in kB on Linux
+
     def test_nan_theta_coefficients_propagate(self, monkeypatch):
         m = standard_member("K2", monomial(0), 12, k_max=8)
         frame = InnerFunction.coefficient_frame
