@@ -15,7 +15,8 @@ grid points zeta_m = exp(i t_m), t_m = 2 pi m / n:
   ifft(c)*n bit for bit.  Given a mask, the spectrum of v times the mask:
   that product is a temporary built only to be transformed, so the
   transform writes into it and allocates no second grid array (the bits of
-  the out-of-place transform);
+  the out-of-place transform).  A caller that gives up a grid array of its
+  own has it transformed in its buffer the same way (``_spectrum_in_place``);
 * :func:`analytic_coefficients` -- the analytic (Riesz) projection, the
   Taylor coefficients c_0..c_band read off the spectrum;
 * :func:`synthesize_analytic` -- its inverse, the grid samples of an
@@ -148,11 +149,19 @@ def _spectrum(values: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """
     if mask is None:
         c = np.fft.fft(values, norm="forward")
-    else:
-        c = values * mask
-        np.fft.fft(c, norm="forward", out=c)
-    c.flags.writeable = False
-    return c
+        c.flags.writeable = False
+        return c
+    return _spectrum_in_place(values * mask)
+
+
+def _spectrum_in_place(buffer: np.ndarray) -> np.ndarray:
+    """fft(buffer) / len(buffer) of a complex grid array, written into
+    ``buffer`` itself, which is returned read-only: for an array that its
+    owner gives up to be transformed.  The bits are those of the
+    out-of-place transform."""
+    np.fft.fft(buffer, norm="forward", out=buffer)
+    buffer.flags.writeable = False
+    return buffer
 
 
 def analytic_coefficients(

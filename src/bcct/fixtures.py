@@ -68,18 +68,21 @@ def _e_arcs(E: BeurlingCarlesonSet) -> list[tuple[float, float]]:
     return out
 
 
-def _arc_slices(a: float, span: float, n: int) -> list[slice]:
+def _arc_slices(a: float, span: float, n: int) -> list[tuple[slice, float]]:
     """Slices of the n grid indices that can hold an angle a + u, 0 <= u <=
     span: the cells the arc covers with one to spare on each side (rounding
     moves an angle by far less than a cell), two slices for an arc through
-    angle 0 (they overlap when the arc covers nearly the whole circle)."""
+    angle 0 (they overlap when the arc covers nearly the whole circle).
+    Each comes with its angle offset, 0, or 2 pi for the slice after angle
+    0: u = (t - a) + offset there, which is mod(t - a, 2 pi) bit for bit
+    wherever 0 <= u < 2 pi.  The spare cell below an arc that starts in the
+    first cell would be the grid's last, where u < 0, so it is left out."""
     cell = TWO_PI / n
-    lo = math.floor(a / cell) - 1
-    count = math.ceil((a + span) / cell) + 2 - lo
-    lo %= n
-    if lo + count <= n:
-        return [slice(lo, lo + count)]
-    return [slice(lo, n), slice(0, lo + count - n)]
+    lo = max(math.floor(a / cell) - 1, 0)
+    hi = math.ceil((a + span) / cell) + 2
+    if hi <= n:
+        return [(slice(lo, hi), 0.0)]
+    return [(slice(lo, n), 0.0), (slice(0, hi - n), TWO_PI)]
 
 
 def taper_weight(E: BeurlingCarlesonSet, grid_log2: int, depth: float = 2.0) -> BoundaryWeight:
@@ -89,17 +92,21 @@ def taper_weight(E: BeurlingCarlesonSet, grid_log2: int, depth: float = 2.0) -> 
     Equals 1 with zero first derivative at the edges of E, so log(w) 1_E is
     C^{1,1} on the circle and the outer boundary data is clean.  Each arc's
     profile is formed on the contiguous grid slices the arc covers
-    (:func:`_arc_slices`) and kept where u <= span.
+    (:func:`_arc_slices`), with u from each slice's angle offset (no mod
+    pass), and kept where 0 <= u <= span.
     """
     t = grid_angles(grid_log2)
     vals = np.ones_like(t)
     for a, span in _e_arcs(E):
-        for piece in _arc_slices(a, span, len(t)):
-            u = np.mod(t[piece] - a, TWO_PI)
+        for piece, offset in _arc_slices(a, span, len(t)):
+            u = t[piece] - a
+            u += offset
             prof = np.exp(-depth * np.sin(np.pi * np.clip(u / span, 0.0, 1.0)) ** 2)
+            keep = u <= span
+            keep &= u >= 0.0
             # In place: a new array per arc shifted where later arrays land on
             # the heap, and raised a 2^21-grid transform run's peak RSS by 46 MB.
-            np.copyto(vals[piece], prof, where=u <= span)
+            np.copyto(vals[piece], prof, where=keep)
     return boundary_weight(E, vals, grid_log2)
 
 

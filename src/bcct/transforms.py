@@ -16,7 +16,8 @@ C_s = u1 + u2 also read the complement side (``KMember.sides``).  The
 family-K members p = z^k built from one outer factor and one array of g's
 samples share both sides: on the grid s_k = conj(zeta)^k s_0, so by the DFT
 shift theorem each is the p = 1 member's read from index k on
-(:class:`SpectrumPair`), and those members take no FFT of their own.  For
+(:class:`SpectrumPair`, formed when the first of those members is built,
+before its own q), and those members take no FFT of their own.  For
 K1/K2 the transforms lie in the model space of theta; the orthogonality
 residual is computed in coefficient space against exact inner-function
 coefficients, which keeps the slowly decaying spectrum of an atomic inner
@@ -39,6 +40,7 @@ from .boundary_calculus import (
     _cauchy_sum,
     _fft_correlate,
     _spectrum,
+    _spectrum_in_place,
     analytic_coefficients,
     monomial,
     synthesize_analytic,
@@ -59,7 +61,9 @@ _FACTORS = {"K": (True, False), "K1": (False, True), "K2": (True, True)}
 class SpectrumPair:
     """The E side fft(s_0 1_E) / n and the complement side
     fft(s_0 1_{T \\ E}) / n of family K's member s_0 = conj(zeta g W), p = 1,
-    formed together on first read (``sides``) and read-only.
+    formed together when the pair is made (``sides``) and read-only.  They
+    take two grid arrays: the E side is transformed in the masked product's
+    buffer, then the complement side in s_0's own.
 
     The member p = z^k has s_k = conj(zeta)^k s_0 on the grid, so by the DFT
     shift theorem its coefficient r on either side is entry (r + k) mod n of
@@ -68,13 +72,15 @@ class SpectrumPair:
 
     outer: OuterFunction
     cutoff_samples: np.ndarray
+    sides: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
-    @cached_property
-    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+    def __post_init__(self):
         s = _analytic_part(monomial(0), self.cutoff_samples, self.outer, self.outer.grid_log2)
         np.conjugate(s, out=s)
         mask = self.outer.weight.mask
-        return _spectrum(s, mask), _spectrum(s, ~mask)
+        e_side = _spectrum(s, mask)
+        s *= ~mask
+        object.__setattr__(self, "sides", (e_side, _spectrum_in_place(s)))
 
 
 @dataclass(frozen=True)
@@ -127,10 +133,10 @@ class KMember:
         read-only; unmasked only for family K1.  Index r < size/2 is
         coefficient r of C_{s 1_E}: family K's transform, and K2's carrier
         piece u2 of :func:`split_transform`.  A member that shares a pair
-        reads a view of its E side from index ``shift`` on (size - shift
-        entries; every reader takes at most the first size/2); any other
-        member computes its own on first use, in the masked product's own
-        buffer."""
+        reads a view of its E side, formed when the pair was made, from
+        index ``shift`` on (size - shift entries; every reader takes at most
+        the first size/2); any other member computes its own on first use,
+        in the masked product's own buffer."""
         if self.pair is not None:
             return self.pair.sides[0][self.shift :]
         return _spectrum(self.samples, self.e_mask)
@@ -139,9 +145,9 @@ class KMember:
         """The E side and the complement side fft(samples * ~e_mask) / size
         as whole grid spectra, and the shift k at which they hold this
         member: its coefficient r is their entry (r + k) mod size.  A member
-        that shares a pair reads the pair's, at its ``shift``; any other has
-        k = 0, its ``spectrum`` and a complement side formed here and not
-        kept."""
+        that shares a pair reads the pair's, formed when the pair was made,
+        at its ``shift`` (no FFT here); any other has k = 0, its
+        ``spectrum`` and a complement side formed here and not kept."""
         if self.pair is not None:
             return (*self.pair.sides, self.shift)
         return self.spectrum, _spectrum(self.samples, ~self.e_mask), 0
@@ -184,8 +190,10 @@ def build_member(
     Precomputed boundary samples of the cut-off may be passed when several
     members share one grid.  The family-K members p = z^k built from one
     outer factor and one such array share one :class:`SpectrumPair`, formed
-    on the first read of a spectrum; the array is made read-only, since the
-    pair is formed from it.  Every other member forms its own spectra.
+    here when the first of them is built, before its q, so no q is live
+    while the pair's transforms run; the array is made read-only, since the
+    pair is formed from it.  Every other member forms its own spectra where
+    they are read.
     """
     if family not in _FACTORS:
         raise IngredientMismatch(f"unknown family {family!r}")
@@ -254,8 +262,9 @@ _PAIRS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _shared_pair(outer: OuterFunction, cutoff_samples: np.ndarray) -> SpectrumPair:
-    """The pair of these ingredients, made on first request; the samples are
-    made read-only, since the pair is formed from them."""
+    """The pair of these ingredients, made (with both its sides) on first
+    request; the samples are made read-only, since the pair is formed from
+    them."""
     key = (id(outer), id(cutoff_samples))
     pair = _PAIRS.get(key)
     if pair is None:
@@ -270,7 +279,8 @@ class MemberIngredients:
     a weight on E and the cut-off g of E, with g's samples on W's grid
     (read-only).  Each member takes its own theta and forms theta's samples
     only if its own samples are read.  The family-K members p = z^k built
-    here share one :class:`SpectrumPair`."""
+    here share one :class:`SpectrumPair`, formed when the first of them is
+    built."""
 
     E: BeurlingCarlesonSet
     outer: OuterFunction

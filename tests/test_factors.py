@@ -43,7 +43,14 @@ from bcct.factors import (
     herglotz_exp,
     outer_from_weight,
 )
-from bcct.fixtures import _e_arcs, const_weight, geometric_gaps, taper_weight, two_gap
+from bcct.fixtures import (
+    _e_arcs,
+    cantor_set,
+    const_weight,
+    geometric_gaps,
+    taper_weight,
+    two_gap,
+)
 from bcct.transforms import interior_lattice
 
 G = 13
@@ -93,7 +100,7 @@ class TestBoundaryWeight:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(["two_gap", "geometric_gaps"]),
+        st.sampled_from(["two_gap", "geometric_gaps", "cantor_set"]),
         st.integers(0, 5),
         st.floats(0.0, 1.0),
         st.integers(5, 16),
@@ -101,12 +108,15 @@ class TestBoundaryWeight:
     )
     @example(name="two_gap", arc=1, through=0.0, grid_log2=5, depth=2.0)
     @example(name="geometric_gaps", arc=3, through=1.0, grid_log2=10, depth=2.0)
+    @example(name="cantor_set", arc=1, through=0.0, grid_log2=8, depth=2.0)
     def test_taper_weight_on_arc_slices_is_the_whole_grid_formula(
         self, name, arc, through, grid_log2, depth
     ):
         # E rotated so that angle 0 lies a fraction ``through`` along one of
-        # its arcs (at an end for 0 and 1), so that arc takes two slices
-        E = two_gap() if name == "two_gap" else geometric_gaps(4)
+        # its arcs (at an end for 0 and 1), so that arc takes two slices;
+        # cantor_set(6) has arcs shorter than a cell on the coarse grids
+        E = {"two_gap": two_gap, "geometric_gaps": lambda: geometric_gaps(4),
+             "cantor_set": lambda: cantor_set(6)}[name]()
         a, span = _e_arcs(E)[arc % len(_e_arcs(E))]
         E = rotate_set(E, -(a + through * span) % TWO_PI)
         w = taper_weight(E, grid_log2, depth)

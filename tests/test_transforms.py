@@ -283,9 +283,9 @@ class TestSmoothTransform:
 
 class TestSpectrum:
     def test_one_fft_of_the_member(self, monkeypatch):
-        # The four checks read one spectrum; only the flip's complement side
-        # and the backshift's shifted side take FFTs of their own inputs.
-        m = standard_member("K", monomial(0), 10, k_max=8)
+        # Counted from the build on: the member's pair takes its E side and
+        # complement side there, the four checks read them, and only the
+        # backshift's shifted side takes an FFT of its own input.
         calls = []
         fft = np.fft.fft
 
@@ -294,6 +294,7 @@ class TestSpectrum:
             return fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
+        m = standard_member("K", monomial(0), 10, k_max=8)
         smooth_transform(m)
         flip_check(m)
         backshift_identity(m, 1)
@@ -349,14 +350,21 @@ class TestSharedPair:
 
     def test_criterion_3_members_take_two_ffts(self, monkeypatch):
         # p = 1, z, z^3 as perfbench's criterion 3 job builds and reads them;
-        # with a pair of FFTs per member it took 6
+        # with a pair of FFTs per member it took 6.  The first build forms the
+        # pair, so the reads take none.
         E, W, g, g_samples = _flat_ingredients(12)
         calls = _count_ffts(monkeypatch)
+        built, read = [], []
         for k in (0, 1, 3):
+            before = len(calls)
             m = build_member("K", monomial(k), cutoff=g, cutoff_set=E, outer=W,
                              cutoff_samples=g_samples)
+            built.append(len(calls) - before)
             smooth_transform(m)
             flip_check(m)
+            read.append(len(calls) - before - built[-1])
+        assert built == [2, 0, 0]
+        assert read == [0, 0, 0]
         assert calls == [(1 << 12,)] * 2
 
     def test_both_builders_reach_the_pair(self, E):
@@ -443,10 +451,12 @@ class TestSharedPair:
 
     def test_memory_of_the_criterion_3_loop(self):
         # Criterion 3's loop on 2^16 points, with W and g's samples formed
-        # beforehand, in units of one complex grid array.  Its peak is 4.27,
-        # as it was when each member formed its own spectra (then: a member's
-        # q, s, spectrum and complement side).  Three members kept at once
-        # hold their q and the pair: 5.01, where three grid arrays per
+        # beforehand, in units of one complex grid array.  Its traced peak is
+        # 4.27, as it was when each member formed its own spectra (then: a
+        # member's q, s, spectrum and complement side).  tracemalloc does not
+        # see the grid array of scratch that pocketfft mallocs per transform;
+        # test_rss_of_the_criterion_3_loop counts it.  Three members kept at
+        # once hold their q and the pair: 5.01, where three grid arrays per
         # member (q, s and spectrum) held 9.01.
         E, W, g, g_samples = _flat_ingredients(16, k_max=16)
         unit = 16 << 16
@@ -472,6 +482,38 @@ class TestSharedPair:
             tracemalloc.stop()
         assert peak <= 4.5 * unit
         assert held <= 5.25 * unit
+
+    def test_rss_of_the_criterion_3_loop(self):
+        # Criterion 3's loop on 2^20 points in a fresh interpreter, once W,
+        # g's samples and the grid's FFT plan exist.  The first build forms
+        # the pair before its q, and transforms the complement side in s_0's
+        # own buffer, so the loop's peak (q, s and the two sides) stays within
+        # what the process had touched before it: the peak RSS grew by 0.9 MB
+        # under the benchmark's malloc settings and by 11.9 MB under glibc's
+        # defaults.  A pair formed on the first read, next to the member's q
+        # and with a complement product of its own, grew it by 32.9 and
+        # 43.7 MB.  The bound is one complex grid array (16 MB).
+        code = (
+            "import resource; "
+            "import numpy as np; "
+            "from bcct.cutoff import boundary_samples, build_cutoff; "
+            "from bcct.factors import outer_from_weight; "
+            "from bcct.fixtures import monomial, taper_weight, two_gap; "
+            "from bcct.transforms import build_member, flip_check, smooth_transform; "
+            "E = two_gap(); W = outer_from_weight(taper_weight(E, 20)); "
+            "g = build_cutoff(E, k_max=16); g_samples = boundary_samples(g, 20); "
+            "np.fft.fft(np.zeros(1 << 20, complex)); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "for k in (0, 1, 3):\n"
+            "    m = build_member('K', monomial(k), cutoff=g, cutoff_set=E, outer=W, "
+            "cutoff_samples=g_samples)\n"
+            "    smooth_transform(m).decay_fit; flip_check(m); np.mean(m.samples)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bcct.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) <= 16 * 1024  # ru_maxrss is in kB on Linux
 
 
 class TestFlip:
