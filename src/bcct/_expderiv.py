@@ -18,15 +18,12 @@ derivatives of exp(psi) follow from the complete Bell recurrence
 :func:`_dyadic_level_points` evaluates them on the dyadic distance windows
 off a set, where the derivative-growth and decay certificates are fitted.
 
-:func:`split_rows` runs a large pass whose rows do not depend on one another,
-a pole sum among them, on two threads; it is the package's one use of them.
+Every pass runs on the calling thread; the package starts no thread.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -41,128 +38,27 @@ from .errors import ResolutionError
 # memory on every pass, and their 32 MB temporaries set the peak RSS of runs
 # on small grids.
 _BLOCK_ENTRIES = 1 << 15
-# A pass of at least this many entries splits its rows between the calling
-# thread and a second one (:func:`split_rows`) when the process may run on two
-# CPUs; numpy releases the GIL inside the block's ufuncs and sums.  An entry is
-# a point x pole term of a pole sum (other passes below).  pole_sum at the
-# grid points, two_gap's cut-off at k_max 12 (50 poles), per call, medians of
-# 31 calls on 2 cores (KVM vCPUs, shared), serial against split (wall, and CPU
-# of both threads):
-#
-#     grid    entries    serial    split wall    split CPU
-#     2^14     819200    9.7 ms        5.9 ms      10.1 ms
-#     2^15    1638400   15.3 ms       10.9 ms      18.9 ms
-#     2^16    3276800   27.4 ms       16.2 ms      30.2 ms
-#     2^18   13107200    110 ms         68 ms       124 ms
-#
-# Repeats moved the 2^14 split by 1 to 2 ms.  Below about 2^20 entries the
-# split saves a few milliseconds at most and costs up to 40 % more CPU, so a
-# pole sum over the default 2^14 grid (16384 x 42 = 688128 entries) stays
-# serial.  (g's grid samples take no pole sum: boundary_calculus's
-# pole_sum_on_grid.)
-_SPLIT_ENTRIES = 1 << 20
-# Entries per element of the other passes.  A complex exp took 40 ns, 3 to 4
-# pole sum entries, so an exp of 2^18 points (10 ms serial, 5 ms split)
-# splits.  A window dot's real multiply-add took about 1 ns, but its split is
-# one einsum per thread, where a pole sum's threads hand the GIL over at each
-# of their blocks: 33 dots of 2^17 terms split (6.0 ms serial, 3.8 ms split),
-# and 33 of 2^15 (1.1 ms either way) stay serial.
-_EXP_ENTRIES = 4
-_DOT_ENTRIES = 0.5
-# (os.sched_getaffinity is Linux's; elsewhere every CPU counts.)
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def split_rows(rows: int, step: int, entries: float, part) -> None:
-    """Run a pass over ``rows`` rows whose outputs do not depend on one
-    another, on two threads when it has at least ``_SPLIT_ENTRIES`` entries
-    and the process may use two CPUs, else on this one.
-
-    ``part(lo, hi)`` is called in this thread: it allocates whatever rows
-    lo..hi-1 need and returns the function that does their work.  That
-    function allocates nothing, so no array comes from the second thread's
-    malloc arena.  A split runs the rows below ``cut``, the multiple of
-    ``step`` nearest below the middle, on this thread and the rest on a
-    second one.  That thread is joined before this returns and then holds no
-    reference, so every array is allocated and freed by this thread, in the
-    same order on every run (heap placement, and so peak RSS, stays put).
-    What the second thread raised is re-raised here.
-    """
-    if _CPUS < 2 or entries < _SPLIT_ENTRIES:
-        part(0, rows)()
-        return
-    cut = rows // 2 // step * step
-    second, first = part(cut, rows), part(0, cut)
-    failed = []
-
-    def run_second():
-        try:
-            second()
-        except BaseException as exc:  # re-raised in the calling thread
-            failed.append(exc)
-
-    worker = threading.Thread(target=run_second)
-    worker.start()
-    try:
-        first()
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
 
 
 def pole_sum(poles: np.ndarray, weights: np.ndarray, z, m_max: int = 0) -> list[np.ndarray]:
     """[F, F', ..., F^(m_max)] at z for F(z) = sum_j w_j / (p_j - z).
 
     F^(k)(z) = k! sum_j w_j / (p_j - z)^(k+1); each row is reduced with
-    ``np.sum``, in blocks of at most ``_BLOCK_ENTRIES`` point x pole entries
-    (:func:`_pole_rows`).  The rows split at a block boundary
-    (:func:`split_rows`); the blocks and every row's arithmetic stay the
-    same, so the output is bit-identical to the serial loop.  The results
-    have the shape of ``z``.
+    ``np.sum`` straight into the output, in blocks of at most
+    ``_BLOCK_ENTRIES`` point x pole entries that reuse one difference, power
+    and quotient buffer.  The results have the shape of ``z``.
     """
     z = np.asarray(z, dtype=complex)
     points = z.reshape(-1)
     out = [np.empty(z.size, dtype=complex) for _ in range(m_max + 1)]
-
-    def part(lo, hi):
-        buffers = _block_buffers(hi - lo, len(poles))
-        rows = [o[lo:hi] for o in out]
-        return partial(_pole_rows, poles, weights, points[lo:hi], rows, m_max, buffers)
-
-    split_rows(len(points), _block_rows(len(poles)), len(points) * len(poles), part)
-    return [o.reshape(z.shape) for o in out]
-
-
-def _exp_in_place(a: np.ndarray) -> None:
-    """``np.exp(a, out=a)`` for a 1-d array, split as a pass of
-    ``_EXP_ENTRIES`` entries per element (:func:`split_rows`)."""
-    split_rows(len(a), 1, len(a) * _EXP_ENTRIES,
-               lambda lo, hi: partial(np.exp, a[lo:hi], out=a[lo:hi]))
-
-
-def _block_rows(n_poles: int) -> int:
-    return max(1, _BLOCK_ENTRIES // max(1, n_poles))
-
-
-def _block_buffers(rows: int, n_poles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The difference, power and quotient buffers for blocks of ``rows`` points."""
-    shape = (min(_block_rows(n_poles), rows), n_poles)
-    return tuple(np.empty(shape, dtype=complex) for _ in range(3))
-
-
-def _pole_rows(poles, weights, rows: np.ndarray, out: list[np.ndarray], m_max: int, buffers) -> None:
-    """The blocked loop of :func:`pole_sum` over the points ``rows``, summing
-    F^(k) straight into ``out[k]`` (arrays of ``len(rows)``).  The caller owns
-    ``out`` and the block ``buffers`` (:func:`_block_buffers`), which every
-    block reuses; the loop allocates nothing.
-    """
-    step = _block_rows(len(poles))
-    diff_buf, power_buf, quot_buf = buffers
-    for i in range(0, len(rows), step):
-        n = min(step, len(rows) - i)
+    step = max(1, _BLOCK_ENTRIES // max(1, len(poles)))
+    diff_buf, power_buf, quot_buf = (
+        np.empty((min(step, len(points)), len(poles)), dtype=complex) for _ in range(3)
+    )
+    for i in range(0, len(points), step):
+        n = min(step, len(points) - i)
         diff, power, quot = diff_buf[:n], power_buf[:n], quot_buf[:n]
-        np.subtract(poles, rows[i : i + n, None], out=diff)
+        np.subtract(poles, points[i : i + n, None], out=diff)
         fact = 1.0
         for k in range(m_max + 1):
             if k:
@@ -172,6 +68,7 @@ def _pole_rows(poles, weights, rows: np.ndarray, out: list[np.ndarray], m_max: i
             sums = np.sum(quot, axis=1, out=out[k][i : i + n])
             if k > 1:
                 sums *= fact  # k!; the factor is 1 below k = 2
+    return [o.reshape(z.shape) for o in out]
 
 
 @lru_cache(maxsize=None)

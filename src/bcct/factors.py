@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._expderiv import _dyadic_level_points, _exp_in_place, pole_sum
+from ._expderiv import _dyadic_level_points, pole_sum
 from .boundary_calculus import (
     _cauchy_sum,
     _closed_disk,
@@ -139,7 +139,7 @@ def outer_from_weight(w: BoundaryWeight) -> OuterFunction:
     boundary = np.empty(len(u), dtype=complex)
     boundary.real = u
     boundary.imag = conjugate_function(u)
-    _exp_in_place(boundary)
+    np.exp(boundary, out=boundary)
     boundary.flags.writeable = False
     return OuterFunction(weight=w, boundary=boundary)
 

@@ -34,7 +34,6 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._expderiv import _DOT_ENTRIES, split_rows
 from .boundary_calculus import (
     AnalyticSeries,
     _cauchy_sum,
@@ -421,26 +420,15 @@ def _window_dots(x: np.ndarray, u: np.ndarray, rows: int) -> np.ndarray:
     no window of it is cast to complex; a complex x takes numpy's matmul of
     the strided windows.  Neither calls BLAS, whose dots sum in an order
     that follows its thread count: the residual's last digits stay the same
-    on any number of CPUs.  Each row is one dot, so a real x's rows split
-    between two threads (:func:`split_rows`) with the same bits; matmul's
-    loop holds the GIL, so a complex x stays on this thread.
+    on any number of CPUs.
     """
     windows = sliding_window_view(x, len(u))[:rows]
     if np.iscomplexobj(x):
         return windows @ u
     out = np.empty(rows, dtype=complex)
     u_re, u_im = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
-
-    def part(lo, hi):
-        w, re, im = windows[lo:hi], out.real[lo:hi], out.imag[lo:hi]
-
-        def dots():
-            np.einsum("ij,j->i", w, u_re, out=re)
-            np.einsum("ij,j->i", w, u_im, out=im)
-
-        return dots
-
-    split_rows(rows, 1, rows * len(u) * _DOT_ENTRIES, part)
+    np.einsum("ij,j->i", windows, u_re, out=out.real)
+    np.einsum("ij,j->i", windows, u_im, out=out.imag)
     return out
 
 

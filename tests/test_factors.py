@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import bcct.transforms
 from bcct import _expderiv, factors
-from bcct._expderiv import _BLOCK_ENTRIES, _SPLIT_ENTRIES, _block_buffers, _pole_rows, pole_sum
+from bcct._expderiv import _BLOCK_ENTRIES, pole_sum
 from bcct.boundary_calculus import (
     _fast_length,
     conjugate_function,
@@ -785,144 +785,26 @@ def test_pole_sum_block_edges_and_shapes():
         _assert_pole_sums_equal(poles, weights, np.exp(1j * rng.uniform(0.0, TWO_PI, n)))
     for z in (0.3 - 0.2j, 0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, (3, 5))), np.zeros(0)):
         _assert_pole_sums_equal(poles, weights, z)
-
-
-# ---------------------------------------------------------------------------
-# pole_sum split between two threads against the serial block loop
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def worker_rows(monkeypatch):
-    """Split as on two CPUs (on one as well), and record the rows that each
-    second thread sums."""
-    rows = []
-    serial = _expderiv._pole_rows
-
-    def recorded(poles, weights, points, out, m_max, buffers):
-        if threading.current_thread() is not threading.main_thread():
-            rows.append(len(points))
-        serial(poles, weights, points, out, m_max, buffers)
-
-    monkeypatch.setattr(_expderiv, "_CPUS", 2)
-    monkeypatch.setattr(_expderiv, "_pole_rows", recorded)
-    return rows
-
-
-def _assert_split_equals_serial(poles, weights, z, worker_rows, splits):
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    step = max(1, _BLOCK_ENTRIES // len(poles))
-    for m_max in range(4):
-        worker_rows.clear()
-        ours = pole_sum(poles, weights, z, m_max)
-        ref = [np.empty(flat.shape, dtype=complex) for _ in range(m_max + 1)]
-        _pole_rows(poles, weights, flat, ref, m_max, _block_buffers(len(flat), len(poles)))
-        for k, (a, b) in enumerate(zip(ours, ref)):
-            assert a.shape == z.shape
-            assert np.array_equal(a, b.reshape(z.shape)), (m_max, k)
-        assert len(worker_rows) == splits
-        for rows in worker_rows:  # the second thread starts on a block boundary
-            assert (len(flat) - rows) % step == 0
-            assert 0 < rows and abs(len(flat) - 2 * rows) < 2 * step
-
-
-def test_pole_sum_splits_at_the_threshold(worker_rows):
-    poles, weights = _cutoff_poles()
-    step = _BLOCK_ENTRIES // len(poles)
-    first = -(-_SPLIT_ENTRIES // len(poles))  # the fewest points that split
-    assert (first - 1) * len(poles) < _SPLIT_ENTRIES <= first * len(poles)
-    rng = np.random.default_rng(8)
-    for n, splits in ((first - 1, 0), (first, 1), (first + 7, 1)):
-        assert n % step != 0
-        z = np.exp(1j * rng.uniform(0.0, TWO_PI, n))
-        _assert_split_equals_serial(poles, weights, z, worker_rows, splits)
-
-
-def test_pole_sum_split_shapes(worker_rows):
-    poles, weights = _cutoff_poles()
-    rng = np.random.default_rng(9)
-    z2 = 0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, (2, 33_000)))
-    _assert_split_equals_serial(poles, weights, z2, worker_rows, 1)
-    for z in (np.zeros(0), 0.3 - 0.2j):
-        _assert_split_equals_serial(poles, weights, z, worker_rows, 0)
-
-
-def test_pole_sum_split_with_more_poles_than_a_block(worker_rows):
-    # one point per block (step 1)
-    rng = np.random.default_rng(10)
+    # more poles than a block holds: one point per block
     n_poles = _BLOCK_ENTRIES + 5
     poles = 1.01 * np.exp(1j * rng.uniform(0.0, TWO_PI, n_poles))
     weights = rng.normal(size=n_poles) + 1j * rng.normal(size=n_poles)
-    z = 0.95 * np.exp(1j * rng.uniform(0.0, TWO_PI, 129))
-    assert len(z) * n_poles >= _SPLIT_ENTRIES
-    _assert_split_equals_serial(poles, weights, z, worker_rows, 1)
+    _assert_pole_sums_equal(poles, weights, 0.95 * np.exp(1j * rng.uniform(0.0, TWO_PI, 9)))
 
 
-def test_pole_sum_raises_what_the_second_thread_raised(monkeypatch):
-    def failing(poles, weights, points, out, m_max, buffers):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("second half")
-
-    monkeypatch.setattr(_expderiv, "_CPUS", 2)
-    monkeypatch.setattr(_expderiv, "_pole_rows", failing)
-    poles, weights = _cutoff_poles()
-    threads = threading.active_count()
-    with pytest.raises(MemoryError, match="second half"):
-        pole_sum(poles, weights, np.exp(1j * grid_angles(16)))
-    assert threading.active_count() == threads  # joined
-
-
-def test_split_rows_raises_what_the_second_thread_raised(monkeypatch):
-    # the shared helper: both parts are prepared on the calling thread, the
-    # first part runs to its end, and the second thread's error is re-raised
-    # here after the join
-    monkeypatch.setattr(_expderiv, "_CPUS", 2)
-    prepared, done = [], []
-
-    def part(lo, hi):
-        prepared.append((lo, hi, threading.current_thread() is threading.main_thread()))
-
-        def work():
-            if threading.current_thread() is not threading.main_thread():
-                raise MemoryError("second part")
-            done.append((lo, hi))
-
-        return work
-
-    threads = threading.active_count()
-    with pytest.raises(MemoryError, match="second part"):
-        _expderiv.split_rows(1000, 7, _SPLIT_ENTRIES, part)
-    assert threading.active_count() == threads  # joined
-    assert prepared == [(497, 1000, True), (0, 497, True)]  # 497 = 1000 // 2 // 7 * 7
-    assert done == [(0, 497)]
-
-
-def test_split_rows_stays_serial_below_the_threshold_or_on_one_cpu(monkeypatch):
-    ran = []
-
-    def part(lo, hi):
-        return lambda: ran.append((lo, hi, threading.current_thread() is threading.main_thread()))
-
-    for cpus, entries in ((2, _SPLIT_ENTRIES - 1), (1, _SPLIT_ENTRIES)):
-        ran.clear()
-        monkeypatch.setattr(_expderiv, "_CPUS", cpus)
-        _expderiv.split_rows(1000, 7, entries, part)
-        assert ran == [(0, 1000, True)]
-
+# ---------------------------------------------------------------------------
+# one thread: every pass runs on the calling thread
+# ---------------------------------------------------------------------------
 
 def test_pole_sum_worker_count_is_not_a_setting():
-    # a second thread only where the process may use two CPUs; no parameter
-    # or environment variable chooses it
+    # no parameter or environment variable chooses how a pass runs
     assert list(inspect.signature(pole_sum).parameters) == ["poles", "weights", "z", "m_max"]
     source = inspect.getsource(_expderiv)
     assert "environ" not in source and "getenv" not in source
-    if hasattr(os, "sched_getaffinity"):
-        assert _expderiv._CPUS == len(os.sched_getaffinity(0))
 
 
 def test_pole_sum_from_many_threads():
-    # callers on more threads than cores, each with its own second thread,
-    # must each get their own rows back
+    # callers on more threads than cores must each get their own rows back
     poles, weights = _cutoff_poles()
     rng = np.random.default_rng(11)
     zs = [np.exp(1j * rng.uniform(0.0, TWO_PI, 70_000 + 13 * i)) for i in range(6)]
@@ -947,47 +829,32 @@ def test_pole_sum_from_many_threads():
         assert all(np.array_equal(a, b) for a, b in zip(g, e))
 
 
-# ---------------------------------------------------------------------------
-# the other passes that split, on one CPU against two
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def second_parts(monkeypatch):
-    """Record the rows (lo, hi) of every part that ran on a second thread."""
-    rows = []
-    split = _expderiv.split_rows
-
-    def recorded(n, step, entries, part):
-        def spied(lo, hi):
-            work = part(lo, hi)
-
-            def run():
-                if threading.current_thread() is not threading.main_thread():
-                    rows.append((lo, hi))
-                work()
-
-            return run
-
-        split(n, step, entries, spied)
-
-    monkeypatch.setattr(_expderiv, "split_rows", recorded)
-    monkeypatch.setattr(bcct.transforms, "split_rows", recorded)
-    return rows
-
-
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("k_max, log2, splits", [(12, 15, True), (10, 14, False)],
-                         ids=["32768x50", "16384x42_default_grid"])
-def test_split_threshold_at_workload_sizes(second_parts, monkeypatch, k_max, log2, splits):
-    # a pole sum of 2^15 points and 50 poles splits, and one on the default
-    # grid with its 42 poles, 16384 x 42 = 688128 entries, stays serial
-    c = build_cutoff(two_gap(), k_max=k_max)
-    monkeypatch.setattr(_expderiv, "_CPUS", 2)
-    pole_sum(c.poles, -c.weights, grid_points(log2))
-    assert bool(second_parts) == splits
+def _k2_window_inputs(complex_x):
+    """x and u at K2's shape at band 2^20: 33 rows of 2^17-term dots."""
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=1 << 17) + 1j * rng.normal(size=1 << 17)
+    x = rng.normal(size=(1 << 17) + 40)
+    if complex_x:
+        x = x + 1j * rng.normal(size=len(x))
+    return x, u
+
+
+def test_the_package_starts_no_thread(monkeypatch):
+    # the largest passes whose rows do not depend on one another: the outer
+    # factor's exp at 2^18, K2's window dots and a pole sum of 2^16 x 66
+    # entries
+    def refused(self):
+        raise AssertionError(f"a thread was started: {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    outer_from_weight(taper_weight(two_gap(), 18))
+    bcct.transforms._window_dots(*_k2_window_inputs(False), 33)
+    poles, weights = _cutoff_poles()
+    pole_sum(poles, weights, np.exp(1j * grid_angles(16)))
 
 
 def test_boundary_samples_same_bits_on_one_and_two_cpus():
@@ -1019,27 +886,20 @@ def test_boundary_samples_same_bits_on_one_and_two_cpus():
     assert hashes == {f"{here}\n"}
 
 
-def test_outer_boundary_same_bits_on_one_and_two_cpus(second_parts, monkeypatch):
-    w = taper_weight(two_gap(), 18)  # 2^18 complex exps split
-    monkeypatch.setattr(_expderiv, "_CPUS", 1)
-    serial = outer_from_weight(w).boundary
-    assert not second_parts
-    monkeypatch.setattr(_expderiv, "_CPUS", 2)
-    split = outer_from_weight(w).boundary
-    assert second_parts == [(1 << 17, 1 << 18)]
-    assert np.array_equal(_bits(split), _bits(serial))
+def test_outer_boundary_same_bits_on_one_and_two_cpus():
+    # the boundary exp runs on the calling thread, so its bits are the
+    # formula's on any number of CPUs
+    w = taper_weight(two_gap(), 18)
     u = w.log_values
-    assert np.array_equal(_bits(split), _bits(np.exp(u + 1j * conjugate_function(u))))
+    boundary = outer_from_weight(w).boundary
+    assert np.array_equal(_bits(boundary), _bits(np.exp(u + 1j * conjugate_function(u))))
 
 
 @pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
-def test_window_dots_same_bits_on_one_and_two_cpus(second_parts, monkeypatch, complex_x):
-    # K2's shape at band 2^20: 33 rows of 2^17-term dots
-    rng = np.random.default_rng(12)
-    u = rng.normal(size=1 << 17) + 1j * rng.normal(size=1 << 17)
-    x = rng.normal(size=(1 << 17) + 40)
-    if complex_x:
-        x = x + 1j * rng.normal(size=len(x))
+def test_window_dots_same_bits_on_one_and_two_cpus(complex_x):
+    # K2's dots run on the calling thread and call no BLAS, so their bits
+    # are the reference's on any number of CPUs
+    x, u = _k2_window_inputs(complex_x)
     windows = np.lib.stride_tricks.sliding_window_view(x, len(u))[:33]
     if complex_x:
         ref = windows @ u
@@ -1047,23 +907,15 @@ def test_window_dots_same_bits_on_one_and_two_cpus(second_parts, monkeypatch, co
         ref = np.empty(33, dtype=complex)
         ref.real = np.einsum("ij,j->i", windows, u.real.copy())
         ref.imag = np.einsum("ij,j->i", windows, u.imag.copy())
-    monkeypatch.setattr(_expderiv, "_CPUS", 1)
-    serial = bcct.transforms._window_dots(x, u, 33)
-    assert not second_parts
-    monkeypatch.setattr(_expderiv, "_CPUS", 2)
-    split = bcct.transforms._window_dots(x, u, 33)
-    # matmul holds the GIL, so a complex x is not split
-    assert second_parts == ([] if complex_x else [(16, 33)])
-    assert np.array_equal(_bits(split), _bits(serial))
-    assert np.array_equal(_bits(split), _bits(ref))
+    assert np.array_equal(_bits(bcct.transforms._window_dots(x, u, 33)), _bits(ref))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_pole_sum_in_a_forked_child():
-    # a fork copies only the calling thread; a split in the child must not
-    # wait on a thread of the parent
+    # a fork copies only the calling thread; a pole sum in the child must
+    # finish on the child's own thread
     poles, weights = _cutoff_poles()
-    z = np.exp(1j * grid_angles(16))  # 2^16 x 66 entries: a split sum
+    z = np.exp(1j * grid_angles(16))  # 2^16 x 66 entries
     expect = pole_sum(poles, weights, z)[0]
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
