@@ -86,8 +86,11 @@ def boundary_weight(E: BeurlingCarlesonSet, values, grid_log2: int) -> BoundaryW
         vals = np.asarray(values, dtype=float)
         if vals.shape != (n,):
             raise ValueError("weight samples must cover the full grid")
-    on = vals[mask]
-    if on.size and (np.any(~np.isfinite(on)) or np.any(on <= 0.0)):
+    # the carrier's least and greatest samples, with no gathered copy: NaN
+    # propagates through both, and an empty carrier reads (inf, -inf)
+    low = np.min(vals, where=mask, initial=np.inf)
+    high = np.max(vals, where=mask, initial=-np.inf)
+    if not (low > 0.0 and high < np.inf):
         raise WeightNotLogIntegrable("weight must be finite and positive on the carrier")
     # u is built in one array, with no grid-sized temporaries:
     # log(max(w, 1e-320)) on the carrier only and 0 off it

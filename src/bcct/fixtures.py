@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary_calculus import AnalyticSeries, grid_angles, monomial
+from .boundary_calculus import AnalyticSeries, monomial
 from .circle_sets import TWO_PI, Arc, BeurlingCarlesonSet, point_carrier, validate_set, wrap_angle
 from .cutoff import CutoffFunction, build_cutoff
 from .dbr import SymbolB, restricted_symbol
@@ -93,19 +93,30 @@ def taper_weight(E: BeurlingCarlesonSet, grid_log2: int, depth: float = 2.0) -> 
     C^{1,1} on the circle and the outer boundary data is clean.  Each arc's
     profile is formed on the contiguous grid slices the arc covers
     (:func:`_arc_slices`), with u from each slice's angle offset (no mod
-    pass), and kept where 0 <= u <= span.
+    pass), and kept where 0 <= u <= span.  No grid-sized array is formed
+    besides the values: a slice's angles are :func:`grid_angles`' entries,
+    by its own operations on the slice's indices, and the profile is built
+    in one buffer, so a slice takes two float arrays of its length (u and
+    the profile) and its keep mask.
     """
-    t = grid_angles(grid_log2)
-    vals = np.ones_like(t)
+    n = 1 << grid_log2
+    vals = np.ones(n)
     for a, span in _e_arcs(E):
-        for piece, offset in _arc_slices(a, span, len(t)):
-            u = t[piece] - a
+        for piece, offset in _arc_slices(a, span, n):
+            u = np.arange(piece.start, piece.stop, dtype=float)
+            u *= TWO_PI
+            u /= n
+            u -= a
             u += offset
-            prof = np.exp(-depth * np.sin(np.pi * np.clip(u / span, 0.0, 1.0)) ** 2)
+            prof = u / span
+            np.clip(prof, 0.0, 1.0, out=prof)
+            prof *= np.pi
+            np.sin(prof, out=prof)
+            np.square(prof, out=prof)
+            prof *= -depth
+            np.exp(prof, out=prof)
             keep = u <= span
             keep &= u >= 0.0
-            # In place: a new array per arc shifted where later arrays land on
-            # the heap, and raised a 2^21-grid transform run's peak RSS by 46 MB.
             np.copyto(vals[piece], prof, where=keep)
     return boundary_weight(E, vals, grid_log2)
 

@@ -66,6 +66,29 @@ class TestBoundaryWeight:
         with pytest.raises(WeightNotLogIntegrable):
             boundary_weight(E, 0.0, G)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_one_bad_sample_on_the_carrier_is_refused(self, E, bad):
+        # the check reads the carrier's least and greatest samples, with no
+        # gathered copy: one bad carrier node is refused, the same value off
+        # the carrier is accepted and changes nothing the weight derives, and
+        # neither raises a numpy warning
+        clean = taper_weight(E, G)
+        on = np.flatnonzero(clean.mask)[[0, -1]]
+        off = np.flatnonzero(~clean.mask)[[0, -1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for node in on:
+                vals = clean.values.copy()
+                vals[node] = bad
+                with pytest.raises(WeightNotLogIntegrable):
+                    boundary_weight(E, vals, G)
+            for node in off:
+                vals = clean.values.copy()
+                vals[node] = bad
+                w = boundary_weight(E, vals, G)
+                assert np.array_equal(w.log_values, clean.log_values)
+                assert w.log_integral == clean.log_integral
+
     def test_log_integral_quadrature(self, E):
         w = boundary_weight(E, 0.25, G)
         frac = np.count_nonzero(w.mask) / (1 << G)
@@ -109,12 +132,15 @@ class TestBoundaryWeight:
     @example(name="two_gap", arc=1, through=0.0, grid_log2=5, depth=2.0)
     @example(name="geometric_gaps", arc=3, through=1.0, grid_log2=10, depth=2.0)
     @example(name="cantor_set", arc=1, through=0.0, grid_log2=8, depth=2.0)
+    @example(name="two_gap", arc=1, through=1.0, grid_log2=21, depth=2.0)
     def test_taper_weight_on_arc_slices_is_the_whole_grid_formula(
         self, name, arc, through, grid_log2, depth
     ):
         # E rotated so that angle 0 lies a fraction ``through`` along one of
         # its arcs (at an end for 0 and 1), so that arc takes two slices;
-        # cantor_set(6) has arcs shorter than a cell on the coarse grids
+        # cantor_set(6) has arcs shorter than a cell on the coarse grids.
+        # two_gap's second arc ends at angle 0, so the rotation at its end is
+        # by exactly 0: that example is criterion 3's own set and grid
         E = {"two_gap": two_gap, "geometric_gaps": lambda: geometric_gaps(4),
              "cantor_set": lambda: cantor_set(6)}[name]()
         a, span = _e_arcs(E)[arc % len(_e_arcs(E))]
@@ -857,48 +883,70 @@ def test_the_package_starts_no_thread(monkeypatch):
     pole_sum(poles, weights, np.exp(1j * grid_angles(16)))
 
 
-def test_boundary_samples_same_bits_on_one_and_two_cpus():
-    # g's grid samples take their spectrum from one real BLAS product
-    # (pole_sum_on_grid), on OpenBLAS's threads: the bits must follow neither
-    # its thread count nor the CPUs the process may use (one CPU as under
-    # taskset), at 2^10, 2^16 and criterion 3's 2^21, and match this process.
-    code = (
-        "import hashlib, os, sys\n"
+def _outputs_on_one_and_all_cpus(code):
+    """What ``code`` prints in fresh interpreters on all CPUs under
+    OPENBLAS_NUM_THREADS=1 and =2, and on one CPU (as under taskset), as a
+    set."""
+    prelude = (
+        "import os, sys\n"
         "if sys.argv[1] == 'one-cpu':\n"
         "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "from bcct.cutoff import boundary_samples, build_cutoff\n"
-        "from bcct.fixtures import two_gap\n"
-        "c = build_cutoff(two_gap(), k_max=16)\n"
-        "print([hashlib.sha256(boundary_samples(c, k).tobytes()).hexdigest() for k in (10, 16, 21)])\n"
     )
     base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     base["PYTHONPATH"] = str(Path(bcct.__file__).parents[1])
     runs = [("threads", {"OPENBLAS_NUM_THREADS": "1"}), ("threads", {"OPENBLAS_NUM_THREADS": "2"})]
     if hasattr(os, "sched_setaffinity"):
         runs.append(("one-cpu", {}))
-    hashes = {
-        subprocess.run([sys.executable, "-c", code, mode], env=dict(base, **env), capture_output=True,
-                       text=True, check=True).stdout
+    return {
+        subprocess.run([sys.executable, "-c", prelude + code, mode], env=dict(base, **env),
+                       capture_output=True, text=True, check=True).stdout
         for mode, env in runs
     }
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_boundary_samples_same_bits_on_one_and_two_cpus():
+    # g's grid samples take their spectrum from one real BLAS product
+    # (pole_sum_on_grid), on OpenBLAS's threads: the bits must follow neither
+    # its thread count nor the CPUs the process may use, at 2^10, 2^16 and
+    # criterion 3's 2^21, and match this process.
+    code = (
+        "import hashlib\n"
+        "from bcct.cutoff import boundary_samples, build_cutoff\n"
+        "from bcct.fixtures import two_gap\n"
+        "c = build_cutoff(two_gap(), k_max=16)\n"
+        "print([hashlib.sha256(boundary_samples(c, k).tobytes()).hexdigest() for k in (10, 16, 21)])\n"
+    )
     c = build_cutoff(two_gap(), k_max=16)
-    here = [hashlib.sha256(boundary_samples(c, k).tobytes()).hexdigest() for k in (10, 16, 21)]
-    assert hashes == {f"{here}\n"}
+    here = [_sha(boundary_samples(c, k)) for k in (10, 16, 21)]
+    assert _outputs_on_one_and_all_cpus(code) == {f"{here}\n"}
 
 
 def test_outer_boundary_same_bits_on_one_and_two_cpus():
-    # the boundary exp runs on the calling thread, so its bits are the
-    # formula's on any number of CPUs
+    # W's boundary at 2^18 runs on the calling thread and calls no BLAS: its
+    # bits are the formula's here, and this process's in fresh interpreters
+    # on one CPU and on all, under one and two BLAS threads
     w = taper_weight(two_gap(), 18)
     u = w.log_values
     boundary = outer_from_weight(w).boundary
     assert np.array_equal(_bits(boundary), _bits(np.exp(u + 1j * conjugate_function(u))))
+    code = (
+        "import hashlib\n"
+        "from bcct.factors import outer_from_weight\n"
+        "from bcct.fixtures import taper_weight, two_gap\n"
+        "print(hashlib.sha256(outer_from_weight(taper_weight(two_gap(), 18)).boundary.tobytes()).hexdigest())\n"
+    )
+    assert _outputs_on_one_and_all_cpus(code) == {f"{_sha(boundary)}\n"}
 
 
 @pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
 def test_window_dots_same_bits_on_one_and_two_cpus(complex_x):
-    # K2's dots run on the calling thread and call no BLAS, so their bits
-    # are the reference's on any number of CPUs
+    # K2's dots run on the calling thread and call no BLAS: their bits are
+    # the reference's here, and this process's in fresh interpreters on one
+    # CPU and on all, under one and two BLAS threads
     x, u = _k2_window_inputs(complex_x)
     windows = np.lib.stride_tricks.sliding_window_view(x, len(u))[:33]
     if complex_x:
@@ -907,7 +955,16 @@ def test_window_dots_same_bits_on_one_and_two_cpus(complex_x):
         ref = np.empty(33, dtype=complex)
         ref.real = np.einsum("ij,j->i", windows, u.real.copy())
         ref.imag = np.einsum("ij,j->i", windows, u.imag.copy())
-    assert np.array_equal(_bits(bcct.transforms._window_dots(x, u, 33)), _bits(ref))
+    dots = bcct.transforms._window_dots(x, u, 33)
+    assert np.array_equal(_bits(dots), _bits(ref))
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from bcct.transforms import _window_dots\n"
+        + inspect.getsource(_k2_window_inputs)
+        + f"print(hashlib.sha256(_window_dots(*_k2_window_inputs({complex_x}), 33).tobytes()).hexdigest())\n"
+    )
+    assert _outputs_on_one_and_all_cpus(code) == {f"{_sha(dots)}\n"}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

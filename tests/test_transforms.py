@@ -454,10 +454,10 @@ class TestSharedPair:
         # beforehand, in units of one complex grid array.  Its traced peak is
         # 4.27, as it was when each member formed its own spectra (then: a
         # member's q, s, spectrum and complement side).  tracemalloc does not
-        # see the grid array of scratch that pocketfft mallocs per transform;
-        # test_rss_of_the_criterion_3_loop counts it.  Three members kept at
-        # once hold their q and the pair: 5.01, where three grid arrays per
-        # member (q, s and spectrum) held 9.01.
+        # see the scratch that pocketfft mallocs per transform (two grid
+        # arrays for a complex one); test_rss_of_the_criterion_3_loop counts
+        # it.  Three members kept at once hold their q and the pair: 5.01,
+        # where three grid arrays per member (q, s and spectrum) held 9.01.
         E, W, g, g_samples = _flat_ingredients(16, k_max=16)
         unit = 16 << 16
         tracemalloc.start()
@@ -488,9 +488,10 @@ class TestSharedPair:
         # g's samples and the grid's FFT plan exist.  The first build forms
         # the pair before its q, and transforms the complement side in s_0's
         # own buffer, so the loop's peak (q, s and the two sides) stays within
-        # what the process had touched before it: the peak RSS grew by 0.9 MB
-        # under the benchmark's malloc settings and by 11.9 MB under glibc's
-        # defaults.  A pair formed on the first read, next to the member's q
+        # what the process had touched before it: the peak RSS grew by 1 MB
+        # under the benchmark's malloc settings and by 9.1 MB under glibc's
+        # defaults (11.9 MB with the taper weight's whole-grid temporaries
+        # before it).  A pair formed on the first read, next to the member's q
         # and with a complement product of its own, grew it by 32.9 and
         # 43.7 MB.  The bound is one complex grid array (16 MB).
         code = (
@@ -514,6 +515,39 @@ class TestSharedPair:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert int(proc.stdout) <= 16 * 1024  # ru_maxrss is in kB on Linux
+
+    def test_rss_of_all_of_criterion_3(self):
+        # All of criterion 3 on 2^20 points in a fresh interpreter, once the
+        # grid's FFT plans exist: the taper weight, W, g's samples and the
+        # loop.  The weight is built with no grid-sized temporaries, so the
+        # peak is that of the arrays the pair's second transform needs: W,
+        # g's samples, the two sides and pocketfft's scratch.  The peak RSS
+        # grew by 57.7 MB, under the benchmark's malloc settings and under
+        # glibc's defaults alike; a weight formed over a whole-grid angle
+        # array, and checked on a gathered copy of its carrier samples, grew
+        # it by 66.8 MB.  The bound lies between the two.
+        code = (
+            "import resource; "
+            "import numpy as np; "
+            "from bcct.cutoff import boundary_samples, build_cutoff; "
+            "from bcct.factors import outer_from_weight; "
+            "from bcct.fixtures import monomial, taper_weight, two_gap; "
+            "from bcct.transforms import build_member, flip_check, smooth_transform; "
+            "E = two_gap(); g = build_cutoff(E, k_max=16); "
+            "np.fft.ifft(np.fft.fft(np.zeros(1 << 20, complex))); "
+            "np.fft.irfft(np.fft.rfft(np.zeros(1 << 20))); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "W = outer_from_weight(taper_weight(E, 20)); g_samples = boundary_samples(g, 20)\n"
+            "for k in (0, 1, 3):\n"
+            "    m = build_member('K', monomial(k), cutoff=g, cutoff_set=E, outer=W, "
+            "cutoff_samples=g_samples)\n"
+            "    smooth_transform(m).decay_fit; flip_check(m); np.mean(m.samples)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bcct.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) <= 62 * 1024  # ru_maxrss is in kB on Linux
 
 
 class TestFlip:
