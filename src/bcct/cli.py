@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -131,14 +132,21 @@ def _round17(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_round17(obj), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(_round17(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    _write_text(path, text.getvalue())
+
+
+def _write_text(path: Path, text: str) -> None:
+    """``text`` into ``path``; an unwritable file is a configuration error."""
+    try:
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +311,8 @@ def run_suite(run: _Run) -> int:
     for name in run.suites:
         try:
             res = _SUITE_FN[name](run)
+        except ConfigError:
+            raise  # an output file that cannot be written ends the run
         except ToolkitError as exc:
             res = {"checks": [_check("execution", str(exc), None, False)]}
         res["suite"] = name

@@ -15,8 +15,8 @@ by Delta^2 = 1 - |b_F|^2, which makes the defining relation
     P_+(conj(b) f) = -P_+(Delta g)
 
 hold to rounding for the kernel tuples (f, g) = (k_b(lam,.), -conj(b(lam))
-Delta s_lam).  The permanence check assembles the model-space membership
-residual and the two split-functional bounds for a family of members.
+Delta s_lam).  The permanence check assembles, from one K2 member, the
+model-space residual of p = z^0..z^3 and the two split-functional bounds.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .factors import (
 from .spaces import WeightSequence, rapid_weight
 from .transforms import (
     MemberIngredients,
-    _max_orthogonality,
     interior_lattice,
+    model_space_orthogonality,
     split_transform,
 )
 
@@ -318,33 +318,29 @@ def permanence_report(
 ) -> PermanenceReport:
     """Finite-scale permanence evidence for theta over (E, W, g_E).
 
-    Builds the degree-0..3 members s = theta conj(zeta p g_E W), computes
-    the model-space membership residual for k <= 32 from q and theta's
-    coefficients, splits the base transform (the one member whose samples
-    are formed) into the complement piece u1 and the carrier piece u2, and
-    fits the functional constants  max_j |u1_j| sqrt(alpha_j)  (boundedness
-    against the dual weighted norm) and  max_j |u2_j| / ||sqrt(w)||, with w
-    the weight of W (boundedness against the weighted boundary norm), over
-    the degree windows PERMANENCE_DEGREES.  With the singular support on E
-    both families of constants stabilize; an atom inside a gap degrades the
-    u1 family, which is reported, not thresholded.
+    Builds the one member s = theta conj(zeta g_E W), p = 1, computes the
+    model-space membership residual for k <= 32 of the members p = z^0..z^3,
+    read from its q at shifts 0..3, splits its transform into the complement
+    piece u1 and the carrier piece u2, and fits the functional constants
+    max_j |u1_j| sqrt(alpha_j)  (boundedness against the dual weighted norm)
+    and  max_j |u2_j| / ||sqrt(w)||, with w the weight of W (boundedness
+    against the weighted boundary norm), over the degree windows
+    PERMANENCE_DEGREES.  With the singular support on E both families of
+    constants stabilize; an atom inside a gap degrades the u1 family, which
+    is reported, not thresholded.
 
     When ``alpha`` is None a weight sequence is constructed from the first
     4096 coefficients of u1, reducing the polynomial order from 4 until the
     construction fits that range.
     """
-    # theta's coefficients are computed once for all four members, and its
-    # samples only for the split of the first.
-    members = [ingredients.member(monomial(j), theta) for j in range(4)]
+    member = ingredients.member(monomial(0), theta)
+    resid = model_space_orthogonality(member, 32, orth_band, count=4)
     if theta.is_trivial:
         # Model space of theta = 1 is trivial; all functionals vanish.
-        resid = _max_orthogonality(members, 32, min(orth_band, 4096))
         return PermanenceReport(resid, PERMANENCE_DEGREES, (), (), 1.0, 1.0, 0, trivial=True)
 
-    resid = _max_orthogonality(members, 32, orth_band)
-
     top = max(PERMANENCE_DEGREES)
-    split = split_transform(members[0])
+    split = split_transform(member)
     u1 = split.u1.coeffs
 
     orders = 0
@@ -366,7 +362,7 @@ def permanence_report(
     c1, s1 = _fitted_constants(c1_vals, PERMANENCE_DEGREES)
     # ||z^k sqrt(w)||_{L^2(E)} is independent of k; <z^k, u2> = conj(u2_k).
     w = ingredients.outer.weight
-    wnorm = math.sqrt(float(np.sum(w.values[w.mask])) / members[0].size)
+    wnorm = math.sqrt(float(np.sum(w.values[w.mask])) / member.size)
     c2_vals = np.abs(split.u2.coeffs[: top + 1]) / max(wnorm, 1e-300)
     c2, s2 = _fitted_constants(c2_vals, PERMANENCE_DEGREES)
     return PermanenceReport(

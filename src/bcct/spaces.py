@@ -185,11 +185,11 @@ def annihilator_check(
 
     For each k <= k_max this evaluates
         -int z^k conj(C_{s 1_E}) dm + int_E z^k conj(s) dm,
-    the two integrals computed through independent grid sums, the first from
-    the transform coefficients in ``member.spectrum``.  The value is zero
-    because the transform is the analytic projection of s 1_E.  An
-    optional perturbation series is added to the transform to produce
-    negative controls.
+    both as sums over one grid: the first over the samples synthesized from
+    ``member.spectrum``, the second over the masked samples it is the FFT of,
+    so they agree to rounding for any samples (complex noise in place of q at
+    grid 14 reads 3.7e-17): this certifies the grid transform, not how s is
+    built.  A perturbation added to the transform gives the negative control.
     """
     n = member.size
     mask = member.e_mask

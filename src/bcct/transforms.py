@@ -19,9 +19,9 @@ shift theorem each is the p = 1 member's read from index k on
 (:class:`SpectrumPair`, formed when the first of those members is built,
 before its own q), and those members take no FFT of their own.  For
 K1/K2 the transforms lie in the model space of theta; the orthogonality
-residual is computed in coefficient space against exact inner-function
-coefficients, which keeps the slowly decaying spectrum of an atomic inner
-factor from polluting the check.
+residual, of the members p = z^i too (p = 1's q read at shift i), is computed
+in coefficient space against exact inner-function coefficients, which keeps
+an atomic inner factor's slowly decaying spectrum out of the check.
 """
 
 from __future__ import annotations
@@ -374,9 +374,11 @@ def backshift_identity(member: KMember, k: int) -> float:
 
     The left side shifts ``member.spectrum``; the right side is its own FFT
     of the shifted, masked samples, with conj(zeta)^k the conjugate of the
-    grid samples of z^k (:func:`synthesize_analytic`).  The right side never
-    reads a shared pair, so this checks the shift that members p = z^k read
-    their spectra through.
+    grid samples of z^k (:func:`synthesize_analytic`).  By the DFT shift
+    theorem both agree to rounding for any samples (complex noise in place
+    of q at grid 14 reads 1.5e-17 for k <= 8), so this certifies the grid
+    transform, not the construction of s.  The right side never reads a
+    shared pair: this checks the shift that members p = z^k read through.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -389,10 +391,13 @@ def backshift_identity(member: KMember, k: int) -> float:
     return float(np.max(np.abs(left - right)))
 
 
-def _q_coefficients(member: KMember, band: int) -> np.ndarray:
-    """Coefficients 0..q_band of the member's analytic part q, with
-    q_band = min(band, size/2 - 1)."""
-    return analytic_coefficients(member.q_samples, min(band, member.size // 2 - 1)).coeffs
+def _q_coefficients(member: KMember, band: int, count: int = 1) -> np.ndarray:
+    """Coefficients 0..q_band of z^i q, i < count, one row each, with q the
+    member's analytic part and q_band = min(band, size/2 - 1): on the grid
+    z^i q is zeta^i q, so its coefficient r is entry (r - i) mod size of q's
+    one spectrum (the DFT shift theorem)."""
+    lags = np.arange(min(band, member.size // 2 - 1) + 1) - np.arange(count)[:, None]
+    return _spectrum(member.q_samples)[lags]
 
 
 def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticSeries:
@@ -403,7 +408,7 @@ def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticS
     Taylor coefficients of theta avoids the aliasing floor that pointwise
     sampling of an atomic inner factor would impose.
     """
-    q_hat = _q_coefficients(member, band)
+    q_hat = _q_coefficients(member, band)[0]
     if member.theta is None or member.theta.is_trivial:
         out = np.zeros(band + 1, dtype=complex)
         out[0] = np.conj(q_hat[0])
@@ -432,11 +437,15 @@ def _window_dots(x: np.ndarray, u: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
-    """max over the members and k = 0..max_k of | <theta z^k, C_s> |.
-
-    The members must share one inner factor and one grid.  With c the
-    transform coefficients (:func:`transform_coefficients_exact`), the residual is
+def model_space_orthogonality(
+    member: KMember, max_k: int = 32, band: int = 8192, count: int = 1
+) -> float:
+    """max over k = 0..max_k and the members s = theta conj(z^i q) for p z^i,
+    i < count, of | <theta z^k, C_s> |, theta and q being the member's own
+    (:func:`_q_coefficients`); it vanishes when each C_s lies in the model
+    space of theta.  With c the transform coefficients 0..band of one s
+    (:func:`transform_coefficients_exact`), the residual is the band-limited
+    grid inner product
 
         r_k = conj(<theta z^k, C_s>) = sum_{m=0}^{band-k} conj(theta_m) c_{m+k}.
 
@@ -451,21 +460,17 @@ def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
 
     The factor w^k drops out of |r_k|, so only the q_band + 1 powers w^j are
     formed.  A, the truncated autocorrelation of a, is one FFT correlation
-    shared by all members, a real one for a single atom; each member then
-    costs K + 1 dot products against A and K against a (its c~_{M0+1}..
-    c~_band), all of length q_band + 1, plus a K-term tail.  NaN anywhere
-    propagates to the result.
+    shared by every s, a real one for a single atom; each s then costs
+    K + 1 dot products against A and K against a (its c~_{M0+1}..c~_band),
+    all of length q_band + 1, plus a K-term tail.  NaN anywhere propagates
+    to the result.
     """
-    first = members[0]
-    for m in members:
-        if m.theta is not first.theta or m.size != first.size:
-            raise IngredientMismatch("members must share one inner factor and one grid")
-    q_hats = [_q_coefficients(m, band) for m in members]
-    if first.theta is None or first.theta.is_trivial:
+    q_hats = _q_coefficients(member, band, count)
+    if member.theta is None or member.theta.is_trivial:
         # C_s = conj(q_0), so r_0 = conj(q_0) and every other r_k is 0.
-        return float(np.max(np.abs([q[0] for q in q_hats])))
-    q_len = len(q_hats[0])
-    phi, a = first.theta.coefficient_frame(band + q_len - 1)  # a_0..a_{M0 + K + q_band}
+        return float(np.max(np.abs(q_hats[:, 0])))
+    q_len = q_hats.shape[1]
+    phi, a = member.theta.coefficient_frame(band + q_len - 1)  # a_0..a_{M0 + K + q_band}
     K = min(max_k, band)
     m0 = band - K
     A = _fft_correlate(a[: m0 + 1], a, q_len + K)
@@ -479,19 +484,6 @@ def _max_orthogonality(members: list[KMember], max_k: int, band: int) -> float:
             r[k] += np.vdot(a[m0 + 1 : band + 1 - k], c_tail[k:])
         resid.append(np.abs(r))
     return float(np.max(resid))
-
-
-def model_space_orthogonality(member: KMember, max_k: int = 32, band: int = 8192) -> float:
-    """max_k | <theta z^k, C_s> | for k = 0..max_k, in coefficient space,
-    theta being the member's own inner factor.
-
-    The inner product of theta z^k against the transform is the coefficient
-    lag sum of the exact theta coefficients with the transform coefficients
-    0..band (the band-limited form of the grid inner product), evaluated
-    through theta's autocorrelation as in :func:`_max_orthogonality`; it
-    vanishes when C_s belongs to the model space of theta.
-    """
-    return _max_orthogonality([member], max_k, band)
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,28 @@ class TestPermanence:
         permanence_report(theta, ingredients, None, 4096)
         assert calls == [12]
 
+    def test_one_member_and_three_grid_ffts(self, monkeypatch):
+        # the CLI's default permanence suite: grid 14, band 2^18.  The members
+        # p = z^0..z^3 are read from one q transform; the split of p = 1 takes
+        # its E side and its complement side.  Four members built separately
+        # took four q transforms, six grid FFTs in all.
+        import bcct.transforms
+
+        ingredients = Scale(TWO_GAP, 14, 10).ingredients
+        ingredients.cutoff_samples
+        theta = InnerFunction((), NU)
+        built = []
+        build = bcct.transforms.build_member
+        monkeypatch.setattr(bcct.transforms, "build_member",
+                            lambda family, p, **kw: built.append(p.degree) or build(family, p, **kw))
+        lengths = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: lengths.append(len(a))
+                            or fft(a, *args, **kw))
+        permanence_report(theta, ingredients, None, 1 << 18)
+        assert built == [0]
+        assert lengths.count(1 << 14) == 3
+
     def test_check_is_the_report_on_its_ingredients(self):
         # the (theta, E, w) form builds w's outer factor and the cut-off of E
         # at cutoff_kmax, and hands them to permanence_report

@@ -46,7 +46,6 @@ from bcct.transforms import (
     model_space_orthogonality,
     smooth_transform,
     split_transform,
-    _max_orthogonality,
     interior_lattice,
     transform_coefficients_exact,
 )
@@ -651,10 +650,13 @@ class TestModelSpace:
         assert abs(model_space_orthogonality(m, max_k=32, band=band) - np.max(r)) <= 1e-13 * scale
 
 
-def _permanence_members(grid_log2):
+def _permanence_members(grid_log2, theta=None):
     # the four K2 members of the permanence check, p = z^0..z^3, on one theta
+    # (by default the endpoint atom), each built with its own q: the oracle's
+    # input
     E = two_gap()
-    theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
+    if theta is None:
+        theta = InnerFunction((), SingularMeasure((endpoint_atom(E),)))
     ingredients = Scale(E, grid_log2, 8).ingredients
     return [ingredients.member(monomial(j), theta) for j in range(4)]
 
@@ -679,9 +681,16 @@ def _lag_sum_residual(members, max_k, band):
     return max(resid), scale
 
 
+# Each case is the flat members the oracle reads and a band; the residual
+# reads the first of them with count = their number, the others at a shift.
 ORTHOGONALITY_CASES = {
     "one_member": lambda: ([standard_member("K2", monomial(0), 12, k_max=8)], 4096),
     "permanence_members": lambda: (_permanence_members(12), 4096),
+    "permanence_members_grid10": lambda: (_permanence_members(10), 4096),
+    "permanence_members_grid14": lambda: (_permanence_members(14), 8192),
+    # theta = 1 at the permanence check's default band: q_j's coefficient 0
+    # is q_0's entry -j
+    "permanence_members_trivial": lambda: (_permanence_members(12, InnerFunction()), 1 << 19),
     "band_below_max_k": lambda: ([standard_member("K2", monomial(0), 12, k_max=8)], 16),
     # q_band = 2^10/2 - 1 = 511 < band
     "k1_q_band_below_band": lambda: ([standard_member("K1", monomial(0), 10, k_max=8)], 4096),
@@ -708,7 +717,8 @@ class TestAutocorrelationResidual:
     def test_matches_direct_lag_sums(self, case):
         members, band = ORTHOGONALITY_CASES[case]()
         ref, scale = _lag_sum_residual(members, 32, band)
-        assert abs(_max_orthogonality(members, 32, band) - ref) <= 1e-13 * scale
+        got = model_space_orthogonality(members[0], 32, band, count=len(members))
+        assert abs(got - ref) <= 1e-13 * scale
 
     @pytest.mark.parametrize("M", [0, 1, 17, 40, 64])
     def test_correlation_matches_mpmath(self, M):
@@ -732,7 +742,7 @@ class TestAutocorrelationResidual:
                 assert abs(got[k] - complex(b)) <= 1e-14, k
 
     def test_one_correlation_for_four_members(self, monkeypatch):
-        members = _permanence_members(12)
+        member = _permanence_members(12)[0]
         calls = []
 
         def counted(a, b, lags):
@@ -740,7 +750,7 @@ class TestAutocorrelationResidual:
             return _fft_correlate(a, b, lags)
 
         monkeypatch.setattr(bcct.transforms, "_fft_correlate", counted)
-        _max_orthogonality(members, 32, 4096)
+        model_space_orthogonality(member, 32, 4096, count=4)
         # theta's autocorrelation over m <= band - 32, lags 0..q_band + 32,
         # of theta's coefficients 0..band + q_band: the last lag reads no further
         assert calls == [(4096 - 32 + 1, 4096 + 2047 + 1, 2047 + 33)]
