@@ -4,7 +4,8 @@ Every suite emits one JSON verdict file with per-check entries
 ``{name, value, threshold, pass}`` plus plot-ready CSV data where useful.
 Exit status: 0 when every executed certificate passes, 1 when one fails,
 2 on configuration errors.  Verdict files are byte-deterministic for a
-fixed config and seed (floats are canonicalized to 17 significant digits).
+fixed config and seed: keys are sorted, and each float is written as its
+round-trip ``repr``.
 """
 
 from __future__ import annotations
@@ -121,18 +122,8 @@ def _parse_input(kind: str, parse, source):
         raise ConfigError(f"invalid {kind} file {source}: {exc}") from exc
 
 
-def _round17(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(_round17(obj), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -402,7 +393,7 @@ def main(argv=None) -> int:
             E = _parse_input("set", _read_set, args.set_file)
             out = {"measure": E.measure, "entropy": E.entropy, "gaps": len(E.gaps)}
             _write_json(_make_out_dir(args.out) / "validate.json", out)
-            print(json.dumps(_round17(out), sort_keys=True))
+            print(json.dumps(out, sort_keys=True))
             return 0
         if args.command == "report":
             out_dir = args.out

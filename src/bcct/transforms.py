@@ -51,6 +51,11 @@ from .factors import InnerFunction, OuterFunction
 
 _NOISE_FLOOR_FACTOR = 32 * np.finfo(float).eps
 
+# Doubles per window row in one block of the model-space residual's lag
+# sums: at K = 32 a block's window matrix is 33 x 2^13 doubles, about 2 MB,
+# where one copy of K2's whole 33 x 2^17 windows at band 2^20 is 34 MB.
+_WINDOW_BLOCK = 1 << 13
+
 # The factor rule, per family: whether it takes an outer factor W and an
 # inner factor theta.
 _FACTORS = {"K": (True, False), "K1": (False, True), "K2": (True, True)}
@@ -418,22 +423,39 @@ def transform_coefficients_exact(member: KMember, band: int = 8192) -> AnalyticS
     return AnalyticSeries(_fft_correlate(q_hat, th, band + 1))
 
 
-def _window_dots(x: np.ndarray, u: np.ndarray, rows: int) -> np.ndarray:
-    """sum_j u_j x_{i+j} for i = 0..rows-1.
+def _window_dots(x: np.ndarray, us: np.ndarray, rows: int) -> np.ndarray:
+    """sum_j u_j x_{i+j} for i = 0..rows-1 and each row u of ``us``, as a
+    (len(us), rows) array.
 
-    A real x is dotted with the real and imaginary parts of u by einsum, so
-    no window of it is cast to complex; a complex x takes numpy's matmul of
-    the strided windows.  Neither calls BLAS, whose dots sum in an order
-    that follows its thread count: the residual's last digits stay the same
-    on any number of CPUs.
+    The products run in real arithmetic: x's window matrix is read as
+    doubles, (Re, Im) pairs for a complex x, and the left side holds, for
+    each u, a row giving Re(u x) and one giving Im(u x): Re u and Im u
+    against a real x, and (Re u, -Im u) and (Im u, Re u) pairs against a
+    complex one.  The terms run in blocks of ``_WINDOW_BLOCK`` doubles per
+    window row.  Each block copies its rows x block window matrix of x
+    contiguously and adds one real matmul (a dgemm) of the left side
+    against it, for every u at once.  No zgemm is taken (see
+    :func:`~bcct.boundary_calculus.pole_sum_on_grid`).  A dgemm sums each
+    entry in an order that does not follow OpenBLAS's thread count, so the
+    residual's last digits stay the same on any number of CPUs.
     """
-    windows = sliding_window_view(x, len(u))[:rows]
-    if np.iscomplexobj(x):
-        return windows @ u
-    out = np.empty(rows, dtype=complex)
-    u_re, u_im = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
-    np.einsum("ij,j->i", windows, u_re, out=out.real)
-    np.einsum("ij,j->i", windows, u_im, out=out.imag)
+    count, length = us.shape
+    parts = 2 if np.iscomplexobj(x) else 1  # doubles per term of x
+    left = np.empty((2, count, length, parts))
+    left[0, ..., 0], left[1, ..., 0] = us.real, us.imag
+    if parts == 2:
+        left[0, ..., 1], left[1, ..., 1] = -us.imag, us.real
+    left = left.reshape(2 * count, parts * length)
+    step = _WINDOW_BLOCK // parts
+    windows = np.empty((rows, min(step, length)), dtype=x.dtype)
+    sums = np.zeros((2 * count, rows))  # Re(u x) rows, then Im(u x) rows
+    for j in range(0, length, step):
+        width = min(step, length - j)
+        block = windows[:, :width]
+        np.copyto(block, sliding_window_view(x[j : j + width + rows - 1], width))
+        sums += left[:, parts * j : parts * (j + width)] @ block.view(float).T
+    out = np.empty((count, rows), dtype=complex)
+    out.real, out.imag = sums[:count], sums[count:]
     return out
 
 
@@ -460,10 +482,11 @@ def model_space_orthogonality(
 
     The factor w^k drops out of |r_k|, so only the q_band + 1 powers w^j are
     formed.  A, the truncated autocorrelation of a, is one FFT correlation
-    shared by every s, a real one for a single atom; each s then costs
-    K + 1 dot products against A and K against a (its c~_{M0+1}..c~_band),
-    all of length q_band + 1, plus a K-term tail.  NaN anywhere propagates
-    to the result.
+    shared by every s, a real one for a single atom.  The lag sums of all
+    the s are then two blocked real matrix products (:func:`_window_dots`):
+    the rows u against the K + 1 windows of A, and against the K windows of
+    a that give c~_{M0+1}..c~_band, all of length q_band + 1.  Each s adds a
+    K-term tail.  NaN anywhere propagates to the result.
     """
     q_hats = _q_coefficients(member, band, count)
     if member.theta is None or member.theta.is_trivial:
@@ -475,15 +498,13 @@ def model_space_orthogonality(
     m0 = band - K
     A = _fft_correlate(a[: m0 + 1], a, q_len + K)
     w_j = np.exp(-1j * phi * np.arange(q_len))
-    resid = []
-    for q in q_hats:
-        u = np.conj(q) * w_j
-        r = _window_dots(A, u, K + 1)
-        c_tail = _window_dots(a[m0 + 1 :], u, K)  # c~_{m0+1}..c~_band
+    us = np.conj(q_hats) * w_j
+    r = _window_dots(A, us, K + 1)
+    c_tail = _window_dots(a[m0 + 1 :], us, K)  # c~_{m0+1}..c~_band, per member
+    for row, tail in zip(r, c_tail):
         for k in range(K):
-            r[k] += np.vdot(a[m0 + 1 : band + 1 - k], c_tail[k:])
-        resid.append(np.abs(r))
-    return float(np.max(resid))
+            row[k] += np.vdot(a[m0 + 1 : band + 1 - k], tail[k:])
+    return float(np.max(np.abs(r)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -860,13 +861,92 @@ def _bits(a):
 
 
 def _k2_window_inputs(complex_x):
-    """x and u at K2's shape at band 2^20: 33 rows of 2^17-term dots."""
+    """x and one member's u at K2's shape at band 2^20: 33 rows of 2^17-term
+    dots."""
     rng = np.random.default_rng(12)
-    u = rng.normal(size=1 << 17) + 1j * rng.normal(size=1 << 17)
+    us = rng.normal(size=(1, 1 << 17)) + 1j * rng.normal(size=(1, 1 << 17))
     x = rng.normal(size=(1 << 17) + 40)
     if complex_x:
         x = x + 1j * rng.normal(size=len(x))
-    return x, u
+    return x, us
+
+
+def _small_window_inputs(complex_x, count, length, rows):
+    rng = np.random.default_rng(5)
+    us = rng.normal(size=(count, length)) + 1j * rng.normal(size=(count, length))
+    x = rng.normal(size=length + rows - 1)
+    if complex_x:
+        x = x + 1j * rng.normal(size=len(x))
+    return x, us
+
+
+def _two_products(a, b):
+    """(p, e) with p + e = a b exactly, by Veltkamp's split (Dekker,
+    Numer. Math. 18, 1971), elementwise."""
+
+    def split(v):
+        c = v * 134217729.0  # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _assert_exact_window_dots(dots, x, us):
+    """dots[c, i] is sum_j u_j x_{i+j} for u = us[c] within 4 eps of
+    sum_j |u_j x_{i+j}|, against each part's exact products summed by
+    math.fsum, which rounds once."""
+    rows, length = dots.shape[1], us.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, length)[:rows]
+    for c, u in enumerate(us):
+        scale = np.abs(windows) @ np.abs(u)
+        for i, w in enumerate(windows):
+            re = [*_two_products(u.real, w.real), *_two_products(-u.imag, np.imag(w))]
+            im = [*_two_products(u.imag, w.real), *_two_products(u.real, np.imag(w))]
+            exact = complex(math.fsum(np.concatenate(re)), math.fsum(np.concatenate(im)))
+            assert abs(dots[c, i] - exact) <= 4 * np.finfo(float).eps * scale[i], (c, i)
+
+
+@pytest.mark.parametrize("block", [6, 1 << 13])
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+def test_window_dots_match_exact_sums(monkeypatch, complex_x, count, block):
+    # 7 rows of 45-term dots; blocks of 6 doubles per window row split them
+    # into 8 blocks, the last one partial (15 of 3 terms for a complex x)
+    monkeypatch.setattr(bcct.transforms, "_WINDOW_BLOCK", block)
+    x, us = _small_window_inputs(complex_x, count, 45, 7)
+    dots = bcct.transforms._window_dots(x, us, 7)
+    assert dots.shape == (count, 7)
+    _assert_exact_window_dots(dots, x, us)
+
+
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+def test_window_dots_of_four_members_are_each_members(complex_x):
+    # one product for four members, over 3 blocks of 2^13 doubles per row
+    # (5 for a complex x), against one call per member
+    x, us = _small_window_inputs(complex_x, 4, 20000, 33)
+    together = bcct.transforms._window_dots(x, us, 33)
+    windows = np.lib.stride_tricks.sliding_window_view(np.abs(x), 20000)[:33]
+    for u, row in zip(us, together):
+        alone = bcct.transforms._window_dots(x, u[None], 33)[0]
+        assert np.all(np.abs(row - alone) <= 4 * np.finfo(float).eps * (windows @ np.abs(u)))
+
+
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+def test_window_dots_memory_at_k2_shape(complex_x):
+    # one copy of K2's whole 33 x 2^17 window matrix is 34 MB (69 MB for a
+    # complex x); a block of it is about 2 MB, beside the 2 MB (4 MB) of the
+    # product's left side
+    x, us = _k2_window_inputs(complex_x)
+    tracemalloc.start()
+    try:
+        bcct.transforms._window_dots(x, us, 33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
 
 
 def test_the_package_starts_no_thread(monkeypatch):
@@ -944,19 +1024,13 @@ def test_outer_boundary_same_bits_on_one_and_two_cpus():
 
 @pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
 def test_window_dots_same_bits_on_one_and_two_cpus(complex_x):
-    # K2's dots run on the calling thread and call no BLAS: their bits are
-    # the reference's here, and this process's in fresh interpreters on one
-    # CPU and on all, under one and two BLAS threads
-    x, u = _k2_window_inputs(complex_x)
-    windows = np.lib.stride_tricks.sliding_window_view(x, len(u))[:33]
-    if complex_x:
-        ref = windows @ u
-    else:
-        ref = np.empty(33, dtype=complex)
-        ref.real = np.einsum("ij,j->i", windows, u.real.copy())
-        ref.imag = np.einsum("ij,j->i", windows, u.imag.copy())
-    dots = bcct.transforms._window_dots(x, u, 33)
-    assert np.array_equal(_bits(dots), _bits(ref))
+    # K2's lag sums take dgemms on OpenBLAS's threads: their bits must follow
+    # neither its thread count nor the CPUs the process may use.  They match
+    # the exact sums here, and this process's bits in fresh interpreters on
+    # one CPU and on all, under one and two BLAS threads
+    x, us = _k2_window_inputs(complex_x)
+    dots = bcct.transforms._window_dots(x, us, 33)
+    _assert_exact_window_dots(dots, x, us)
     code = (
         "import hashlib\n"
         "import numpy as np\n"
